@@ -88,9 +88,34 @@ class MarkovChain:
             v.setflags(write=False)
         for m in self.transitions:
             m.setflags(write=False)
+        # cumulative transition rows for path sampling; the last entry is
+        # raised to +inf so that a draw above a row's rounded total picks the
+        # last node
+        self._cumulative = [np.cumsum(m, axis=1) for m in self.transitions]
+        for cum in self._cumulative:
+            cum[:, -1] = np.inf
 
     def node_count(self, stage: int) -> int:
         return len(self.nodes[stage])
+
+    def node_paths(self, draws: np.ndarray) -> np.ndarray:
+        """Node indices at stages 1..T of the paths driven by uniform ``draws``.
+
+        ``draws`` has shape (T,) for one path or (K, T) for K paths.  At each
+        stage the draw picks the first successor whose cumulative transition
+        probability reaches it, or the last node when rounding leaves the
+        row's total below the draw.
+        """
+        u = np.atleast_2d(np.asarray(draws, dtype=float))
+        if u.shape[1] != self.horizon:
+            raise ValueError(f"need {self.horizon} draws per path, got {u.shape[1]}")
+        paths = np.empty(u.shape, dtype=np.intp)
+        j = np.zeros(len(u), dtype=np.intp)
+        for t in range(self.horizon):
+            # entries below the draw = searchsorted(side="left")
+            j = np.count_nonzero(self._cumulative[t][j] < u[:, t, None], axis=1)
+            paths[:, t] = j
+        return paths.reshape(np.shape(draws))
 
     def to_json(self) -> str:
         doc = {
@@ -181,8 +206,17 @@ def build_chain(
     return MarkovChain(T, nodes, transitions, raw_mass)
 
 
-def nearest_node(chain: MarkovChain, stage: int, deviation: float) -> int:
-    """Index of the stage node closest to ``deviation``; ties go to the smaller index."""
+def nearest_node(
+    chain: MarkovChain, stage: int, deviation: float | np.ndarray
+) -> int | np.ndarray:
+    """Index of the stage node closest to ``deviation``; ties go to the smaller index.
+
+    A 1-D array of deviations gives an integer array of indices.
+    """
     if not 1 <= stage <= chain.horizon:
         raise StageOutOfRangeError(f"stage {stage} outside 1..{chain.horizon}")
-    return int(np.argmin(np.abs(chain.nodes[stage] - deviation)))
+    nodes = chain.nodes[stage]
+    if np.ndim(deviation) == 0:
+        return int(np.argmin(np.abs(nodes - deviation)))
+    dev = np.asarray(deviation, dtype=float)
+    return np.argmin(np.abs(nodes[None, :] - dev[:, None]), axis=1)

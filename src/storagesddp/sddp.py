@@ -322,24 +322,19 @@ def train(
     T = chain.horizon
     x0 = (problem.utility.initial_wealth, 0.0)
     utility = problem.utility
-    cum = [np.cumsum(m, axis=1) for m in chain.transitions]
+    draws = [np.random.default_rng([rng_seed, k]).random(T) for k in range(iterations)]
+    paths = chain.node_paths(np.array(draws)).tolist()
 
     for k in range(iterations):
         t_start = time.perf_counter()
-        rng = np.random.default_rng([rng_seed, k])
-        draws = rng.random(T)
+        nodes = [0] + paths[k]
 
-        # forward pass: sample nodes, follow current policy, record states
-        nodes = [0]
+        # forward pass: follow the current policy along the sampled nodes,
+        # recording states
         states = [x0]
-        j = 0
         state = x0
-        for t in range(T):
-            j = int(np.searchsorted(cum[t][j], draws[t]))
-            j = min(j, chain.node_count(t + 1) - 1)
-            sol = policy.subproblem(t + 1, j).solve(state)
-            state = sol.next_state
-            nodes.append(j)
+        for t in range(1, T + 1):
+            state = policy.subproblem(t, nodes[t]).solve(state).next_state
             states.append(state)
         path_objective = -terminal_cost(utility, state[0])
 

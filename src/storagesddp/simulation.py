@@ -6,6 +6,16 @@ the stage problem is re-solved with that node's trained cuts but with the
 realized bid/ask in the immediate dynamics and accounting.  An in-sample
 analogue (scenarios drawn from the chain itself) is computed alongside for
 the discretization-gap comparison.
+
+Evaluation runs stage-major over blocks of scenarios, one lane per
+scenario.  At each stage every lane is mapped to its nearest node, and the
+lanes at one node are solved by a single `solve_lanes` call that shares the
+node's cut arrays (out of sample, each lane keeps its own bid/ask rows).
+The terminal stage uses the scalar Kelley solve per lane.  Evaluation only
+reads the policy: it writes none of the policy's subproblem scratch.  The
+block size follows an element budget, so memory does not grow with the
+number of scenarios, and the results equal a scenario-by-scenario loop of
+scalar solves bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +26,17 @@ import numpy as np
 
 from .discretization import nearest_node
 from .errors import DegenerateSampleError
+from .price_model import bid_ask, simulate_deviation_path
 from .sddp import Policy
-from .stage_solver import NodeSubproblem
+from .stage_solver import NodeSubproblem, solve_lanes
 from .storage import stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
+# element budgets (doubles per working array) that keep peak memory
+# independent of the sample size: lanes x cut rows for one block of
+# scenarios, and grid points x samples for one density chunk
+_LANE_ELEMENTS = 1 << 18
+_KDE_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -51,65 +67,78 @@ class DensityEstimate:
     bandwidth: float
 
 
-def _simulate_one(
-    policy: Policy, deviations: np.ndarray, realized_prices: bool
-) -> tuple[float, float]:
-    """Run one scenario; returns (terminal wealth, utility).
+def _lane_block(policy: Policy) -> int:
+    """Scenarios per block: the element budget over the largest cut pool."""
+    T = policy.horizon
+    chain = policy.chain
+    rows = 1 + max(
+        (len(policy.pools.get(t, j)) for t in range(1, T) for j in range(chain.node_count(t))),
+        default=0,
+    )
+    return max(1, _LANE_ELEMENTS // rows)
 
-    With ``realized_prices`` the stage dynamics use the scenario's own
-    bid/ask and the nearest node's cuts; otherwise the deviations are node
-    values and the policy's node subproblems are used directly.
+
+def _simulate_lanes(
+    policy: Policy, deviations: np.ndarray, realized_prices: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run a block of scenarios stage by stage; returns (terminal wealths, utilities).
+
+    ``deviations`` holds one scenario per row.  With ``realized_prices`` the
+    stage dynamics use each scenario's own bid/ask and the nearest node's
+    cuts; otherwise the deviations are node values and the lanes at a node
+    share its prices.
     """
     problem = policy.problem
     model = problem.price_model
     battery = problem.battery
     utility = problem.utility
     T = policy.horizon
-    state = (utility.initial_wealth, 0.0)
-    traded = 0.0
+    K = len(deviations)
+    xm = np.full(K, float(utility.initial_wealth))
+    xe = np.zeros(K)
+    traded = np.zeros(K)
+    buy, sell = np.empty(K), np.empty(K)
     for t in range(1, T + 1):
-        xi = float(deviations[t - 1])
-        node = nearest_node(policy.chain, t, xi)
-        if realized_prices:
-            data = stage_data_for(
-                model, battery, t, xi, node=node, wealth_cap=policy.wealth_cap
-            )
-            if t == T:
-                sub = NodeSubproblem(data, utility, cutset=None, terminal=True)
-            else:
-                sub = NodeSubproblem(data, utility, cutset=policy.pools.get(t, node))
-        else:
+        xi = deviations[:, t - 1]
+        nodes = nearest_node(policy.chain, t, xi)
+        bid, ask = bid_ask(model, t, xi)
+        next_m, next_e = np.empty(K), np.empty(K)
+        for node in np.unique(nodes).tolist():
+            lanes = np.flatnonzero(nodes == node)
             data = policy.stage_data(t, node)
-            sub = policy.subproblem(t, node)
-        sol = sub.solve(state)
-        buy, sell = sol.controls
-        if not (
-            -_FEAS_TOL <= buy <= data.u_max_charge + _FEAS_TOL
-            and -_FEAS_TOL <= sell <= data.u_max_discharge + _FEAS_TOL
+            if t < T:
+                own = (ask[lanes], bid[lanes]) if realized_prices else (None, None)
+                sol = solve_lanes(
+                    data, utility, policy.pools.get(t, node), xm[lanes], xe[lanes], *own
+                )
+                buy[lanes], sell[lanes] = sol.buy, sol.sell
+                next_m[lanes], next_e[lanes] = sol.next_wealth, sol.next_energy
+                continue
+            if not realized_prices:
+                sub = NodeSubproblem(data, utility, cutset=None, terminal=True)
+            for k in lanes.tolist():
+                if realized_prices:
+                    lane_data = stage_data_for(
+                        model, battery, t, float(xi[k]), node=node, wealth_cap=policy.wealth_cap
+                    )
+                    sub = NodeSubproblem(lane_data, utility, cutset=None, terminal=True)
+                sol = sub.solve_terminal((float(xm[k]), float(xe[k])))
+                buy[k], sell[k] = sol.controls
+                next_m[k], next_e[k] = sol.next_state
+        if not np.all(
+            (-_FEAS_TOL <= buy)
+            & (buy <= battery.max_charge + _FEAS_TOL)
+            & (-_FEAS_TOL <= sell)
+            & (sell <= battery.max_discharge + _FEAS_TOL)
         ):
             raise AssertionError(f"control outside box at stage {t}")
-        state = sol.next_state
-        if not -_FEAS_TOL <= state[1] <= battery.capacity + _FEAS_TOL:
+        xm, xe = next_m, next_e
+        if not np.all((-_FEAS_TOL <= xe) & (xe <= battery.capacity + _FEAS_TOL)):
             raise AssertionError(f"energy outside [0, capacity] at stage {t}")
-        traded += data.ask * buy - data.bid * sell
-    wealth = state[0]
-    if abs(wealth - (utility.initial_wealth - traded)) > 1e-9 * max(1.0, abs(wealth)):
+        traded += ask * buy - bid * sell
+    if np.any(np.abs(xm - (utility.initial_wealth - traded)) > 1e-9 * np.maximum(1.0, np.abs(xm))):
         raise AssertionError("wealth accounting identity violated")
-    return wealth, -terminal_cost(utility, wealth)
-
-
-def _node_path_deviations(policy: Policy, seed: int) -> np.ndarray:
-    """Draw one node path from the chain; return its deviation values."""
-    chain = policy.chain
-    rng = np.random.default_rng(seed)
-    draws = rng.random(chain.horizon)
-    out = np.empty(chain.horizon)
-    j = 0
-    for t in range(chain.horizon):
-        row = np.cumsum(chain.transitions[t][j])
-        j = min(int(np.searchsorted(row, draws[t])), chain.node_count(t + 1) - 1)
-        out[t] = chain.nodes[t + 1][j]
-    return out
+    return xm, np.array([-terminal_cost(utility, w) for w in xm.tolist()])
 
 
 def evaluate_out_of_sample(
@@ -118,24 +147,28 @@ def evaluate_out_of_sample(
     """Monte Carlo evaluation of a trained policy.
 
     Scenario k uses seed ``rng_seed XOR k`` so the scenario set does not
-    depend on evaluation order.
+    depend on evaluation order (or on the block size).
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
-    from .price_model import simulate_deviation_path
-
     model = policy.problem.price_model
+    chain = policy.chain
     T = policy.horizon
     wealths = np.empty(n_scenarios)
     utils = np.empty(n_scenarios)
-    for k in range(n_scenarios):
-        xi = simulate_deviation_path(model, T, rng_seed ^ k)
-        wealths[k], utils[k] = _simulate_one(policy, xi, realized_prices=True)
-
     in_sample = np.empty(n_scenarios)
-    for k in range(n_scenarios):
-        xi = _node_path_deviations(policy, (rng_seed + 1_000_003) ^ k)
-        _, in_sample[k] = _simulate_one(policy, xi, realized_prices=False)
+    block = _lane_block(policy)
+    for lo in range(0, n_scenarios, block):
+        ks = range(lo, min(lo + block, n_scenarios))
+        sl = slice(lo, lo + len(ks))
+        xi = np.array([simulate_deviation_path(model, T, rng_seed ^ k) for k in ks])
+        wealths[sl], utils[sl] = _simulate_lanes(policy, xi, realized_prices=True)
+        draws = np.array(
+            [np.random.default_rng((rng_seed + 1_000_003) ^ k).random(T) for k in ks]
+        )
+        paths = chain.node_paths(draws)
+        xi = np.column_stack([chain.nodes[t + 1][paths[:, t]] for t in range(T)])
+        _, in_sample[sl] = _simulate_lanes(policy, xi, realized_prices=False)
 
     se = float(np.std(utils, ddof=1) / np.sqrt(n_scenarios)) if n_scenarios > 1 else 0.0
     return SimulationReport(
@@ -161,7 +194,7 @@ def kernel_density(samples: np.ndarray, grid_points: int = 256) -> DensityEstima
     grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, grid_points)
     density = np.empty(grid_points)
     norm = 1.0 / (n * bw * np.sqrt(2.0 * np.pi))
-    chunk = max(1, int(2_000_000 // max(n, 1)))
+    chunk = max(1, _KDE_ELEMENTS // n)
     for lo in range(0, grid_points, chunk):
         g = grid[lo : lo + chunk, None]
         z = (g - x[None, :]) / bw

@@ -21,11 +21,22 @@ sell) selects the lexicographically smallest optimal controls.
 Dual values double as state sensitivities: the subgradient of the stage value
 with respect to the incoming state is the dual-weighted sum of the row
 right-hand-side derivatives.
+
+Two implementations run the same pivot rules.  `NodeSubproblem` solves one
+state per call on Python floats; `solve_lanes` pivots K LPs that share one
+node's cuts in lockstep on numpy arrays, each lane with its own state and,
+optionally, its own bid/ask.  Training and `Policy.decide` solve one state
+per subproblem, where the scalar path is about 9x faster (60 us against
+570 us at K=1 on a 372-cut node of the default pool, Intel Xeon, one
+thread); out-of-sample evaluation solves every scenario at a (stage, node)
+at once, where the lane kernel wins.  Both give bit-identical results lane
+by lane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +65,12 @@ _R_BUY_LO, _R_BUY_HI, _R_SELL_LO, _R_SELL_HI = 0, 1, 2, 3
 _R_FLOOR, _R_CAP_LO, _R_CAP_HI, _R_W_LO, _R_W_HI = 4, 5, 6, 7, 8
 _N_STATIC = 9
 _START_BASIS = (_R_BUY_LO, _R_SELL_LO, _R_FLOOR)
+# cofactor k of a row-major flattened 3x3 matrix M is
+# M[P1[k]] * M[P2[k]] - M[Q1[k]] * M[Q2[k]], in _solve3's order A..I
+_COF_P1 = np.array([4, 2, 1, 5, 0, 2, 3, 1, 0])
+_COF_P2 = np.array([8, 7, 5, 6, 8, 3, 7, 6, 4])
+_COF_Q1 = np.array([5, 1, 2, 3, 2, 0, 4, 0, 1])
+_COF_Q2 = np.array([7, 8, 4, 8, 6, 5, 6, 7, 3])
 
 
 @dataclass(frozen=True)
@@ -67,9 +84,9 @@ class Cut:
 
     def __post_init__(self) -> None:
         if not (
-            np.isfinite(self.intercept)
-            and np.isfinite(self.grad_wealth)
-            and np.isfinite(self.grad_energy)
+            math.isfinite(self.intercept)
+            and math.isfinite(self.grad_wealth)
+            and math.isfinite(self.grad_energy)
         ):
             raise ValueError("cut coefficients must be finite")
 
@@ -157,6 +174,41 @@ class StageSolution:
         raise ValueError("controls differ across successors; index by successor node")
 
 
+def _static_rows(data: StageData, ask, bid) -> list[tuple]:
+    """The nine static rows (control boxes, floor, energy band, wealth box), unscaled.
+
+    ``ask`` and ``bid`` enter the wealth-box rows only; they are the node's
+    scalars or per-lane arrays.
+    """
+    cp, cm = data.charge_eff, data.discharge_eff
+    return [
+        (1.0, 0.0, 0.0),
+        (-1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (0.0, -1.0, 0.0),
+        (0.0, 0.0, 1.0),
+        (cp, -cm, 0.0),
+        (-cp, cm, 0.0),
+        (-ask, bid, 0.0),
+        (ask, -bid, 0.0),
+    ]
+
+
+def _cut_rows(data: StageData, gw, ge, ask, bid):
+    """Unit-scaled cut rows: (buy coefficient, sell coefficient, row scale).
+
+    A cut ``theta >= a + gw*x_m' + ge*x_e'`` becomes the row
+    ``(gw*ask - ge*c_plus, -gw*bid + ge*c_minus, 1)``, divided by its largest
+    magnitude (at least one); the returned scale also multiplies the cut's
+    right-hand-side pieces.  ``ask``/``bid`` are scalars or per-lane columns,
+    which broadcast the rows to one set per lane.
+    """
+    c0 = gw * ask - ge * data.charge_eff
+    c1 = -gw * bid + ge * data.discharge_eff
+    inv = 1.0 / np.maximum(1.0, np.maximum(np.abs(c0), np.abs(c1)))
+    return c0 * inv, c1 * inv, inv
+
+
 def _solve3(r0, r1, r2, v0, v1, v2):
     """Solve M x = v for the 3x3 matrix with rows r0, r1, r2 (Cramer)."""
     a, b, c = r0
@@ -213,18 +265,7 @@ class NodeSubproblem:
         self._c2 = np.empty(cap0)
         self._b = np.empty(cap0)
         self._rows: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * cap0
-        d = data
-        static = [
-            (1.0, 0.0, 0.0),
-            (-1.0, 0.0, 0.0),
-            (0.0, 1.0, 0.0),
-            (0.0, -1.0, 0.0),
-            (0.0, 0.0, 1.0),
-            (d.charge_eff, -d.discharge_eff, 0.0),
-            (-d.charge_eff, d.discharge_eff, 0.0),
-            (-d.ask, d.bid, 0.0),
-            (d.ask, -d.bid, 0.0),
-        ]
+        static = _static_rows(data, data.ask, data.bid)
         # rows are normalized to unit magnitude at insertion; the matching
         # rhs divisors for the static rows are kept for assembly
         self._static_inv = np.array([1.0 / max(1.0, abs(r[0]), abs(r[1]), abs(r[2])) for r in static])
@@ -263,10 +304,11 @@ class NodeSubproblem:
     def _append_cut_row(self, intercept: float, gw: float, ge: float) -> None:
         d = self.data
         i = self._m
-        c0 = gw * d.ask - ge * d.charge_eff
-        c1 = -gw * d.bid + ge * d.discharge_eff
-        inv = 1.0 / max(1.0, abs(c0), abs(c1))
-        self._set_row(i, (c0, c1, 1.0))
+        row = tuple(float(v) for v in _cut_rows(d, gw, ge, d.ask, d.bid))
+        self._ensure(i + 1)
+        self._c0[i], self._c1[i], self._c2[i] = row
+        self._rows[i] = row
+        inv = row[2]
         self._cut_a[i] = intercept * inv
         self._cut_gw[i] = gw * inv
         self._cut_gel[i] = ge * d.leak_factor * inv
@@ -283,11 +325,7 @@ class NodeSubproblem:
         start = self._m
         self._ensure(start + n_new)
         sl = slice(start, start + n_new)
-        c0 = gw[lo:hi] * d.ask - ge[lo:hi] * d.charge_eff
-        c1 = -gw[lo:hi] * d.bid + ge[lo:hi] * d.discharge_eff
-        inv = 1.0 / np.maximum(1.0, np.maximum(np.abs(c0), np.abs(c1)))
-        c0 = c0 * inv
-        c1 = c1 * inv
+        c0, c1, inv = _cut_rows(d, gw[lo:hi], ge[lo:hi], d.ask, d.bid)
         self._c0[sl] = c0
         self._c1[sl] = c1
         self._c2[sl] = inv
@@ -532,6 +570,231 @@ class NodeSubproblem:
         raise MaxIterationsError(
             f"terminal solve did not reach tol={tol:g} in {max_iter} passes"
         )
+
+
+@dataclass(frozen=True)
+class LaneSolution:
+    """Per-lane optima of `solve_lanes`; every field has one entry per lane."""
+
+    buy: np.ndarray
+    sell: np.ndarray
+    value: np.ndarray
+    grad_wealth: np.ndarray
+    grad_energy: np.ndarray
+    next_wealth: np.ndarray
+    next_energy: np.ndarray
+
+
+def solve_lanes(
+    data: StageData,
+    utility: UtilitySpec,
+    cutset: CutSet,
+    wealth: np.ndarray,
+    energy: np.ndarray,
+    ask: np.ndarray | None = None,
+    bid: np.ndarray | None = None,
+) -> LaneSolution:
+    """Solve K subproblems of one node in lockstep, one per incoming state.
+
+    Lane k is the LP that ``NodeSubproblem(data', utility, cutset)`` solves at
+    ``(wealth[k], energy[k])``, where ``data'`` is ``data`` with its bid/ask
+    replaced by ``bid[k]``/``ask[k]`` when those are given.  The pivot rules,
+    row scaling, tolerances and objective perturbation are the scalar
+    solver's, applied per lane, with every floating-point expression
+    evaluated in the same order; a lane leaves the loop when it is optimal,
+    so every output equals the scalar solve bit for bit.  Errors are the
+    scalar solver's: `InfeasibleError` for a state outside its box or an
+    infeasible LP, `StorageError` for a singular basis or a binding wealth
+    box, and `MaxIterationsError` when a lane exhausts the pivot budget.
+    """
+    d = data
+    xm = np.asarray(wealth, dtype=float)
+    xe = np.asarray(energy, dtype=float)
+    K = xm.size
+    if ask is None:
+        # every lane sees the node's prices: one shared set of rows
+        ask_l = np.full(1, d.ask)
+        bid_l = np.full(1, d.bid)
+    else:
+        ask_l = np.asarray(ask, dtype=float)
+        bid_l = np.asarray(bid, dtype=float)
+    if not np.all((-_STATE_TOL <= xe) & (xe <= d.capacity + _STATE_TOL)):
+        raise InfeasibleError(f"energy state outside [0, {d.capacity:.6g}]")
+    if np.any(np.abs(xm) > d.wealth_cap + _STATE_TOL):
+        raise InfeasibleError(f"wealth state outside +-{d.wealth_cap:.6g}")
+
+    # unit-scaled rows: coef[q] is (R, m), R = 1 (shared) or K (own prices)
+    a, gw, ge = cutset.arrays()
+    n = a.size
+    m = _N_STATIC + n
+    R = ask_l.size
+    static = np.empty((3, R, _N_STATIC))
+    for i, row in enumerate(_static_rows(d, ask_l, bid_l)):
+        for q in range(3):
+            static[q, :, i] = row[q]
+    static_inv = 1.0 / np.maximum(
+        np.maximum(1.0, np.abs(static[0])), np.maximum(np.abs(static[1]), np.abs(static[2]))
+    )
+    coef = np.empty((3, R, m))
+    np.multiply(static, static_inv, out=coef[:, :, :_N_STATIC])
+    for q, part in enumerate(_cut_rows(d, gw, ge, ask_l[:, None], bid_l[:, None])):
+        coef[q, :, _N_STATIC:] = part
+    cut_inv = coef[2, :, _N_STATIC:]
+    ge_leak = ge * d.leak_factor
+
+    # right-hand sides, one row per lane (as _assemble_b)
+    rhs = np.empty((K, m))
+    leak_xe = d.leak_factor * xe
+    rhs[:, _R_BUY_LO] = 0.0
+    rhs[:, _R_BUY_HI] = -d.u_max_charge
+    rhs[:, _R_SELL_LO] = 0.0
+    rhs[:, _R_SELL_HI] = -d.u_max_discharge
+    rhs[:, _R_FLOOR] = -1.0 / utility.risk_aversion
+    rhs[:, _R_CAP_LO] = -leak_xe
+    rhs[:, _R_CAP_HI] = leak_xe - d.capacity
+    rhs[:, _R_W_LO] = -d.wealth_cap - xm
+    rhs[:, _R_W_HI] = xm - d.wealth_cap
+    rhs[:, :_N_STATIC] *= static_inv
+    if n:
+        cut_rhs = rhs[:, _N_STATIC:]
+        np.multiply(gw * cut_inv, xm[:, None], out=cut_rhs)
+        cut_rhs += (ge_leak * cut_inv) * xe[:, None]
+        cut_rhs += a * cut_inv
+
+    x_out = np.empty((K, 3))
+    basis_out = np.empty((K, 3), dtype=np.intp)
+    y_out = np.empty((K, 3))
+    lanes = np.arange(K)  # lanes still pivoting
+    basis = np.tile(np.array(_START_BASIS, dtype=np.intp), (K, 1))
+    row_of = np.arange(K) if R > 1 else np.zeros(K, dtype=np.intp)
+    work = coef  # rows of the pivoting lanes (shared rows are never compacted)
+    b = rhs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(_MAX_PIVOTS):
+            if not lanes.size:
+                break
+            L = np.arange(lanes.size)
+            # M[k] is A_W^T flattened row-major: M[k, 3q + p] = component q of basis row p
+            M = work[:, row_of[:, None], basis].transpose(1, 0, 2).reshape(-1, 9)
+            cof = M[:, _COF_P1] * M[:, _COF_P2] - M[:, _COF_Q1] * M[:, _COF_Q2]
+            det = M[:, 0] * cof[:, 0] + M[:, 1] * cof[:, 3] + M[:, 2] * cof[:, 6]
+            if np.any(det == 0.0):
+                raise StorageError("singular stage-LP basis")
+            inv = (1.0 / det)[:, None]
+            adj = cof.reshape(-1, 3, 3)  # adj[k, r] = (A, B, C), (D, E, F), (G, H, I)
+            # multipliers solve A_W^T y = c; primal point solves A_W x = b_W
+            c0v, c1v, c2v = _OBJECTIVE
+            y = (adj[:, :, 0] * c0v + adj[:, :, 1] * c1v + adj[:, :, 2] * c2v) * inv
+            bw = b[L[:, None], basis]
+            x = (adj[:, 0] * bw[:, 0:1] + adj[:, 1] * bw[:, 1:2] + adj[:, 2] * bw[:, 2:3]) * inv
+            slack = work[0] * x[:, 0:1]
+            slack += work[1] * x[:, 1:2]
+            slack += work[2] * x[:, 2:3]
+            slack -= b
+            minv_max = np.abs(cof).max(axis=1) * np.abs(inv[:, 0])
+            x_err = 64.0 * 2.3e-16 * minv_max * np.maximum(np.abs(bw).max(axis=1), 1.0)
+            thresh = -(_PIVOT_TOL + x_err)
+            if it < _BLAND_AFTER:
+                j = slack.argmin(axis=1)  # most violated row enters
+            else:
+                j = (slack < thresh[:, None]).argmax(axis=1)  # Bland: smallest index
+            done = slack[L, j] >= thresh
+            if np.any(done):
+                idx = lanes[done]
+                x_out[idx], basis_out[idx], y_out[idx] = x[done], basis[done], y[done]
+                keep = ~done
+                lanes, basis, row_of, b = lanes[keep], basis[keep], row_of[keep], b[keep]
+                adj, inv, y, j = adj[keep], inv[keep], y[keep], j[keep]
+                if R > 1:
+                    work = work[:, keep]
+                    row_of = np.arange(lanes.size)
+            aj = work[:, row_of, j].T[:, None, :]
+            u = adj[:, :, 0] * aj[..., 0] + adj[:, :, 1] * aj[..., 1] + adj[:, :, 2] * aj[..., 2]
+            u *= inv
+            ratio = y / u
+            leave = _ratio_leave(u, ratio, _PIVOT_TOL)
+            # rows normalized against exponential-scale cut gradients can have
+            # legitimately tiny pivot elements; accept an exactly positive one
+            # (a huge but finite step) before giving up
+            stuck = leave < 0
+            if np.any(stuck):
+                leave = np.where(stuck, _ratio_leave(u, ratio, 0.0), leave)
+                if np.any(leave < 0):
+                    raise InfeasibleError("stage subproblem infeasible")
+            basis[np.arange(lanes.size), leave] = j
+        else:
+            raise MaxIterationsError("stage LP exceeded pivot budget")
+
+    # subgradient: dual-weighted right-hand-side derivatives (as _subgradient)
+    row_of = np.arange(K) if R > 1 else np.zeros(K, dtype=np.intp)
+    vm = np.zeros(K)
+    ve = np.zeros(K)
+    leak = d.leak_factor
+    for p in range(3):
+        idx = basis_out[:, p]
+        y = y_out[:, p]
+        pos = y > 0.0
+        if np.any(pos & ((idx == _R_W_LO) | (idx == _R_W_HI))):
+            raise StorageError(
+                "wealth box is binding; raise wealth_cap (state far outside "
+                "the expected operating range)"
+            )
+        is_cut = pos & (idx >= _N_STATIC)
+        if n:
+            ci = np.maximum(idx - _N_STATIC, 0)
+            inv_at = cut_inv[row_of, ci]
+            vm = vm + np.where(is_cut, y * (gw[ci] * inv_at), 0.0)
+            cut_term = y * (ge_leak[ci] * inv_at)
+        else:
+            cut_term = 0.0
+        cap_term = y * leak * static_inv[row_of, np.minimum(idx, _N_STATIC - 1)]
+        ve = ve + np.where(
+            is_cut,
+            cut_term,
+            np.where(
+                pos & (idx == _R_CAP_LO),
+                -cap_term,
+                np.where(pos & (idx == _R_CAP_HI), cap_term, 0.0),
+            ),
+        )
+
+    # clamp into the boxes and the energy band (as NodeSubproblem._clamp);
+    # where() reproduces min/max exactly, signed zeros included
+    buy = np.where(0.0 > x_out[:, 0], 0.0, x_out[:, 0])
+    buy = np.where(d.u_max_charge < buy, d.u_max_charge, buy)
+    sell = np.where(0.0 > x_out[:, 1], 0.0, x_out[:, 1])
+    sell = np.where(d.u_max_discharge < sell, d.u_max_discharge, sell)
+    nxt = leak * xe + d.charge_eff * buy - d.discharge_eff * sell
+    low = nxt < 0.0
+    high = ~low & (nxt > d.capacity)
+    s_fix = sell + nxt / d.discharge_eff
+    sell = np.where(low, np.where(0.0 > s_fix, 0.0, s_fix), sell)
+    b_fix = buy - (nxt - d.capacity) / d.charge_eff
+    buy = np.where(high, np.where(0.0 > b_fix, 0.0, b_fix), buy)
+    return LaneSolution(
+        buy=buy,
+        sell=sell,
+        value=x_out[:, 2],
+        grad_wealth=vm,
+        grad_energy=ve,
+        next_wealth=xm - ask_l * buy + bid_l * sell,
+        next_energy=leak * xe + d.charge_eff * buy - d.discharge_eff * sell,
+    )
+
+
+def _ratio_leave(u: np.ndarray, ratio: np.ndarray, tol: float) -> np.ndarray:
+    """Leaving basis position per lane (-1 if none), as in `NodeSubproblem._pivot`.
+
+    Among positions with a pivot element above ``tol``, the smallest ratio
+    leaves; ties keep the smaller position.
+    """
+    leave = np.where(u[:, 0] > tol, 0, -1)
+    best = ratio[:, 0]
+    for p in (1, 2):
+        take = (u[:, p] > tol) & ((leave < 0) | (ratio[:, p] < best))
+        leave = np.where(take, p, leave)
+        best = np.where(take, ratio[:, p], best)
+    return leave
 
 
 def max_wealth_controls(data: StageData, state: tuple[float, float]) -> tuple[float, float]:

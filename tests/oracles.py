@@ -2,7 +2,10 @@
 
 Nothing here touches the cut/LP machinery: values come from grid dynamic
 programming, exhaustive enumeration, or closed forms, so agreement with the
-package is meaningful evidence.
+package is meaningful evidence.  The exception is `scenario_major_evaluation`,
+the scenario-by-scenario loop over scalar `NodeSubproblem` solves that
+`evaluate_out_of_sample` ran before its stage-major lane batches; it is the
+reference those batches must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +15,13 @@ import itertools
 import numpy as np
 
 from storagesddp import bid_ask
-from storagesddp.discretization import MarkovChain
+from storagesddp.discretization import MarkovChain, nearest_node
+from storagesddp.price_model import simulate_deviation_path
 from storagesddp.sddp import Policy, StorageProblem
+from storagesddp.stage_solver import NodeSubproblem
+from storagesddp.storage import stage_data_for, terminal_cost
+
+_FEAS_TOL = 1e-9
 
 
 def chain_dp(
@@ -231,3 +239,85 @@ def random_relaxed_trajectory(rng, battery, prices, x0m: float):
     return s.RelaxedTrajectory(
         wealth=np.array(wealth), energy=np.array(energy), buy=np.array(buys), sell=np.array(sells)
     )
+
+
+def _simulate_one(
+    policy: Policy, deviations: np.ndarray, realized_prices: bool
+) -> tuple[float, float]:
+    """Run one scenario; returns (terminal wealth, utility).
+
+    With ``realized_prices`` the stage dynamics use the scenario's own
+    bid/ask and the nearest node's cuts; otherwise the deviations are node
+    values and the policy's node subproblems are used directly.
+    """
+    problem = policy.problem
+    model = problem.price_model
+    battery = problem.battery
+    utility = problem.utility
+    T = policy.horizon
+    state = (utility.initial_wealth, 0.0)
+    traded = 0.0
+    for t in range(1, T + 1):
+        xi = float(deviations[t - 1])
+        node = nearest_node(policy.chain, t, xi)
+        if realized_prices:
+            data = stage_data_for(
+                model, battery, t, xi, node=node, wealth_cap=policy.wealth_cap
+            )
+            if t == T:
+                sub = NodeSubproblem(data, utility, cutset=None, terminal=True)
+            else:
+                sub = NodeSubproblem(data, utility, cutset=policy.pools.get(t, node))
+        else:
+            data = policy.stage_data(t, node)
+            sub = policy.subproblem(t, node)
+        sol = sub.solve(state)
+        buy, sell = sol.controls
+        if not (
+            -_FEAS_TOL <= buy <= data.u_max_charge + _FEAS_TOL
+            and -_FEAS_TOL <= sell <= data.u_max_discharge + _FEAS_TOL
+        ):
+            raise AssertionError(f"control outside box at stage {t}")
+        state = sol.next_state
+        if not -_FEAS_TOL <= state[1] <= battery.capacity + _FEAS_TOL:
+            raise AssertionError(f"energy outside [0, capacity] at stage {t}")
+        traded += data.ask * buy - data.bid * sell
+    wealth = state[0]
+    if abs(wealth - (utility.initial_wealth - traded)) > 1e-9 * max(1.0, abs(wealth)):
+        raise AssertionError("wealth accounting identity violated")
+    return wealth, -terminal_cost(utility, wealth)
+
+
+def _node_path_deviations(policy: Policy, seed: int) -> np.ndarray:
+    """Draw one node path from the chain; return its deviation values."""
+    chain = policy.chain
+    rng = np.random.default_rng(seed)
+    draws = rng.random(chain.horizon)
+    out = np.empty(chain.horizon)
+    j = 0
+    for t in range(chain.horizon):
+        row = np.cumsum(chain.transitions[t][j])
+        j = min(int(np.searchsorted(row, draws[t])), chain.node_count(t + 1) - 1)
+        out[t] = chain.nodes[t + 1][j]
+    return out
+
+
+def scenario_major_evaluation(policy: Policy, n_scenarios: int, rng_seed: int):
+    """Scalar reference for `evaluate_out_of_sample`, one scenario at a time.
+
+    Returns (terminal wealths, utilities, in-sample utilities) with the same
+    scenario seeds: ``rng_seed ^ k`` out of sample and
+    ``(rng_seed + 1_000_003) ^ k`` in sample.
+    """
+    model = policy.problem.price_model
+    T = policy.horizon
+    wealths = np.empty(n_scenarios)
+    utils = np.empty(n_scenarios)
+    in_sample = np.empty(n_scenarios)
+    for k in range(n_scenarios):
+        xi = simulate_deviation_path(model, T, rng_seed ^ k)
+        wealths[k], utils[k] = _simulate_one(policy, xi, realized_prices=True)
+    for k in range(n_scenarios):
+        xi = _node_path_deviations(policy, (rng_seed + 1_000_003) ^ k)
+        _, in_sample[k] = _simulate_one(policy, xi, realized_prices=False)
+    return wealths, utils, in_sample

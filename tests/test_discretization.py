@@ -165,6 +165,15 @@ class TestNearestNode:
         chain = s.build_chain(model(a=0.0, sigma=1.0), 2, sampling_std=1.0)
         # nodes are symmetric +-sigma; 0 is equidistant
         assert s.nearest_node(chain, 1, 0.0) == 0
+        got = s.nearest_node(chain, 1, np.array([0.0, 0.3, -0.3, 0.0]))
+        assert got.tolist() == [0, 1, 0, 0]
+
+    def test_array_tie_between_inner_nodes(self):
+        chain = s.build_chain(model(a=0.0, sigma=1.0), 3, sampling_std=1.0)
+        lo, mid, hi = chain.nodes[1]
+        ties = np.array([(lo + mid) / 2, (mid + hi) / 2])
+        scalar = [s.nearest_node(chain, 1, float(x)) for x in ties]
+        assert s.nearest_node(chain, 1, ties).tolist() == scalar
 
     def test_matches_linear_scan(self):
         chain = s.build_chain(model(), 8)
@@ -176,10 +185,39 @@ class TestNearestNode:
             dists = [abs(v - x) for v in chain.nodes[t]]
             assert dists[idx] == min(dists)
 
+    def test_array_matches_scalar(self):
+        chain = s.build_chain(model(), 8)
+        x = np.random.default_rng(5).normal(0, 25, 200)
+        for t in (1, chain.horizon):
+            want = [s.nearest_node(chain, t, float(v)) for v in x]
+            assert s.nearest_node(chain, t, x).tolist() == want
+
     def test_stage_out_of_range(self):
         chain = s.build_chain(model(), 2)
         with pytest.raises(StageOutOfRangeError):
             s.nearest_node(chain, 0, 0.0)
+        with pytest.raises(StageOutOfRangeError):
+            s.nearest_node(chain, chain.horizon + 1, np.zeros(3))
+
+
+class TestNodePaths:
+    def test_matches_per_stage_searchsorted(self):
+        chain = s.build_chain(model(), 6)
+        draws = np.random.default_rng(8).random((300, chain.horizon))
+        draws[0] = 1.0  # above every rounded row total: clipped to the last node
+        paths = chain.node_paths(draws)
+        for path, u in zip(paths, draws):
+            j = 0
+            for t in range(chain.horizon):
+                row = np.cumsum(chain.transitions[t][j])
+                j = min(int(np.searchsorted(row, u[t])), chain.node_count(t + 1) - 1)
+                assert path[t] == j
+        assert np.array_equal(chain.node_paths(draws[7]), paths[7])
+
+    def test_wrong_length_rejected(self):
+        chain = s.build_chain(model(), 3)
+        with pytest.raises(ValueError):
+            chain.node_paths(np.zeros(chain.horizon + 1))
 
 
 def test_chain_json_export():

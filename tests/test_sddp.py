@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,18 @@ class TestCheckpoints:
         )
         with pytest.raises(ValueError):
             s.sddp.load_checkpoint(str(path), other)
+
+
+    def test_nan_intercept_rejected(self, toy_trained, toy_chain, tmp_path):
+        policy, _ = toy_trained
+        path = tmp_path / "ckpt.json"
+        s.sddp.save_checkpoint(policy, str(path))
+        doc = json.loads(path.read_text())
+        doc["pools"][0]["cuts"][0]["intercept"] = float("nan")
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="cut coefficients must be finite"):
+            s.sddp.load_checkpoint(str(path), toy_chain)
 
 
 def test_bounds_nearly_coincide_for_fine_chains(default_problem):

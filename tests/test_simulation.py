@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import storagesddp as s
+from storagesddp import simulation
 from storagesddp.errors import DegenerateSampleError
+from oracles import scenario_major_evaluation
 
 
 class TestEvaluateOutOfSample:
@@ -57,6 +59,45 @@ class TestEvaluateOutOfSample:
         policy, _ = trained_n8
         rep = s.evaluate_out_of_sample(policy, 600, rng_seed=9)
         assert rep.in_sample_mean >= rep.mean_utility - 4.0 * rep.std_error
+
+
+class TestMatchesScenarioMajorOracle:
+    """Stage-major lane batches reproduce the scalar scenario loop bit for bit."""
+
+    @staticmethod
+    def assert_equal_to_oracle(policy, n, seed):
+        rep = s.evaluate_out_of_sample(policy, n, rng_seed=seed)
+        wealths, utils, in_sample = scenario_major_evaluation(policy, n, seed)
+        assert np.array_equal(rep.terminal_wealths, wealths)
+        assert np.array_equal(rep.utilities, utils)
+        assert rep.in_sample_mean == float(in_sample.mean())
+
+    def test_toy(self, toy_trained):
+        self.assert_equal_to_oracle(toy_trained[0], 400, 11)
+
+    def test_default_n8(self, trained_n8):
+        self.assert_equal_to_oracle(trained_n8[0], 200, 3)
+
+    @pytest.mark.parametrize("fixture, n", [("toy_trained", 400), ("trained_n8", 200)])
+    def test_across_block_boundaries(self, fixture, n, request, monkeypatch):
+        policy = request.getfixturevalue(fixture)[0]
+        monkeypatch.setattr(simulation, "_LANE_ELEMENTS", 4000)
+        assert 1 < simulation._lane_block(policy) < n // 3
+        self.assert_equal_to_oracle(policy, n, 11)
+
+
+def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
+    # a fresh policy's node subproblems have synced no cuts and hold no solve
+    # scratch yet; evaluation must leave them exactly so
+    policy = s.Policy(toy_problem, toy_chain, toy_trained[0].pools)
+    subs = [
+        policy.subproblem(t, j)
+        for t in range(1, policy.horizon + 1)
+        for j in range(toy_chain.node_count(t))
+    ]
+    before = [(sub._m, sub._synced, sub._b.tobytes()) for sub in subs]
+    s.evaluate_out_of_sample(policy, 60, rng_seed=2)
+    assert [(sub._m, sub._synced, sub._b.tobytes()) for sub in subs] == before
 
 
 class TestKernelDensity:

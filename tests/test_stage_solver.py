@@ -1,10 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 import storagesddp as s
-from storagesddp.errors import InfeasibleError, MaxIterationsError
-from storagesddp.stage_solver import _OBJECTIVE
+from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
+from storagesddp.stage_solver import _OBJECTIVE, solve_lanes
 from oracles import grid_stage_minimum, stage_objective
 
 
@@ -279,3 +282,75 @@ def test_tie_break_prefers_smallest_controls():
 
 def test_objective_perturbation_is_negligible():
     assert _OBJECTIVE[0] * 10 + _OBJECTIVE[1] * 10 < 1e-8
+
+
+class TestLaneKernel:
+    """`solve_lanes` against one scalar `NodeSubproblem.solve` per lane."""
+
+    @staticmethod
+    def lane_results(sol, k):
+        return (
+            (sol.buy[k], sol.sell[k]),
+            sol.value[k],
+            (sol.grad_wealth[k], sol.grad_energy[k]),
+            (sol.next_wealth[k], sol.next_energy[k]),
+        )
+
+    @pytest.mark.parametrize("own_prices", [True, False])
+    def test_random_instances_match_scalar(self, own_prices):
+        rng = np.random.default_rng(7)
+        utility = s.UtilitySpec(risk_aversion=0.03)
+        for trial in range(120):
+            mid = rng.uniform(-5, 90)
+            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
+            cuts = random_cuts(rng, int(rng.integers(0, 25)))
+            K = 1 + trial % 9
+            wealth = rng.uniform(-50, 50, K)
+            energy = rng.uniform(0, data.capacity, K)
+            if own_prices:
+                mids = rng.uniform(-5, 90, K)
+                bid, ask = mids - 1.0, mids + 1.0
+            else:
+                bid = ask = None
+            sol = solve_lanes(data, utility, s.CutSet(cuts), wealth, energy, ask=ask, bid=bid)
+            for k in range(K):
+                lane_data = data
+                if own_prices:
+                    lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
+                ref = s.NodeSubproblem(lane_data, utility, cutset=s.CutSet(cuts)).solve(
+                    (float(wealth[k]), float(energy[k]))
+                )
+                want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
+                assert self.lane_results(sol, k) == want, (trial, k)
+
+    def test_energy_state_outside_box(self):
+        utility = s.UtilitySpec(risk_aversion=0.03)
+        data = stage(49.0, 51.0)
+        cutset = s.CutSet([s.Cut(-5.0, -0.5, 1.0)])
+        for bad in (2.0, -0.5):
+            with pytest.raises(InfeasibleError):
+                s.NodeSubproblem(data, utility, cutset=cutset).solve((0.0, bad))
+            with pytest.raises(InfeasibleError):
+                solve_lanes(data, utility, cutset, np.zeros(3), np.array([0.2, bad, 0.4]))
+
+    def test_binding_wealth_box(self):
+        # a steep reward on wealth drives sales past a tiny wealth box
+        utility = s.UtilitySpec(risk_aversion=0.03)
+        data = stage(49.0, 51.0, wealth_cap=1.0)
+        cutset = s.CutSet([s.Cut(0.0, -1.0, 0.0)])
+        with pytest.raises(StorageError, match="wealth box is binding"):
+            s.NodeSubproblem(data, utility, cutset=cutset).solve((0.9, 0.5))
+        with pytest.raises(StorageError, match="wealth box is binding") as err:
+            solve_lanes(
+                data, utility, cutset, np.array([0.0, 0.9]), np.array([0.0, 0.5]),
+                ask=np.array([51.0, 51.0]), bid=np.array([49.0, 49.0]),
+            )
+        assert type(err.value) is StorageError
+
+
+@pytest.mark.parametrize("field", ["intercept", "grad_wealth", "grad_energy"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cut_rejects_non_finite_coefficients(field, bad):
+    coefs = {"intercept": 1.0, "grad_wealth": -0.5, "grad_energy": 2.0, field: bad}
+    with pytest.raises(ValueError, match="cut coefficients must be finite"):
+        s.Cut(**coefs)
