@@ -64,26 +64,20 @@ class TestEvaluateOutOfSample:
 class TestMatchesScenarioMajorOracle:
     """Stage-major lane batches reproduce the scalar scenario loop bit for bit."""
 
-    @staticmethod
-    def assert_equal_to_oracle(policy, n, seed):
-        rep = s.evaluate_out_of_sample(policy, n, rng_seed=seed)
-        wealths, utils, in_sample = scenario_major_evaluation(policy, n, seed)
+    @pytest.mark.parametrize("fixture, n", [("toy_trained", 400), ("trained_n8", 200)])
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    def test_bit_equal(self, fixture, n, small_blocks, request, monkeypatch):
+        policy = request.getfixturevalue(fixture)[0]
+        if small_blocks:
+            monkeypatch.setattr(simulation, "_LANE_ELEMENTS", 4000)
+            assert 1 < simulation._lane_block(policy) < n // 3
+        else:
+            assert simulation._lane_block(policy) >= n
+        rep = s.evaluate_out_of_sample(policy, n, rng_seed=11)
+        wealths, utils, in_sample = scenario_major_evaluation(policy, n, 11)
         assert np.array_equal(rep.terminal_wealths, wealths)
         assert np.array_equal(rep.utilities, utils)
         assert rep.in_sample_mean == float(in_sample.mean())
-
-    def test_toy(self, toy_trained):
-        self.assert_equal_to_oracle(toy_trained[0], 400, 11)
-
-    def test_default_n8(self, trained_n8):
-        self.assert_equal_to_oracle(trained_n8[0], 200, 3)
-
-    @pytest.mark.parametrize("fixture, n", [("toy_trained", 400), ("trained_n8", 200)])
-    def test_across_block_boundaries(self, fixture, n, request, monkeypatch):
-        policy = request.getfixturevalue(fixture)[0]
-        monkeypatch.setattr(simulation, "_LANE_ELEMENTS", 4000)
-        assert 1 < simulation._lane_block(policy) < n // 3
-        self.assert_equal_to_oracle(policy, n, 11)
 
 
 def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
