@@ -4,8 +4,8 @@ Commands: fit, discretize, train, simulate, price, sweep.  All outputs are
 plot-ready CSV/JSON flat files.  Exit codes: 0 ok, 2 configuration error,
 3 data error, 4 numerical failure.
 
-Environment overrides (only these): STORAGESDDP_OUT for the output
-directory, STORAGESDDP_THREADS for sweep concurrency.
+Environment override (only this one): STORAGESDDP_OUT for the output
+directory.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from . import __version__
@@ -41,13 +40,6 @@ def _out_dir(args) -> str:
     out = args.out or os.environ.get("STORAGESDDP_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("STORAGESDDP_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def cmd_fit(args) -> int:
@@ -167,20 +159,7 @@ def cmd_sweep(args) -> int:
     grid = [float(v) for v in args.grid.split(",")]
     rhos = [float(v) for v in args.rhos.split(",")] if args.rhos else None
     iterations = args.iterations or cfg.sddp.iterations
-    n_threads = _threads(args)
-
-    def run_point(i_g):
-        i, g = i_g
-        return price_sweep(
-            args.axis, [g], cfg, iterations=iterations, seed=cfg.sddp.seed + i, rhos=rhos
-        )
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(run_point, enumerate(grid)))
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = price_sweep(args.axis, grid, cfg, iterations=iterations, rhos=rhos)
+    rows = price_sweep(args.axis, grid, cfg, iterations=iterations, rhos=rhos)
 
     out = _out_dir(args)
     path = os.path.join(out, "sweep.csv")
@@ -212,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output directory (default: . or STORAGESDDP_OUT)")
-    common.add_argument("--threads", type=int, help="worker bound for sweep points")
 
     p = sub.add_parser("fit", parents=[common], help="fit the AR(1) deviation model from CSV")
     p.add_argument("csv", help="CSV with header timestamp,day_ahead,id1")

@@ -54,14 +54,12 @@ class CutPool:
         self._sets: list[list[CutSet]] = [
             [CutSet() for _ in range(chain.node_count(t))] for t in range(chain.horizon)
         ]
-        self.generation = 0
 
     def get(self, stage: int, node: int) -> CutSet:
         return self._sets[stage][node]
 
     def add(self, stage: int, node: int, cut: Cut) -> None:
         self._sets[stage][node].add(cut)
-        self.generation += 1
 
     def total_cuts(self) -> int:
         return sum(len(s) for level in self._sets for s in level)
@@ -75,12 +73,8 @@ class CutPool:
                         "stage": t,
                         "node": j,
                         "cuts": [
-                            {
-                                "intercept": c.intercept,
-                                "grad_wealth": c.grad_wealth,
-                                "grad_energy": c.grad_energy,
-                            }
-                            for c in cs
+                            {"intercept": a, "grad_wealth": gw, "grad_energy": ge}
+                            for a, gw, ge in zip(*(x.tolist() for x in cs.arrays()))
                         ],
                     }
                 )
@@ -95,12 +89,9 @@ class CutPool:
             )
         pool = cls(chain)
         for rec in doc["pools"]:
-            for c in rec["cuts"]:
-                pool.add(
-                    rec["stage"],
-                    rec["node"],
-                    Cut(c["intercept"], c["grad_wealth"], c["grad_energy"]),
-                )
+            pool.get(rec["stage"], rec["node"]).extend(
+                [[c["intercept"], c["grad_wealth"], c["grad_energy"]] for c in rec["cuts"]]
+            )
         return pool
 
 
@@ -257,31 +248,33 @@ def best_case_trading(
     return profit, marginal
 
 
+def best_case_prices(model: PriceModel, chain: MarkovChain) -> tuple[np.ndarray, np.ndarray]:
+    """Best bid (highest) and best ask (lowest) over the chain's nodes, stages 1..T."""
+    mids = [model.day_ahead[t - 1] + chain.nodes[t] for t in range(1, chain.horizon + 1)]
+    best_bid = np.array([(m - model.spread).max() for m in mids])
+    best_ask = np.array([(m + model.spread).min() for m in mids])
+    return best_bid, best_ask
+
+
 def _seed_cuts(problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> None:
     """Initialize every pool with one analytic lower bound.
 
     From any state at stage t, terminal wealth cannot exceed the current
     wealth plus the best-case remaining trading profit `best_case_trading`
-    (computed with each stage's most favorable node prices), plus the
+    (computed with each stage's `best_case_prices`), plus the
     marginal value of the stored energy.  The terminal cost of that wealth
     bound is a valid minorant of the cost-to-go; its tangent at the initial
     state is the seed cut.  Far tighter than the bare -1/rho floor, which
     stays in every LP regardless.
     """
-    model = problem.price_model
     battery = problem.battery
     utility = problem.utility
     x0m = utility.initial_wealth
-    T = chain.horizon
-    best_bid = np.empty(T + 1)
-    best_ask = np.empty(T + 1)
-    for s in range(1, T + 1):
-        best_bid[s] = max(model.day_ahead[s - 1] + xi - model.spread for xi in chain.nodes[s])
-        best_ask[s] = min(model.day_ahead[s - 1] + xi + model.spread for xi in chain.nodes[s])
-    for t in range(T):
+    best_bid, best_ask = best_case_prices(problem.price_model, chain)
+    for t in range(chain.horizon):
         profit, marginal = best_case_trading(
-            best_bid[t + 1 :],
-            best_ask[t + 1 :],
+            best_bid[t:],
+            best_ask[t:],
             battery.max_charge,
             battery.max_discharge,
             battery.charge_eff,
@@ -292,7 +285,7 @@ def _seed_cuts(problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> N
         # tangent of tc(x_m + profit + marginal * x_e) at (x0m, 0)
         intercept = terminal_cost(utility, w_best) - slope * x0m
         for j in range(chain.node_count(t)):
-            pools.add(t, j, Cut(intercept, slope, slope * marginal, origin_iteration=-1))
+            pools.add(t, j, Cut(intercept, slope, slope * marginal))
 
 
 def train(
@@ -360,7 +353,6 @@ def train(
                     intercept=value - vm * xt[0] - ve * xt[1],
                     grad_wealth=vm,
                     grad_energy=ve,
-                    origin_iteration=k,
                 ),
             )
 

@@ -10,12 +10,12 @@ the discretization-gap comparison.
 Evaluation runs stage-major over blocks of scenarios, one lane per
 scenario.  At each stage every lane is mapped to its nearest node, and the
 lanes at one node are solved by a single `solve_lanes` call that shares the
-node's cut arrays (out of sample, each lane keeps its own bid/ask rows).
-The terminal stage uses the scalar Kelley solve per lane.  Evaluation only
-reads the policy: it writes none of the policy's subproblem scratch.  The
-block size follows an element budget, so memory does not grow with the
-number of scenarios, and the results equal a scenario-by-scenario loop of
-scalar solves bit for bit.
+node's cut arrays (out of sample, each lane keeps its own bid/ask rows); at
+the last stage one `solve_terminal_lanes` call solves them in closed form.
+Evaluation only reads the policy: it writes none of the policy's subproblem
+scratch.  The block size follows an element budget, so memory does not grow
+with the number of scenarios, and the results equal a scenario-by-scenario
+loop of scalar solves bit for bit.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .discretization import nearest_node
 from .errors import DegenerateSampleError
 from .price_model import bid_ask, simulate_deviation_path
 from .sddp import Policy
-from .stage_solver import NodeSubproblem, solve_lanes
-from .storage import stage_data_for, terminal_cost
+from .stage_solver import solve_lanes, solve_terminal_lanes
+from .storage import terminal_cost
 
 _FEAS_TOL = 1e-9
 # element budgets (doubles per working array) that keep peak memory
@@ -106,25 +106,15 @@ def _simulate_lanes(
         for node in np.unique(nodes).tolist():
             lanes = np.flatnonzero(nodes == node)
             data = policy.stage_data(t, node)
+            own = (ask[lanes], bid[lanes]) if realized_prices else (None, None)
             if t < T:
-                own = (ask[lanes], bid[lanes]) if realized_prices else (None, None)
                 sol = solve_lanes(
                     data, utility, policy.pools.get(t, node), xm[lanes], xe[lanes], *own
                 )
-                buy[lanes], sell[lanes] = sol.buy, sol.sell
-                next_m[lanes], next_e[lanes] = sol.next_wealth, sol.next_energy
-                continue
-            if not realized_prices:
-                sub = NodeSubproblem(data, utility, cutset=None, terminal=True)
-            for k in lanes.tolist():
-                if realized_prices:
-                    lane_data = stage_data_for(
-                        model, battery, t, float(xi[k]), node=node, wealth_cap=policy.wealth_cap
-                    )
-                    sub = NodeSubproblem(lane_data, utility, cutset=None, terminal=True)
-                sol = sub.solve_terminal((float(xm[k]), float(xe[k])))
-                buy[k], sell[k] = sol.controls
-                next_m[k], next_e[k] = sol.next_state
+            else:
+                sol = solve_terminal_lanes(data, utility, xm[lanes], xe[lanes], *own)
+            buy[lanes], sell[lanes] = sol.buy, sol.sell
+            next_m[lanes], next_e[lanes] = sol.next_wealth, sol.next_energy
         if not np.all(
             (-_FEAS_TOL <= buy)
             & (buy <= battery.max_charge + _FEAS_TOL)

@@ -31,6 +31,12 @@ per subproblem, where the scalar path is about 9x faster (60 us against
 thread); out-of-sample evaluation solves every scenario at a (stage, node)
 at once, where the lane kernel wins.  Both give bit-identical results lane
 by lane.
+
+The terminal stage needs no LP.  Its cost, the exponential of minus the
+terminal wealth, is strictly decreasing in wealth, so the optimum is the
+vertex of the two-dimensional control polygon (control boxes plus energy
+band) with the largest next wealth; `solve_terminal_lanes` finds it by
+enumerating the candidate vertices.
 """
 
 from __future__ import annotations
@@ -40,11 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfeasibleError,
-    MaxIterationsError,
-    StorageError,
-)
+from .errors import InfeasibleError, MaxIterationsError, StorageError
 from .storage import StageData, UtilitySpec, terminal_cost, terminal_cost_derivative
 
 _PIVOT_TOL = 1e-9
@@ -80,7 +82,6 @@ class Cut:
     intercept: float
     grad_wealth: float
     grad_energy: float
-    origin_iteration: int = 0
 
     def __post_init__(self) -> None:
         if not (
@@ -95,12 +96,11 @@ class Cut:
 
 
 class CutSet:
-    """Append-only cut collection with array views for fast LP assembly."""
+    """Append-only cut collection, stored as its coefficient arrays."""
 
-    __slots__ = ("cuts", "_a", "_gw", "_ge", "n")
+    __slots__ = ("_a", "_gw", "_ge", "n")
 
     def __init__(self, cuts: list[Cut] | None = None) -> None:
-        self.cuts: list[Cut] = []
         self._a = np.empty(16)
         self._gw = np.empty(16)
         self._ge = np.empty(16)
@@ -108,18 +108,31 @@ class CutSet:
         for c in cuts or []:
             self.add(c)
 
+    def _reserve(self, n: int) -> None:
+        if n <= len(self._a):
+            return
+        grow = max(n, 2 * len(self._a))
+        for name in ("_a", "_gw", "_ge"):
+            arr = np.empty(grow)
+            arr[: self.n] = getattr(self, name)[: self.n]
+            setattr(self, name, arr)
+
     def add(self, cut: Cut) -> None:
-        if self.n == len(self._a):
-            grow = 2 * len(self._a)
-            for name in ("_a", "_gw", "_ge"):
-                arr = np.empty(grow)
-                arr[: self.n] = getattr(self, name)[: self.n]
-                setattr(self, name, arr)
+        self._reserve(self.n + 1)
         self._a[self.n] = cut.intercept
         self._gw[self.n] = cut.grad_wealth
         self._ge[self.n] = cut.grad_energy
         self.n += 1
-        self.cuts.append(cut)
+
+    def extend(self, coefs: np.ndarray) -> None:
+        """Append the cuts in the rows (intercept, grad_wealth, grad_energy) of ``coefs``."""
+        coefs = np.asarray(coefs, dtype=float).reshape(-1, 3)
+        if not np.isfinite(coefs).all():
+            raise ValueError("cut coefficients must be finite")
+        lo, hi = self.n, self.n + len(coefs)
+        self._reserve(hi)
+        self._a[lo:hi], self._gw[lo:hi], self._ge[lo:hi] = coefs.T
+        self.n = hi
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._a[: self.n], self._gw[: self.n], self._ge[: self.n]
@@ -134,9 +147,6 @@ class CutSet:
     def __len__(self) -> int:
         return self.n
 
-    def __iter__(self):
-        return iter(self.cuts)
-
 
 @dataclass(frozen=True)
 class NodeSolution:
@@ -150,9 +160,12 @@ class NodeSolution:
 
 @dataclass(frozen=True)
 class TerminalSolution(NodeSolution):
-    """Kelley solve result; `gaps` records the objective/bound gap per pass."""
+    """Terminal-stage optimum; `gaps` is the objective/bound gap per pass.
 
-    gaps: tuple[float, ...] = ()
+    The closed form is exact in one pass, so `gaps` is always ``(0.0,)``.
+    """
+
+    gaps: tuple[float, ...] = (0.0,)
 
 
 @dataclass(frozen=True)
@@ -240,9 +253,8 @@ class NodeSubproblem:
 
     The constraint matrix depends only on the node's prices and cuts; the
     incoming state enters the right-hand side alone, so a template is built
-    once per node and re-solved for many states.  Terminal subproblems hold
-    exponential-cost tangents instead of persistent cuts and are re-seeded
-    per solve.
+    once per node and re-solved for many states.  Terminal subproblems build
+    no LP: `solve_terminal` is closed form.
     """
 
     def __init__(
@@ -259,6 +271,8 @@ class NodeSubproblem:
         self.cutset = cutset
         self.terminal = terminal
         self.floor = -1.0 / utility.risk_aversion
+        if terminal:
+            return
         cap0 = 32
         self._c0 = np.empty(cap0)
         self._c1 = np.empty(cap0)
@@ -301,19 +315,6 @@ class NodeSubproblem:
         self._c0[i], self._c1[i], self._c2[i] = row
         self._rows[i] = row
 
-    def _append_cut_row(self, intercept: float, gw: float, ge: float) -> None:
-        d = self.data
-        i = self._m
-        row = tuple(float(v) for v in _cut_rows(d, gw, ge, d.ask, d.bid))
-        self._ensure(i + 1)
-        self._c0[i], self._c1[i], self._c2[i] = row
-        self._rows[i] = row
-        inv = row[2]
-        self._cut_a[i] = intercept * inv
-        self._cut_gw[i] = gw * inv
-        self._cut_gel[i] = ge * d.leak_factor * inv
-        self._m = i + 1
-
     def _sync_cuts(self) -> None:
         cs = self.cutset
         if cs is None or self._synced == cs.n:
@@ -337,9 +338,6 @@ class NodeSubproblem:
             rows[start + k] = (c0[k], c1[k], inv[k])
         self._m = start + n_new
         self._synced = hi
-
-    def _reset_tangents(self) -> None:
-        self._m = _N_STATIC
 
     # -- LP core -----------------------------------------------------------
 
@@ -517,58 +515,18 @@ class NodeSubproblem:
             next_state=self.data.next_state(state, controls),
         )
 
-    def solve_terminal(
-        self,
-        state: tuple[float, float],
-        tol: float = 1e-8,
-        max_iter: int = 100,
-    ) -> TerminalSolution:
-        """Minimize the exponential terminal cost by Kelley tangent refinement.
-
-        Exact tangents of the terminal cost are added at the trial terminal
-        wealth until the evaluated objective and the LP lower bound agree
-        within ``tol`` (relative to the objective magnitude once that exceeds
-        one; the exponential spans too many decades for an absolute test).
-        """
+    def solve_terminal(self, state: tuple[float, float]) -> TerminalSolution:
+        """Minimize the exponential terminal cost: `solve_terminal_lanes` at K=1."""
         if not self.terminal:
             raise ValueError("not a terminal subproblem")
-        if tol <= 0:
-            raise ValueError("tol must be > 0")
-        self._check_state(state)
-        self._reset_tangents()
-        xm, xe = state
-        d = self.data
-        # the terminal cost is strictly decreasing in wealth, so the optimum
-        # sits at the maximum-wealth vertex; seeding the tangent there makes
-        # the first pass exact regardless of the exponential's scale
-        b0, k0 = max_wealth_controls(d, state)
-        w0 = xm - d.ask * b0 + d.bid * k0
-        f0 = terminal_cost(self.utility, w0)
-        d0 = terminal_cost_derivative(self.utility, w0)
-        self._append_cut_row(f0 - d0 * w0, d0, 0.0)
-        gaps: list[float] = []
-        for _ in range(max_iter):
-            m = self._m
-            self._assemble_b(xm, xe, m)
-            x, basis, y_basis = self._pivot(m, _OBJECTIVE)
-            theta = x[2]
-            w_next = xm - d.ask * x[0] + d.bid * x[1]
-            f = terminal_cost(self.utility, w_next)
-            gap = f - theta
-            gaps.append(gap)
-            if gap <= tol * max(1.0, abs(f)):
-                controls = self._clamp(x, xe)
-                return TerminalSolution(
-                    controls=controls,
-                    value=theta,
-                    subgradient=self._subgradient(basis, y_basis),
-                    next_state=d.next_state(state, controls),
-                    gaps=tuple(gaps),
-                )
-            dw = terminal_cost_derivative(self.utility, w_next)
-            self._append_cut_row(f - dw * w_next, dw, 0.0)
-        raise MaxIterationsError(
-            f"terminal solve did not reach tol={tol:g} in {max_iter} passes"
+        sol = solve_terminal_lanes(
+            self.data, self.utility, np.array([state[0]]), np.array([state[1]])
+        )
+        return TerminalSolution(
+            controls=(float(sol.buy[0]), float(sol.sell[0])),
+            value=float(sol.value[0]),
+            subgradient=(float(sol.grad_wealth[0]), float(sol.grad_energy[0])),
+            next_state=(float(sol.next_wealth[0]), float(sol.next_energy[0])),
         )
 
 
@@ -618,10 +576,7 @@ def solve_lanes(
     else:
         ask_l = np.asarray(ask, dtype=float)
         bid_l = np.asarray(bid, dtype=float)
-    if not np.all((-_STATE_TOL <= xe) & (xe <= d.capacity + _STATE_TOL)):
-        raise InfeasibleError(f"energy state outside [0, {d.capacity:.6g}]")
-    if np.any(np.abs(xm) > d.wealth_cap + _STATE_TOL):
-        raise InfeasibleError(f"wealth state outside +-{d.wealth_cap:.6g}")
+    _check_lane_states(d, xm, xe)
 
     # unit-scaled rows: coef[q] is (R, m), R = 1 (shared) or K (own prices)
     a, gw, ge = cutset.arrays()
@@ -758,19 +713,7 @@ def solve_lanes(
             ),
         )
 
-    # clamp into the boxes and the energy band (as NodeSubproblem._clamp);
-    # where() reproduces min/max exactly, signed zeros included
-    buy = np.where(0.0 > x_out[:, 0], 0.0, x_out[:, 0])
-    buy = np.where(d.u_max_charge < buy, d.u_max_charge, buy)
-    sell = np.where(0.0 > x_out[:, 1], 0.0, x_out[:, 1])
-    sell = np.where(d.u_max_discharge < sell, d.u_max_discharge, sell)
-    nxt = leak * xe + d.charge_eff * buy - d.discharge_eff * sell
-    low = nxt < 0.0
-    high = ~low & (nxt > d.capacity)
-    s_fix = sell + nxt / d.discharge_eff
-    sell = np.where(low, np.where(0.0 > s_fix, 0.0, s_fix), sell)
-    b_fix = buy - (nxt - d.capacity) / d.charge_eff
-    buy = np.where(high, np.where(0.0 > b_fix, 0.0, b_fix), buy)
+    buy, sell = _clamp_lanes(d, x_out[:, :2].T, xe)
     return LaneSolution(
         buy=buy,
         sell=sell,
@@ -780,6 +723,34 @@ def solve_lanes(
         next_wealth=xm - ask_l * buy + bid_l * sell,
         next_energy=leak * xe + d.charge_eff * buy - d.discharge_eff * sell,
     )
+
+
+def _check_lane_states(d: StageData, xm: np.ndarray, xe: np.ndarray) -> None:
+    if not ((-_STATE_TOL <= xe) & (xe <= d.capacity + _STATE_TOL)).all():
+        raise InfeasibleError(f"energy state outside [0, {d.capacity:.6g}]")
+    if (np.abs(xm) > d.wealth_cap + _STATE_TOL).any():
+        raise InfeasibleError(f"wealth state outside +-{d.wealth_cap:.6g}")
+
+
+def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):
+    """Snap per-lane controls ``x = (buys, sells)`` into their boxes and the energy band.
+
+    As `NodeSubproblem._clamp`, lane by lane; where() reproduces min/max
+    exactly, signed zeros included.  Returns (buy, sell).
+    """
+    x = np.where(0.0 > x, 0.0, x)
+    box = np.array([[d.u_max_charge], [d.u_max_discharge]])
+    buy, sell = np.where(box < x, box, x)
+    nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
+    low = nxt < 0.0
+    high = ~low & (nxt > d.capacity)
+    if low.any():
+        s_fix = sell + nxt / d.discharge_eff
+        sell = np.where(low, np.where(0.0 > s_fix, 0.0, s_fix), sell)
+    if high.any():
+        b_fix = buy - (nxt - d.capacity) / d.charge_eff
+        buy = np.where(high, np.where(0.0 > b_fix, 0.0, b_fix), buy)
+    return buy, sell
 
 
 def _ratio_leave(u: np.ndarray, ratio: np.ndarray, tol: float) -> np.ndarray:
@@ -797,50 +768,94 @@ def _ratio_leave(u: np.ndarray, ratio: np.ndarray, tol: float) -> np.ndarray:
     return leave
 
 
-def max_wealth_controls(data: StageData, state: tuple[float, float]) -> tuple[float, float]:
-    """Controls maximizing next wealth over the stage's feasible polytope.
-
-    The polytope is two-dimensional (control boxes plus the next-energy
-    band), so the optimum is found by enumerating the candidate vertices.
-    """
-    xm, xe = state
-    E = data.leak_factor * xe
-    B, K = data.u_max_charge, data.u_max_discharge
-    cp, cm, C = data.charge_eff, data.discharge_eff, data.capacity
-    cands = [(0.0, 0.0), (B, 0.0), (0.0, K), (B, K)]
-    for b in (0.0, B):
-        for target in (0.0, C):
-            cands.append((b, (E + cp * b - target) / cm))
-    for k in (0.0, K):
-        for target in (0.0, C):
-            cands.append(((target - E + cm * k) / cp, k))
-    best = (0.0, 0.0)
-    best_gain = 0.0
-    for b, k in cands:
-        if not (-1e-12 <= b <= B + 1e-12 and -1e-12 <= k <= K + 1e-12):
-            continue
-        b = min(max(b, 0.0), B)
-        k = min(max(k, 0.0), K)
-        nxt = E + cp * b - cm * k
-        if not -1e-9 <= nxt <= C + 1e-9:
-            continue
-        gain = -data.ask * b + data.bid * k
-        if gain > best_gain:
-            best_gain = gain
-            best = (b, k)
-    return best
-
-
-def terminal_kelley_solve(
-    state: tuple[float, float],
-    stage_data: StageData,
+def solve_terminal_lanes(
+    data: StageData,
     utility: UtilitySpec,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> TerminalSolution:
-    """One-off terminal-stage solve (fresh template)."""
-    sub = NodeSubproblem(stage_data, utility, cutset=None, terminal=True)
-    return sub.solve_terminal(state, tol=tol, max_iter=max_iter)
+    wealth: np.ndarray,
+    energy: np.ndarray,
+    ask: np.ndarray | None = None,
+    bid: np.ndarray | None = None,
+) -> LaneSolution:
+    """Solve K terminal subproblems of one node in closed form.
+
+    Lane k starts from ``(wealth[k], energy[k])`` and trades at
+    ``bid[k]``/``ask[k]`` when those are given, else at the node's prices.
+    The terminal cost is strictly decreasing in wealth, so the optimal
+    controls are the vertex of the control polygon (control boxes plus the
+    energy band) with the largest next wealth w*.  The candidate vertices
+    are enumerated in a fixed order and the first strict maximum of the
+    wealth gain wins, starting from (0, 0) at gain 0; the controls are then
+    clamped as in `solve_lanes`.  The value is ``terminal_cost(w*)`` and the
+    subgradient ``tc'(w*) * (1, leak * g)``, where g is the marginal wealth
+    of stored energy at the vertex: ``bid/c-`` where the empty-battery band
+    binds, the sell box does not and the bid is positive, ``ask/c+`` where
+    the full-battery band binds, the buy box does not and the ask is
+    negative, and 0 otherwise.  The exponentials are evaluated per lane by
+    `terminal_cost` and `terminal_cost_derivative`, so lane k equals a K=1
+    call bit for bit and their overflow guards apply.  Raises
+    `InfeasibleError` for a state outside its box and `StorageError` when
+    the optimum leaves the wealth box.
+    """
+    d = data
+    xm = np.asarray(wealth, dtype=float)
+    xe = np.asarray(energy, dtype=float)
+    if ask is None:
+        ask_l = ask_c = d.ask
+        bid_l = bid_c = d.bid
+    else:
+        ask_l = np.asarray(ask, dtype=float)
+        bid_l = np.asarray(bid, dtype=float)
+        ask_c, bid_c = ask_l[:, None], bid_l[:, None]
+    _check_lane_states(d, xm, xe)
+    K = xe.size
+    B, S = d.u_max_charge, d.u_max_discharge
+    cp, cm, C = d.charge_eff, d.discharge_eff, d.capacity
+    E = d.leak_factor * xe[:, None]
+    # candidate vertices (buy, sell), one column each: the four box corners,
+    # then per buy bound the sells, and per sell bound the buys, that put the
+    # next energy at 0 or at capacity
+    cand = np.empty((2, K, 12))
+    cand_b = cand[0]
+    cand_s = cand[1]
+    cand_b[:, :8] = (0.0, B, 0.0, B, 0.0, 0.0, B, B)
+    cand_s[:, :4] = (0.0, 0.0, S, S)
+    cand_s[:, 8:] = (0.0, 0.0, S, S)
+    target = np.array((0.0, C, 0.0, C))
+    cand_s[:, 4:8] = (E + cp * cand_b[:, 4:8] - target) / cm
+    cand_b[:, 8:] = (target - E + cm * cand_s[:, 8:]) / cp
+    box = np.array((B, S))[:, None, None]
+    feasible = ((-1e-12 <= cand) & (cand <= box + 1e-12)).all(axis=0)
+    np.minimum(np.maximum(cand, 0.0, out=cand), box, out=cand)
+    nxt = E + cp * cand_b - cm * cand_s
+    feasible &= (-1e-9 <= nxt) & (nxt <= C + 1e-9)
+    gain = np.where(feasible, -ask_c * cand_b + bid_c * cand_s, -np.inf)
+    # column 0, (0, 0) at gain 0, is always feasible: argmax keeps it unless
+    # some gain is positive, and otherwise returns the first largest
+    best = gain.argmax(axis=1)
+    buy, sell = _clamp_lanes(d, cand[:, np.arange(K), best], xe)
+
+    next_wealth = xm - ask_l * buy + bid_l * sell
+    next_energy = d.leak_factor * xe + cp * buy - cm * sell
+    if (np.abs(next_wealth) > d.wealth_cap).any():
+        raise StorageError(
+            "wealth box is binding; raise wealth_cap (state far outside "
+            "the expected operating range)"
+        )
+    w = next_wealth.tolist()
+    value = np.array([terminal_cost(utility, x) for x in w])
+    slope = np.array([terminal_cost_derivative(utility, x) for x in w])
+    empty = (next_energy <= _STATE_TOL) & (sell < S) & (bid_l > 0.0)
+    full = (next_energy >= C - _STATE_TOL) & (buy < B) & (ask_l < 0.0)
+    g = empty * (bid_l / cm) + full * (ask_l / cp)
+    return LaneSolution(
+        buy=buy,
+        sell=sell,
+        value=value,
+        grad_wealth=slope,
+        grad_energy=slope * (d.leak_factor * g),
+        next_wealth=next_wealth,
+        next_energy=next_energy,
+    )
 
 
 def solve_stage(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import RunConfig, build_chain_for, build_problem, with_axis_value
 from .errors import BracketInvalidError, DomainError, MaxEvaluationsError
-from .sddp import train
+from .sddp import best_case_prices, best_case_trading, train
 from .storage import UtilitySpec
 
 logger = logging.getLogger(__name__)
@@ -134,20 +134,11 @@ def _certainty_equivalent_estimate(policy, rho: float) -> float:
 
 
 def _best_case_profit(config: RunConfig) -> float:
-    """Upper bound on the whole-day trading profit (same logic as seed cuts)."""
-    from .sddp import best_case_trading
-
+    """Upper bound on the whole-day trading profit, as in the seed cuts."""
     problem = build_problem(config)
-    chain = build_chain_for(config)
-    model, battery = problem.price_model, problem.battery
-    best_bid = []
-    best_ask = []
-    for t in range(1, chain.horizon + 1):
-        best_bid.append(max(model.day_ahead[t - 1] + xi - model.spread for xi in chain.nodes[t]))
-        best_ask.append(min(model.day_ahead[t - 1] + xi + model.spread for xi in chain.nodes[t]))
+    battery = problem.battery
     profit, _ = best_case_trading(
-        np.array(best_bid),
-        np.array(best_ask),
+        *best_case_prices(problem.price_model, build_chain_for(config)),
         battery.max_charge,
         battery.max_discharge,
         battery.charge_eff,

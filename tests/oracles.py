@@ -2,10 +2,12 @@
 
 Nothing here touches the cut/LP machinery: values come from grid dynamic
 programming, exhaustive enumeration, or closed forms, so agreement with the
-package is meaningful evidence.  The exception is `scenario_major_evaluation`,
+package is meaningful evidence.  The exceptions are `scenario_major_evaluation`,
 the scenario-by-scenario loop over scalar `NodeSubproblem` solves that
-`evaluate_out_of_sample` ran before its stage-major lane batches; it is the
-reference those batches must reproduce bit for bit.
+`evaluate_out_of_sample` ran before its stage-major lane batches, which is
+the reference those batches must reproduce bit for bit, and
+`kelley_terminal`, the cutting-plane loop the terminal stage ran before its
+closed form.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from storagesddp import bid_ask
 from storagesddp.discretization import MarkovChain, nearest_node
 from storagesddp.price_model import simulate_deviation_path
 from storagesddp.sddp import Policy, StorageProblem
-from storagesddp.stage_solver import NodeSubproblem
-from storagesddp.storage import stage_data_for, terminal_cost
+from storagesddp.errors import MaxIterationsError
+from storagesddp.stage_solver import Cut, CutSet, NodeSubproblem
+from storagesddp.storage import stage_data_for, terminal_cost, terminal_cost_derivative
 
 _FEAS_TOL = 1e-9
 
@@ -321,3 +324,68 @@ def scenario_major_evaluation(policy: Policy, n_scenarios: int, rng_seed: int):
         xi = _node_path_deviations(policy, (rng_seed + 1_000_003) ^ k)
         _, in_sample[k] = _simulate_one(policy, xi, realized_prices=False)
     return wealths, utils, in_sample
+
+
+def max_wealth_controls(data, state) -> tuple[float, float]:
+    """Controls maximizing next wealth over the stage's feasible polygon.
+
+    The polygon is two-dimensional (control boxes plus the next-energy
+    band), so the optimum is found by enumerating the candidate vertices.
+    """
+    xm, xe = state
+    E = data.leak_factor * xe
+    B, K = data.u_max_charge, data.u_max_discharge
+    cp, cm, C = data.charge_eff, data.discharge_eff, data.capacity
+    cands = [(0.0, 0.0), (B, 0.0), (0.0, K), (B, K)]
+    for b in (0.0, B):
+        for target in (0.0, C):
+            cands.append((b, (E + cp * b - target) / cm))
+    for k in (0.0, K):
+        for target in (0.0, C):
+            cands.append(((target - E + cm * k) / cp, k))
+    best = (0.0, 0.0)
+    best_gain = 0.0
+    for b, k in cands:
+        if not (-1e-12 <= b <= B + 1e-12 and -1e-12 <= k <= K + 1e-12):
+            continue
+        b = min(max(b, 0.0), B)
+        k = min(max(k, 0.0), K)
+        nxt = E + cp * b - cm * k
+        if not -1e-9 <= nxt <= C + 1e-9:
+            continue
+        gain = -data.ask * b + data.bid * k
+        if gain > best_gain:
+            best_gain = gain
+            best = (b, k)
+    return best
+
+
+def kelley_terminal(
+    data, utility, state, tol: float = 1e-8, max_iter: int = 100, seed_wealth=None
+):
+    """Terminal stage by Kelley's cutting planes on the stage LP.
+
+    Tangents of the exponential terminal cost are the cuts of a stage LP
+    (`NodeSubproblem` with a cut set).  The first is taken at
+    ``seed_wealth``, by default the wealth of `max_wealth_controls`; each
+    pass adds the tangent at the LP's next wealth, until the terminal cost
+    there and the LP value agree within ``tol`` (relative once the cost
+    exceeds one).  Returns (last `NodeSolution`, gap per pass).
+    """
+    w = seed_wealth
+    if w is None:
+        buy, sell = max_wealth_controls(data, state)
+        w = state[0] - data.ask * buy + data.bid * sell
+    cuts = CutSet()
+    sub = NodeSubproblem(data, utility, cutset=cuts)
+    gaps = []
+    for _ in range(max_iter):
+        slope = terminal_cost_derivative(utility, w)
+        cuts.add(Cut(terminal_cost(utility, w) - slope * w, slope, 0.0))
+        sol = sub.solve(state)
+        w = sol.next_state[0]
+        f = terminal_cost(utility, w)
+        gaps.append(f - sol.value)
+        if gaps[-1] <= tol * max(1.0, abs(f)):
+            return sol, gaps
+    raise MaxIterationsError(f"terminal solve did not reach tol={tol:g} in {max_iter} passes")

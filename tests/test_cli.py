@@ -152,19 +152,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rho=0.03" in out
 
-    def test_sweep_threads_match_serial(self, small_config, tmp_path):
-        a, b = tmp_path / "serial", tmp_path / "par"
-        args = [
-            "sweep", "--config", small_config, "--axis", "capacity",
-            "--grid", "0.5,1.0", "--iterations", "15",
-        ]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b), "--threads", "2"]) == 0
-        cols = lambda p: [
-            r.rsplit(",", 1)[0] for r in (p / "sweep.csv").read_text().splitlines()
-        ]
-        assert cols(a) == cols(b)
-
 
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -32,11 +32,9 @@ class TestTrainToy:
         assert l1.path_objectives == l2.path_objectives
         for t in range(toy_chain.horizon):
             for j in range(toy_chain.node_count(t)):
-                c1 = p1.pools.get(t, j).cuts
-                c2 = p2.pools.get(t, j).cuts
-                assert [(c.intercept, c.grad_wealth, c.grad_energy) for c in c1] == [
-                    (c.intercept, c.grad_wealth, c.grad_energy) for c in c2
-                ]
+                c1 = p1.pools.get(t, j).arrays()
+                c2 = p2.pools.get(t, j).arrays()
+                assert all(np.array_equal(a, b) for a, b in zip(c1, c2))
 
     def test_different_seed_changes_paths(self, toy_problem, toy_chain):
         _, l1 = s.train(toy_problem, toy_chain, 40, 1)
@@ -133,8 +131,8 @@ class TestSeedCuts:
             j = int(rng.integers(0, toy_chain.node_count(t)))
             xm = float(rng.uniform(-30, 30))
             xe = float(rng.uniform(0, cap))
-            seed = policy.pools.get(t, j).cuts[0]
-            assert seed.origin_iteration == -1
+            a, gw, ge = policy.pools.get(t, j).arrays()
+            seed = s.Cut(a[0], gw[0], ge[0])  # the seed cut is row 0
             truth = dp_cost_to_go(G, cap, rho, t, j, xm, xe)
             assert seed.value(xm, xe) <= truth + 1e-6
 
@@ -163,7 +161,7 @@ class TestPolicyOperations:
         policy, _ = toy_trained
         floor = -1.0 / toy_problem.utility.risk_aversion
         data = policy.stage_data(1, 0)
-        cuts = list(policy.pools.get(1, 0).cuts)
+        cuts = [s.Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
         got = policy.decide(1, 0, (0.0, 0.0))
         _, want = grid_stage_minimum(data, cuts, floor, (0.0, 0.0), n=401)
         assert got[0] == pytest.approx(want[0], abs=2e-3)
@@ -199,6 +197,7 @@ class TestCheckpoints:
         restored = s.Policy(toy_problem, toy_chain, pools)
         assert restored.root_bound() == pytest.approx(policy.root_bound(), abs=1e-12)
         assert pools.total_cuts() == policy.pools.total_cuts()
+        assert pools.to_json() == path.read_text()
 
     def test_warm_restart_monotone(self, toy_problem, toy_chain, toy_trained, tmp_path):
         policy, log = toy_trained
@@ -229,6 +228,14 @@ class TestCheckpoints:
         assert "NaN" in path.read_text()
         with pytest.raises(ValueError, match="cut coefficients must be finite"):
             s.sddp.load_checkpoint(str(path), toy_chain)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+def test_cutset_extend_rejects_infinite_coefficients(bad):
+    cuts = s.CutSet()
+    with pytest.raises(ValueError, match="cut coefficients must be finite"):
+        cuts.extend([[1.0, -0.5, 2.0], [0.0, -1.0, bad]])
+    assert len(cuts) == 0
 
 
 def test_bounds_nearly_coincide_for_fine_chains(default_problem):

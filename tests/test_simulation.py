@@ -82,16 +82,25 @@ class TestMatchesScenarioMajorOracle:
 
 def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
     # a fresh policy's node subproblems have synced no cuts and hold no solve
-    # scratch yet; evaluation must leave them exactly so
+    # scratch yet (terminal ones hold none at all); evaluation must leave
+    # every attribute exactly so
     policy = s.Policy(toy_problem, toy_chain, toy_trained[0].pools)
     subs = [
         policy.subproblem(t, j)
         for t in range(1, policy.horizon + 1)
         for j in range(toy_chain.node_count(t))
     ]
-    before = [(sub._m, sub._synced, sub._b.tobytes()) for sub in subs]
+
+    def state(sub):
+        return {
+            k: v.tobytes() if isinstance(v, np.ndarray) else list(v) if isinstance(v, list) else v
+            for k, v in vars(sub).items()
+        }
+
+    before = [state(sub) for sub in subs]
+    assert all("_m" in b for b in before[: -toy_chain.node_count(policy.horizon)])
     s.evaluate_out_of_sample(policy, 60, rng_seed=2)
-    assert [(sub._m, sub._synced, sub._b.tobytes()) for sub in subs] == before
+    assert [state(sub) for sub in subs] == before
 
 
 class TestKernelDensity:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -6,9 +7,15 @@ import pytest
 from scipy.optimize import linprog
 
 import storagesddp as s
-from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
-from storagesddp.stage_solver import _OBJECTIVE, solve_lanes
-from oracles import grid_stage_minimum, stage_objective
+from storagesddp.errors import InfeasibleError, StorageError
+from storagesddp.stage_solver import (
+    _OBJECTIVE,
+    _TIE_BUY,
+    _TIE_SELL,
+    solve_lanes,
+    solve_terminal_lanes,
+)
+from oracles import grid_stage_minimum, kelley_terminal, max_wealth_controls, stage_objective
 
 
 def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0, wealth_cap=1e5):
@@ -210,64 +217,164 @@ class TestTwoStageDeterministic:
         assert wealth >= best - 1e-3
 
 
+def terminal(state, data, utility):
+    return s.NodeSubproblem(data, utility, cutset=None, terminal=True).solve_terminal(state)
+
+
+def max_wealth_lp(data, state):
+    """Largest next wealth over the control polygon, by scipy (independent route)."""
+    xm, xe = state
+    E = data.leak_factor * xe
+    cp, cm = data.charge_eff, data.discharge_eff
+    res = linprog(
+        c=[data.ask, -data.bid],
+        A_ub=[[-cp, cm], [cp, -cm]],
+        b_ub=[E, data.capacity - E],
+        bounds=[(0.0, data.u_max_charge), (0.0, data.u_max_discharge)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return xm - res.fun
+
+
+# Below this |tc'(w*)| * min(|bid|, |ask|) the oracle LP's 1e-9 pivot
+# tolerance (and below about 1e-13 its tie perturbation) can stop it at a
+# vertex with less wealth; there the closed form is checked against the
+# largest wealth instead.
+_LP_RESOLUTION = 1e-7
+
+
 class TestTerminalKelley:
+    """Closed-form terminal stage against the Kelley cutting-plane oracle."""
+
     def test_full_battery_liquidates(self):
         utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
-        sol = s.terminal_kelley_solve((0.0, 1.0), data, utility)
+        sol = terminal((0.0, 1.0), data, utility)
         assert sol.controls[1] == pytest.approx(min(0.4, 1.0 / 1.05), abs=1e-9)
         assert sol.controls[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_battery_does_nothing(self):
         utility = s.UtilitySpec(risk_aversion=0.03)
-        sol = s.terminal_kelley_solve((5.0, 0.0), stage(49.0, 51.0), utility)
+        sol = terminal((5.0, 0.0), stage(49.0, 51.0), utility)
         assert sol.controls == (0.0, 0.0)
 
     def test_gap_monotone_and_small(self):
+        # the oracle seeded away from the optimum needs more than one pass;
+        # the closed form is exact in one
         utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
-        sol = s.terminal_kelley_solve((10.0, 0.7), data, utility, tol=1e-8)
-        gaps = np.array(sol.gaps)
-        assert len(gaps) <= 30
+        state = (10.0, 0.7)
+        ref, gaps = kelley_terminal(data, utility, state, tol=1e-8, seed_wealth=state[0])
+        gaps = np.array(gaps)
+        assert 1 < len(gaps) <= 30
         assert gaps[-1] <= 1e-8
         assert np.all(np.diff(gaps) <= 1e-12)
+        sol = terminal(state, data, utility)
+        assert sol.gaps == (0.0,)
+        assert sol.controls == pytest.approx(ref.controls, rel=0.0, abs=4e-16)
+        assert sol.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
 
     def test_value_matches_exact_terminal_cost(self):
         utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
         state = (2.0, 0.6)
-        sol = s.terminal_kelley_solve(state, data, utility, tol=1e-10)
+        sol = terminal(state, data, utility)
         w = state[0] + data.bid * sol.controls[1] - data.ask * sol.controls[0]
         assert sol.value == pytest.approx(s.terminal_cost(utility, w), abs=1e-9)
+        assert sol.value == s.terminal_cost(utility, sol.next_state[0])
 
     def test_small_risk_aversion_limit(self):
         # nearly linear utility: maximize expected terminal wealth by selling
         # the whole charge (0.3/1.05 fits under the 0.4 speed bound)
         utility = s.UtilitySpec(risk_aversion=1e-4)
         data = stage(49.0, 51.0)
-        sol = s.terminal_kelley_solve((0.0, 0.3), data, utility)
+        sol = terminal((0.0, 0.3), data, utility)
         assert sol.controls[1] == pytest.approx(0.3 / 1.05, abs=1e-6)
         assert sol.controls[0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_max_iterations_guard(self):
-        utility = s.UtilitySpec(risk_aversion=0.3)
-        data = stage(49.0, 51.0)
-        with pytest.raises(MaxIterationsError):
-            s.terminal_kelley_solve((0.0, 0.9), data, utility, tol=1e-30, max_iter=3)
 
     def test_subgradient_composition(self):
         utility = s.UtilitySpec(risk_aversion=0.05)
         data = stage(49.0, 51.0)
         state = (1.0, 0.5)
-        sol = s.terminal_kelley_solve(state, data, utility, tol=1e-10)
-        sub = s.NodeSubproblem(data, utility, cutset=None, terminal=True)
+        sol = terminal(state, data, utility)
         for h in (1e-4, -1e-4):
-            assert sub.solve((state[0] + h, state[1])).value >= (
+            assert terminal((state[0] + h, state[1]), data, utility).value >= (
                 sol.value + h * sol.subgradient[0] - 1e-8
             )
-            assert sub.solve((state[0], state[1] + h)).value >= (
+            assert terminal((state[0], state[1] + h), data, utility).value >= (
                 sol.value + h * sol.subgradient[1] - 1e-8
             )
+
+    @pytest.mark.parametrize("rho", [1e-4, 0.03, 0.3])
+    def test_matches_oracle_on_random_states(self, rho):
+        rng = np.random.default_rng(round(1e4 * rho))
+        utility = s.UtilitySpec(risk_aversion=rho)
+        seen = collections.Counter()
+        for trial in range(240):
+            mid = rng.uniform(-15.0, 90.0)
+            data = stage(
+                mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0),
+                leak=(0.0, 0.05)[trial % 2],
+            )
+            xe = (0.0, data.capacity, rng.uniform(0.0, data.capacity))[trial % 3]
+            # every tenth state is rich enough that tc' all but vanishes
+            xm = 40.0 / rho if trial % 10 == 9 and rho > 0.01 else rng.uniform(-20.0, 20.0)
+            state = (xm, xe)
+            sol = terminal(state, data, utility)
+
+            # the vectorized enumeration picks the scalar enumeration's vertex
+            sub = s.NodeSubproblem(data, utility, cutset=None, terminal=True)
+            controls = sub._clamp(max_wealth_controls(data, state), xe)
+            assert sol.controls == controls
+            assert sol.next_state == data.next_state(state, controls)
+            assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-6)
+            assert sol.value == s.terminal_cost(utility, sol.next_state[0])
+
+            if abs(sol.subgradient[0]) * min(abs(data.bid), abs(data.ask)) < _LP_RESOLUTION:
+                seen["tiny slope"] += 1
+                continue
+            ref, gaps = kelley_terminal(data, utility, state)
+            assert len(gaps) == 1
+            # the LP's Cramer solve may round the vertex one ulp apart
+            assert sol.controls == pytest.approx(ref.controls, rel=0.0, abs=4e-16)
+            assert sol.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+            assert sol.subgradient[0] == pytest.approx(ref.subgradient[0], rel=1e-12, abs=1e-12)
+            # the LP duals carry its objective tie perturbation
+            tie = data.leak_factor * (_TIE_BUY / data.charge_eff + _TIE_SELL / data.discharge_eff)
+            assert sol.subgradient[1] == pytest.approx(ref.subgradient[1], rel=1e-12, abs=tie)
+            seen["oracle"] += 1
+            seen["empty battery"] += xe == 0.0
+            seen["full battery"] += xe == data.capacity
+            seen["negative ask"] += data.ask < 0.0
+            seen["emptied"] += sol.next_state[1] == 0.0 and sol.subgradient[1] != 0.0
+            seen["filled"] += sol.next_state[1] == data.capacity and sol.subgradient[1] != 0.0
+        assert seen["oracle"] >= 180, seen
+        assert min(seen.values()) > 0, seen
+        assert (seen["tiny slope"] > 0) == (rho > 0.01), seen
+
+    @pytest.mark.parametrize("own_prices", [True, False])
+    def test_lanes_equal_single_calls(self, own_prices):
+        rng = np.random.default_rng(3)
+        utility = s.UtilitySpec(risk_aversion=0.03)
+        data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
+        K = 60
+        wealth = rng.uniform(-30.0, 30.0, K)
+        energy = rng.uniform(0.0, data.capacity, K)
+        energy[::4], energy[1::4] = 0.0, data.capacity
+        if own_prices:
+            mids = rng.uniform(-15.0, 90.0, K)
+            bid, ask = mids - 1.0, mids + 1.0
+        else:
+            bid = ask = None
+        sol = solve_terminal_lanes(data, utility, wealth, energy, ask=ask, bid=bid)
+        for k in range(K):
+            lane_data = data
+            if own_prices:
+                lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
+            ref = terminal((float(wealth[k]), float(energy[k])), lane_data, utility)
+            want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
+            assert TestLaneKernel.lane_results(sol, k) == want, k
 
 
 def test_tie_break_prefers_smallest_controls():
@@ -332,6 +439,10 @@ class TestLaneKernel:
                 s.NodeSubproblem(data, utility, cutset=cutset).solve((0.0, bad))
             with pytest.raises(InfeasibleError):
                 solve_lanes(data, utility, cutset, np.zeros(3), np.array([0.2, bad, 0.4]))
+            with pytest.raises(InfeasibleError):
+                terminal((0.0, bad), data, utility)
+            with pytest.raises(InfeasibleError):
+                solve_terminal_lanes(data, utility, np.zeros(3), np.array([0.2, bad, 0.4]))
 
     def test_binding_wealth_box(self):
         # a steep reward on wealth drives sales past a tiny wealth box
@@ -345,6 +456,10 @@ class TestLaneKernel:
                 data, utility, cutset, np.array([0.0, 0.9]), np.array([0.0, 0.5]),
                 ask=np.array([51.0, 51.0]), bid=np.array([49.0, 49.0]),
             )
+        assert type(err.value) is StorageError
+        # selling 0.4 MWh at 49 leaves the optimal terminal wealth outside the box
+        with pytest.raises(StorageError, match="wealth box is binding") as err:
+            terminal((0.9, 0.5), data, utility)
         assert type(err.value) is StorageError
 
 

@@ -1,3 +1,5 @@
+import copy
+import json
 import logging
 import math
 from dataclasses import replace
@@ -6,8 +8,10 @@ import numpy as np
 import pytest
 
 import storagesddp as s
+from storagesddp.cli import main
 from storagesddp.errors import BracketInvalidError, DomainError, MaxEvaluationsError
 from storagesddp.valuation import second_differences
+from conftest import TOY
 
 
 class TestClosedForm:
@@ -121,6 +125,20 @@ class TestStorageValuation:
         messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(messages) == 1
         assert "after 4 trainings" in messages[0] and "outside [0.05, 20]" in messages[0]
+
+
+    def test_high_risk_aversion_saturates_with_domain_error(self, tmp_path):
+        # capacity 4 at rho 10 with 20 iterations: every training saturates at
+        # the utility ceiling; the refusal is the typed DomainError (exit 4)
+        doc = copy.deepcopy(TOY)
+        doc["battery"]["capacity_mwh"] = 4.0
+        doc["utility"]["rho"] = 10.0
+        doc["sddp"]["iterations"] = 20
+        with pytest.raises(DomainError, match="after 4 trainings"):
+            s.price_storage(s.config_from_dict(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["price", "--config", str(path), "--out", str(tmp_path)]) == 4
 
 
 class TestPriceSweep:
