@@ -14,20 +14,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import (
     SWEEP_AXES,
-    RunConfig,
     build_chain_for,
     build_problem,
     load_config,
+    train_from_config,
 )
 from .errors import ConfigError, DataError, StorageError
 from .price_model import fit_ar, deviations_from_series, read_price_csv
-from .sddp import CutPool, Policy, load_checkpoint, save_checkpoint, train
-from .simulation import evaluate_out_of_sample, kernel_density, tail_comparison
+from .sddp import Policy, load_checkpoint, save_checkpoint
+from .simulation import evaluate_out_of_sample, kernel_density
 from .valuation import price_storage, price_sweep, second_differences
 
 EXIT_OK = 0
@@ -79,15 +78,9 @@ def cmd_discretize(args) -> int:
     return EXIT_OK
 
 
-def _train_from_config(cfg: RunConfig) -> tuple[Policy, "TrainingLog"]:
-    problem = build_problem(cfg)
-    chain = build_chain_for(cfg)
-    return train(problem, chain, cfg.sddp.iterations, cfg.sddp.seed)
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    policy, log = _train_from_config(cfg)
+    policy, log = train_from_config(cfg)
     out = _out_dir(args)
     log_path = os.path.join(out, "training_log.csv")
     log.write_csv(log_path)
@@ -105,15 +98,14 @@ def cmd_train(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    problem = build_problem(cfg)
-    chain = build_chain_for(cfg)
     if args.checkpoint:
+        chain = build_chain_for(cfg)
         pools = load_checkpoint(args.checkpoint, chain)
-        policy = Policy(problem, chain, pools)
+        policy = Policy(build_problem(cfg), chain, pools)
         policy.check_spread_condition()
         trained_bound = policy.root_bound()
     else:
-        policy, log = train(problem, chain, cfg.sddp.iterations, cfg.sddp.seed)
+        policy, log = train_from_config(cfg)
         trained_bound = log.final_bound()
     report = evaluate_out_of_sample(policy, cfg.simulate.scenarios, cfg.simulate.seed)
     out = _out_dir(args)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from .discretization import MarkovChain, build_chain
 from .errors import ConfigError
 from .price_model import PriceModel
-from .sddp import StorageProblem
+from .sddp import Policy, StorageProblem, TrainingLog, train
 from .storage import BatterySpec, UtilitySpec
 
 SWEEP_AXES = ("capacity", "speed_fraction", "sigma")
@@ -239,6 +239,20 @@ def build_chain_for(cfg: RunConfig) -> MarkovChain:
         n=cfg.sddp.quadrature_points,
         sampling_std=cfg.price.sampling_std,
         horizon=cfg.horizon,
+    )
+
+
+def train_from_config(
+    cfg: RunConfig, initial_wealth: float | None = None
+) -> tuple[Policy, TrainingLog]:
+    """Train on the config's problem and chain with its iterations and seed.
+
+    ``initial_wealth`` overrides the config's utility.initial_wealth.
+    """
+    if initial_wealth is not None:
+        cfg = replace(cfg, utility=replace(cfg.utility, initial_wealth=initial_wealth))
+    return train(
+        build_problem(cfg), build_chain_for(cfg), cfg.sddp.iterations, cfg.sddp.seed
     )
 
 

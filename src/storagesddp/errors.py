@@ -53,10 +53,6 @@ class InfeasibleError(StorageError):
     """Stage problem has no feasible point (state outside its box)."""
 
 
-class UnboundedError(StorageError):
-    """Stage problem unbounded below; the cut pool is missing its floor."""
-
-
 class MaxIterationsError(StorageError):
     """An iterative solve exceeded its iteration budget."""
 

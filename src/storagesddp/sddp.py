@@ -3,10 +3,11 @@
 Each iteration samples one node path through the chain (forward pass,
 recording visited states), then walks the stages backwards, adding at every
 visited (stage, node) one affine cut on the expected cost-to-go, computed
-from the successor subproblems with their freshly updated pools.  The root
-value of the polyhedral approximation after each backward pass is a
-deterministic optimistic bound; it is reported in maximization orientation
-(expected-utility units), where it is non-increasing.
+by `stage_solver.solve_stage` from the successor subproblems with their
+freshly updated pools.  The root value of the polyhedral approximation
+after each backward pass is a deterministic optimistic bound; it is
+reported in maximization orientation (expected-utility units), where it is
+non-increasing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .discretization import MarkovChain
 from .errors import ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import Cut, CutSet, NodeSubproblem
+from .stage_solver import Cut, CutSet, NodeSubproblem, solve_stage
 from .storage import (
     BatterySpec,
     StageData,
@@ -135,7 +136,6 @@ class Policy:
         self.pools = pools
         self.wealth_cap = wealth_box(problem.price_model, problem.battery)
         T = chain.horizon
-        self._data: list[list[StageData] | None] = [None]
         self._subs: list[list[NodeSubproblem] | None] = [None]
         for t in range(1, T + 1):
             level_data = [
@@ -159,7 +159,6 @@ class Policy:
                     NodeSubproblem(d, problem.utility, cutset=pools.get(t, i))
                     for i, d in enumerate(level_data)
                 ]
-            self._data.append(level_data)
             self._subs.append(level_subs)
 
     @property
@@ -167,18 +166,21 @@ class Policy:
         return self.chain.horizon
 
     def stage_data(self, stage: int, node: int) -> StageData:
-        return self._data[stage][node]
+        return self._subs[stage][node].data
 
     def subproblem(self, stage: int, node: int) -> NodeSubproblem:
         return self._subs[stage][node]
 
+    def subproblems(self, stage: int) -> list[NodeSubproblem]:
+        return self._subs[stage]
+
     def check_spread_condition(self) -> None:
         """Refuse to operate when the relaxation could be strict."""
         for t in range(1, self.horizon + 1):
-            for d in self._data[t]:
-                if not check_spread_condition(d):
+            for sub in self._subs[t]:
+                if not check_spread_condition(sub.data):
                     raise ConditionViolatedError(
-                        f"bid/ask efficiency condition fails at stage {t}, node {d.node}"
+                        f"bid/ask efficiency condition fails at stage {t}, node {sub.data.node}"
                     )
 
     def decide(
@@ -334,18 +336,10 @@ def train(
         # backward pass: one cut per visited (stage, node), using the
         # successor pools updated earlier in this same pass
         for t in range(T - 1, -1, -1):
-            row = chain.transitions[t][nodes[t]]
             xt = states[t]
-            value = 0.0
-            vm = 0.0
-            ve = 0.0
-            for i, p in enumerate(row):
-                if p <= 0.0:
-                    continue
-                sol = policy.subproblem(t + 1, i).solve(xt)
-                value += p * sol.value
-                vm += p * sol.subgradient[0]
-                ve += p * sol.subgradient[1]
+            value, (vm, ve) = solve_stage(
+                xt, policy.subproblems(t + 1), chain.transitions[t][nodes[t]]
+            )
             pools.add(
                 t,
                 nodes[t],
@@ -362,24 +356,6 @@ def train(
         log.seconds.append(time.perf_counter() - t_start)
 
     return policy, log
-
-
-def bound(policy_or_log: Policy | TrainingLog) -> float:
-    """Deterministic bound (maximization orientation) of a trained run."""
-    if isinstance(policy_or_log, TrainingLog):
-        return policy_or_log.final_bound()
-    if isinstance(policy_or_log, Policy):
-        if policy_or_log.pools.total_cuts() == 0:
-            raise NotTrainedError("policy has no cuts")
-        return policy_or_log.root_bound()
-    raise TypeError("expected Policy or TrainingLog")
-
-
-def decide(
-    policy: Policy, stage: int, node: int, state: tuple[float, float]
-) -> tuple[float, float]:
-    """Optimal (buy, sell) from a trained policy; see `Policy.decide`."""
-    return policy.decide(stage, node, state)
 
 
 def save_checkpoint(policy: Policy, path: str) -> None:

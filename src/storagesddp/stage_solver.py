@@ -30,7 +30,8 @@ per subproblem, where the scalar path is about 9x faster (60 us against
 570 us at K=1 on a 372-cut node of the default pool, Intel Xeon, one
 thread); out-of-sample evaluation solves every scenario at a (stage, node)
 at once, where the lane kernel wins.  Both give bit-identical results lane
-by lane.
+by lane.  `solve_stage` is the Bellman stage of training's backward pass:
+the probability-weighted sum of a node's successor solves.
 
 The terminal stage needs no LP.  Its cost, the exponential of minus the
 terminal wealth, is strictly decreasing in wealth, so the optimum is the
@@ -168,25 +169,6 @@ class TerminalSolution(NodeSolution):
     gaps: tuple[float, ...] = (0.0,)
 
 
-@dataclass(frozen=True)
-class StageSolution:
-    """Probability-weighted aggregate over successor subproblems."""
-
-    value: float
-    state_subgradient: tuple[float, float]
-    controls_by_successor: dict[int, tuple[float, float]]
-    next_state_per_successor: dict[int, tuple[float, float]]
-
-    @property
-    def controls(self) -> tuple[float, float]:
-        """The stage control, defined when all successors agree (or one exists)."""
-        vals = list(self.controls_by_successor.values())
-        first = vals[0]
-        if all(abs(v[0] - first[0]) < 1e-12 and abs(v[1] - first[1]) < 1e-12 for v in vals):
-            return first
-        raise ValueError("controls differ across successors; index by successor node")
-
-
 def _static_rows(data: StageData, ask, bid) -> list[tuple]:
     """The nine static rows (control boxes, floor, energy band, wealth box), unscaled.
 
@@ -278,6 +260,9 @@ class NodeSubproblem:
         self._c1 = np.empty(cap0)
         self._c2 = np.empty(cap0)
         self._b = np.empty(cap0)
+        # the pivot's Python-float row cache: _c0/_c1/_c2 as tuples, because
+        # _pivot reads single rows element by element (reading them from one
+        # (3, m) array via .tolist() made each solve about 7% slower)
         self._rows: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * cap0
         static = _static_rows(data, data.ask, data.bid)
         # rows are normalized to unit magnitude at insertion; the matching
@@ -860,47 +845,32 @@ def solve_terminal_lanes(
 
 def solve_stage(
     state: tuple[float, float],
-    stage_data_by_successor: dict[int, StageData],
+    subproblems: list[NodeSubproblem],
     transition_row: np.ndarray,
-    cuts_by_successor: dict[int, list[Cut] | CutSet] | None,
-    is_terminal_next: bool,
-    utility: UtilitySpec,
-) -> StageSolution:
-    """Solve one Bellman stage: expectation over successor subproblems.
+) -> tuple[float, tuple[float, float]]:
+    """Solve one Bellman stage: expectation over the successor subproblems.
 
-    Prices are observed before the stage control is chosen, so each successor
-    node gets its own deterministic subproblem; the stage value and state
-    subgradient are the transition-probability-weighted sums of the successor
-    optima.
+    Prices are observed before the stage control is chosen, so successor
+    node i has its own deterministic subproblem ``subproblems[i]`` (terminal
+    ones solve in closed form).  Returns the stage value and its state
+    subgradient, the transition-probability-weighted sums of the successor
+    optima; successors with probability 0 are not solved.
     """
-    row = np.asarray(transition_row, dtype=float)
-    if abs(row.sum() - 1.0) > 1e-9:
+    # Python floats: scalar arithmetic on them is faster than on numpy
+    # scalars and rounds identically
+    probs = np.asarray(transition_row, dtype=float).tolist()
+    if len(subproblems) != len(probs):
+        raise ValueError("need one subproblem per transition_row entry")
+    if abs(sum(probs) - 1.0) > 1e-9:
         raise ValueError("transition_row must sum to 1")
     value = 0.0
     vm = 0.0
     ve = 0.0
-    controls: dict[int, tuple[float, float]] = {}
-    next_states: dict[int, tuple[float, float]] = {}
-    for i, p in enumerate(row):
+    for p, sub in zip(probs, subproblems):
         if p <= 0.0:
             continue
-        data = stage_data_by_successor[i]
-        if is_terminal_next:
-            sub = NodeSubproblem(data, utility, cutset=None, terminal=True)
-            sol = sub.solve_terminal(state)
-        else:
-            cuts = cuts_by_successor[i] if cuts_by_successor else []
-            cutset = cuts if isinstance(cuts, CutSet) else CutSet(list(cuts))
-            sub = NodeSubproblem(data, utility, cutset=cutset)
-            sol = sub.solve(state)
+        sol = sub.solve(state)
         value += p * sol.value
         vm += p * sol.subgradient[0]
         ve += p * sol.subgradient[1]
-        controls[i] = sol.controls
-        next_states[i] = sol.next_state
-    return StageSolution(
-        value=value,
-        state_subgradient=(vm, ve),
-        controls_by_successor=controls,
-        next_state_per_successor=next_states,
-    )
+    return value, (vm, ve)

@@ -19,9 +19,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import RunConfig, build_chain_for, build_problem, with_axis_value
+from .config import (
+    RunConfig,
+    build_chain_for,
+    build_problem,
+    train_from_config,
+    with_axis_value,
+)
 from .errors import BracketInvalidError, DomainError, MaxEvaluationsError
-from .sddp import best_case_prices, best_case_trading, train
+from .sddp import best_case_prices, best_case_trading
 from .storage import UtilitySpec
 
 logger = logging.getLogger(__name__)
@@ -94,22 +100,12 @@ def indifference_price_bisection(
     return 0.5 * (lo + hi), evals
 
 
-def _train_config(config: RunConfig, initial_wealth: float | None = None):
-    if initial_wealth is not None:
-        config = replace(
-            config, utility=replace(config.utility, initial_wealth=initial_wealth)
-        )
-    problem = build_problem(config)
-    chain = build_chain_for(config)
-    return train(problem, chain, config.sddp.iterations, config.sddp.seed)
-
-
 def storage_value(config: RunConfig, initial_wealth: float | None = None) -> float:
     """Train on the config and return the deterministic value bound.
 
     ``initial_wealth`` overrides the config's utility.initial_wealth.
     """
-    _, log = _train_config(config, initial_wealth)
+    _, log = train_from_config(config, initial_wealth)
     return log.final_bound()
 
 
@@ -173,7 +169,7 @@ def price_storage(config: RunConfig) -> ValuationResult:
     """
     rho = config.utility.rho
     shift = 0.0
-    policy, log = _train_config(config, initial_wealth=0.0)
+    policy, log = train_from_config(config, initial_wealth=0.0)
     phi_shifted = log.final_bound()
     trainings = 1
     gap = 1.0 - rho * phi_shifted
@@ -187,7 +183,7 @@ def price_storage(config: RunConfig) -> ValuationResult:
         else:
             # the current price estimate re-centers the shift exactly
             shift = shift - math.log(gap) / rho
-        policy, log = _train_config(config, initial_wealth=-shift)
+        policy, log = train_from_config(config, initial_wealth=-shift)
         phi_shifted = log.final_bound()
         trainings += 1
         gap = 1.0 - rho * phi_shifted

@@ -149,11 +149,11 @@ class TestPolicyOperations:
     def test_decide_is_history_free(self, toy_trained):
         policy, _ = toy_trained
         state = (1.5, 0.3)
-        first = s.decide(policy, 2, 1, state)
+        first = policy.decide(2, 1, state)
         # interleave unrelated queries, then repeat
-        s.decide(policy, 1, 0, (0.0, 0.0))
-        s.decide(policy, 3, 0, (-2.0, 0.9))
-        assert s.decide(policy, 2, 1, state) == first
+        policy.decide(1, 0, (0.0, 0.0))
+        policy.decide(3, 0, (-2.0, 0.9))
+        assert policy.decide(2, 1, state) == first
 
     def test_decide_matches_oracle_argmin(self, toy_problem, toy_chain, toy_trained):
         from oracles import grid_stage_minimum
@@ -169,9 +169,9 @@ class TestPolicyOperations:
 
     def test_bound_accessors(self, toy_trained):
         policy, log = toy_trained
-        assert s.bound(policy) == pytest.approx(s.bound(log), abs=1e-12)
+        assert policy.root_bound() == pytest.approx(log.final_bound(), abs=1e-12)
         with pytest.raises(NotTrainedError):
-            s.bound(s.TrainingLog())
+            s.TrainingLog().final_bound()
 
     def test_refuses_when_spread_condition_fails(self):
         cfg = s.config_from_dict(

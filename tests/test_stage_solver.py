@@ -97,16 +97,12 @@ class TestSolveStage:
     def test_zero_value_to_go(self):
         utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
-        sol = s.solve_stage(
-            state=(0.0, 0.0),
-            stage_data_by_successor={0: data},
-            transition_row=np.array([1.0]),
-            cuts_by_successor={0: [s.Cut(0.0, 0.0, 0.0)]},
-            is_terminal_next=False,
-            utility=utility,
+        sub = s.NodeSubproblem(data, utility, cutset=s.CutSet([s.Cut(0.0, 0.0, 0.0)]))
+        value, _ = s.solve_stage(
+            state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0])
         )
-        assert sol.value == pytest.approx(0.0, abs=1e-9)
-        assert sol.controls == (0.0, 0.0)
+        assert value == pytest.approx(0.0, abs=1e-9)
+        assert sub.solve((0.0, 0.0)).controls == (0.0, 0.0)
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -114,23 +110,49 @@ class TestSolveStage:
         floor = -1.0 / 0.03
         for _ in range(15):
             mids = rng.uniform(10, 80, 2)
-            datas = {i: stage(m - 1.0, m + 1.0) for i, m in enumerate(mids)}
-            cuts = {i: random_cuts(rng, 4) for i in range(2)}
+            datas = [stage(m - 1.0, m + 1.0) for m in mids]
+            cuts = [random_cuts(rng, 4) for _ in range(2)]
+            subs = [s.NodeSubproblem(d, utility, cutset=s.CutSet(c)) for d, c in zip(datas, cuts)]
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
-            sol = s.solve_stage(state, datas, row, cuts, False, utility)
+            value, _ = s.solve_stage(state, subs, row)
             want = sum(
                 row[i] * grid_stage_minimum(datas[i], cuts[i], floor, state, n=201)[0]
                 for i in range(2)
             )
             # the grid can only overshoot the true minimum
-            assert sol.value <= want + 1e-9
-            assert want - sol.value <= 1e-3
+            assert value <= want + 1e-9
+            assert want - value <= 1e-3
 
     def test_transition_row_must_be_stochastic(self):
         utility = s.UtilitySpec(risk_aversion=0.03)
+        sub = s.NodeSubproblem(stage(49, 51), utility, cutset=s.CutSet([]))
         with pytest.raises(ValueError):
-            s.solve_stage((0.0, 0.0), {0: stage(49, 51)}, np.array([0.7]), {0: []}, False, utility)
+            s.solve_stage((0.0, 0.0), [sub], np.array([0.7]))
+        # a stochastic row still needs one subproblem per entry
+        with pytest.raises(ValueError):
+            s.solve_stage((0.0, 0.0), [sub], np.array([0.5, 0.5]))
+
+    def test_equals_per_successor_solves(self, toy_chain, toy_trained):
+        # stage T holds the closed-form terminal subproblems, stage 2 LPs;
+        # the stage value and subgradient are the probability-weighted sums
+        # of the successor solves, accumulated in node order
+        policy, _ = toy_trained
+        T = toy_chain.horizon
+        assert all(sub.terminal for sub in policy.subproblems(T))
+        assert not any(sub.terminal for sub in policy.subproblems(2))
+        for t in (T, 2):
+            for row in toy_chain.transitions[t - 1]:
+                for state in ((0.0, 0.0), (1.5, 0.3), (-2.0, 0.9)):
+                    value, (vm, ve) = s.solve_stage(state, policy.subproblems(t), row)
+                    want, want_m, want_e = 0.0, 0.0, 0.0
+                    for i, p in enumerate(row):
+                        if p > 0.0:
+                            sol = policy.subproblem(t, i).solve(state)
+                            want += p * sol.value
+                            want_m += p * sol.subgradient[0]
+                            want_e += p * sol.subgradient[1]
+                    assert (value, vm, ve) == (want, want_m, want_e)
 
     def test_lower_bound_validity(self):
         rng = np.random.default_rng(33)
