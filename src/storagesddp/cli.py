@@ -99,9 +99,10 @@ def cmd_train(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if args.checkpoint:
+        problem = build_problem(cfg)
         chain = build_chain_for(cfg)
-        pools = load_checkpoint(args.checkpoint, chain)
-        policy = Policy(build_problem(cfg), chain, pools)
+        pools = load_checkpoint(args.checkpoint, problem, chain)
+        policy = Policy(problem, chain, pools)
         policy.check_spread_condition()
         trained_bound = policy.root_bound()
     else:
@@ -201,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="cut-pool checkpoint (default: train first)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("price", parents=[common], help="closed-form indifference price")
+    p = sub.add_parser("price", parents=[common], help="indifference price from one training")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_price)
 

@@ -25,6 +25,14 @@ class LengthMismatchError(DataError):
     """Paired series have different lengths."""
 
 
+class CheckpointError(DataError, ValueError):
+    """A cut-pool checkpoint cannot be used.
+
+    It is missing or malformed, has another format version, or was trained
+    on another price model, battery, risk aversion or chain.
+    """
+
+
 class StageOutOfRangeError(StorageError):
     """Stage index outside 1..T."""
 
@@ -64,8 +72,10 @@ class NotTrainedError(StorageError):
 class DomainError(StorageError):
     """Closed-form price undefined: log argument is not positive.
 
-    The true value never reaches the utility ceiling ``1/rho``; an
-    unconverged optimistic bound can, so more iterations are needed.
+    Raised by `valuation.indifference_price_exponential` for an expected
+    utility at or above the ceiling ``1/rho``, which no storage value
+    reaches.  `valuation.price_storage` reads the certainty equivalent from
+    training directly and never raises it.
     """
 
 

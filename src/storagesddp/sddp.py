@@ -1,27 +1,38 @@
 """Markov-chain SDDP training of the cost-to-go approximations.
 
-Each iteration samples one node path through the chain (forward pass,
-recording visited states), then walks the stages backwards, adding at every
-visited (stage, node) one affine cut on the expected cost-to-go, computed
-by `stage_solver.solve_stage` from the successor subproblems with their
-freshly updated pools.  The root value of the polyhedral approximation
-after each backward pass is a deterministic optimistic bound; it is
-reported in maximization orientation (expected-utility units), where it is
-non-increasing.
+The costs-to-go are in the cash-additive entropic form of `stage_solver`,
+``J_t(w, e) = -(w + CE_t(e))``, where ``CE_t`` is the certainty equivalent
+of the remaining trading under exponential utility.  Each iteration samples
+one node path through the chain (forward pass, recording visited states),
+then walks the stages backwards, adding at every visited (stage, node) one
+affine cut with wealth slope -1, computed by `stage_solver.solve_stage` (the
+entropic risk of the successor subproblems, with their freshly updated
+pools).  After each backward pass the root value of the polyhedral
+approximation gives a deterministic optimistic bound on the certainty
+equivalent; `TrainingLog.bounds` reports it as expected utility
+(maximization orientation), where it is non-increasing.
+
+Checkpoints are versioned JSON that carry a fingerprint of the problem and
+chain the cuts were trained on; `load_checkpoint` refuses any other with
+`CheckpointError`.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretization import MarkovChain
-from .errors import ConditionViolatedError, NotTrainedError
+from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import Cut, CutSet, NodeSubproblem, solve_stage
+from .stage_solver import Cut, CutSet, NodeSubproblem, cost_floor, solve_stage
 from .storage import (
     BatterySpec,
     StageData,
@@ -29,9 +40,11 @@ from .storage import (
     check_spread_condition,
     stage_data_for,
     terminal_cost,
-    terminal_cost_derivative,
     wealth_box,
 )
+
+# version 1 (unversioned) checkpoints held cuts on the expected-utility cost
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -46,8 +59,8 @@ class StorageProblem:
 class CutPool:
     """Per (stage, node) cut collections for stages 0..T-1.
 
-    Every pool implicitly contains the floor theta >= -1/rho, the infimum of
-    the terminal cost, so stage LPs are bounded from iteration 0.
+    Every stage LP also holds the floor `stage_solver.cost_floor`, which lies
+    below every seed cut, so stage LPs are bounded from iteration 0.
     """
 
     def __init__(self, chain: MarkovChain) -> None:
@@ -65,7 +78,8 @@ class CutPool:
     def total_cuts(self) -> int:
         return sum(len(s) for level in self._sets for s in level)
 
-    def to_json(self) -> str:
+    def to_json(self, fingerprint: str) -> str:
+        """Versioned JSON of every pool, tagged with `checkpoint_fingerprint`."""
         records = []
         for t, level in enumerate(self._sets):
             for j, cs in enumerate(level):
@@ -79,20 +93,54 @@ class CutPool:
                         ],
                     }
                 )
-        return json.dumps({"horizon": self.horizon, "pools": records}, indent=1)
+        doc = {
+            "format_version": CHECKPOINT_VERSION,
+            "fingerprint": fingerprint,
+            "horizon": self.horizon,
+            "pools": records,
+        }
+        return json.dumps(doc, indent=1)
 
     @classmethod
-    def from_json(cls, text: str, chain: MarkovChain) -> "CutPool":
-        doc = json.loads(text)
-        if doc["horizon"] != chain.horizon:
-            raise ValueError(
-                f"checkpoint horizon {doc['horizon']} != chain horizon {chain.horizon}"
+    def from_json(cls, text: str, chain: MarkovChain, fingerprint: str) -> "CutPool":
+        """Parse `to_json` output for ``chain`` and the expected ``fingerprint``.
+
+        Raises `CheckpointError` for text that is not JSON, a format version
+        other than `CHECKPOINT_VERSION`, missing keys, malformed or
+        non-finite cuts, and a horizon or fingerprint that differs from the
+        expected one.
+        """
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+        version = doc.get("format_version") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"checkpoint format version {version} is not {CHECKPOINT_VERSION}; "
+                "retrain to write a current one"
+            )
+        try:
+            horizon, found, records = doc["horizon"], doc["fingerprint"], doc["pools"]
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint lacks the key {exc}") from exc
+        if horizon != chain.horizon:
+            raise CheckpointError(
+                f"checkpoint horizon {horizon} != chain horizon {chain.horizon}"
+            )
+        if found != fingerprint:
+            raise CheckpointError(
+                "checkpoint was trained on another price model, battery, risk "
+                "aversion or chain"
             )
         pool = cls(chain)
-        for rec in doc["pools"]:
-            pool.get(rec["stage"], rec["node"]).extend(
-                [[c["intercept"], c["grad_wealth"], c["grad_energy"]] for c in rec["cuts"]]
-            )
+        try:
+            for rec in records:
+                pool.get(rec["stage"], rec["node"]).extend(
+                    [[c["intercept"], c["grad_wealth"], c["grad_energy"]] for c in rec["cuts"]]
+                )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
         return pool
 
 
@@ -151,12 +199,12 @@ class Policy:
             ]
             if t == T:
                 level_subs = [
-                    NodeSubproblem(d, problem.utility, cutset=None, terminal=True)
+                    NodeSubproblem(d, cutset=None, terminal=True)
                     for d in level_data
                 ]
             else:
                 level_subs = [
-                    NodeSubproblem(d, problem.utility, cutset=pools.get(t, i))
+                    NodeSubproblem(d, cutset=pools.get(t, i))
                     for i, d in enumerate(level_data)
                 ]
             self._subs.append(level_subs)
@@ -190,11 +238,18 @@ class Policy:
         sol = self._subs[stage][node].solve(state)
         return sol.controls
 
+    def root_certainty_equivalent(self) -> float:
+        """Certainty equivalent of terminal wealth at the root, EUR: ``-J_0(x0)``.
+
+        An optimistic bound on the optimal policy's certainty equivalent; at
+        zero initial wealth it is the indifference price of the storage.
+        """
+        w0 = self.problem.utility.initial_wealth
+        return -self.pools.get(0, 0).value(w0, 0.0, cost_floor(self.wealth_cap))
+
     def root_bound(self) -> float:
-        """Deterministic bound at the root, maximization orientation."""
-        x0 = (self.problem.utility.initial_wealth, 0.0)
-        floor = -1.0 / self.problem.utility.risk_aversion
-        return -self.pools.get(0, 0).value(x0[0], x0[1], floor)
+        """Deterministic bound at the root as expected utility (maximization orientation)."""
+        return -terminal_cost(self.problem.utility, self.root_certainty_equivalent())
 
 
 def best_case_trading(
@@ -261,17 +316,13 @@ def best_case_prices(model: PriceModel, chain: MarkovChain) -> tuple[np.ndarray,
 def _seed_cuts(problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> None:
     """Initialize every pool with one analytic lower bound.
 
-    From any state at stage t, terminal wealth cannot exceed the current
-    wealth plus the best-case remaining trading profit `best_case_trading`
-    (computed with each stage's `best_case_prices`), plus the
-    marginal value of the stored energy.  The terminal cost of that wealth
-    bound is a valid minorant of the cost-to-go; its tangent at the initial
-    state is the seed cut.  Far tighter than the bare -1/rho floor, which
-    stays in every LP regardless.
+    From any state (w, e) at stage t, terminal wealth cannot exceed w plus
+    the best-case remaining trading profit `best_case_trading` (computed
+    with each stage's `best_case_prices`), plus the marginal value of the
+    stored energy, and neither can the certainty equivalent.  The seed cut
+    is therefore the affine ``J_t(w, e) >= -(w + profit_t + marginal_t * e)``.
     """
     battery = problem.battery
-    utility = problem.utility
-    x0m = utility.initial_wealth
     best_bid, best_ask = best_case_prices(problem.price_model, chain)
     for t in range(chain.horizon):
         profit, marginal = best_case_trading(
@@ -282,12 +333,8 @@ def _seed_cuts(problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> N
             battery.charge_eff,
             battery.discharge_eff,
         )
-        w_best = x0m + profit
-        slope = terminal_cost_derivative(utility, w_best)
-        # tangent of tc(x_m + profit + marginal * x_e) at (x0m, 0)
-        intercept = terminal_cost(utility, w_best) - slope * x0m
         for j in range(chain.node_count(t)):
-            pools.add(t, j, Cut(intercept, slope, slope * marginal))
+            pools.add(t, j, Cut(-profit, -1.0, -marginal))
 
 
 def train(
@@ -317,6 +364,7 @@ def train(
     T = chain.horizon
     x0 = (problem.utility.initial_wealth, 0.0)
     utility = problem.utility
+    rho = utility.risk_aversion
     draws = [np.random.default_rng([rng_seed, k]).random(T) for k in range(iterations)]
     paths = chain.node_paths(np.array(draws)).tolist()
 
@@ -338,7 +386,7 @@ def train(
         for t in range(T - 1, -1, -1):
             xt = states[t]
             value, (vm, ve) = solve_stage(
-                xt, policy.subproblems(t + 1), chain.transitions[t][nodes[t]]
+                xt, policy.subproblems(t + 1), chain.transitions[t][nodes[t]], rho
             )
             pools.add(
                 t,
@@ -358,11 +406,52 @@ def train(
     return policy, log
 
 
+def checkpoint_fingerprint(problem: StorageProblem, chain: MarkovChain) -> str:
+    """SHA-256 of what the cuts depend on: price model, battery, rho and chain.
+
+    The initial wealth is left out: every cut holds at every wealth.
+    """
+    doc = {
+        "price_model": dataclasses.asdict(problem.price_model),
+        "battery": dataclasses.asdict(problem.battery),
+        "risk_aversion": problem.utility.risk_aversion,
+        "nodes": [v.tolist() for v in chain.nodes],
+        "transitions": [m.tolist() for m in chain.transitions],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def save_checkpoint(policy: Policy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(policy.pools.to_json())
+    """Write the policy's pools to ``path`` atomically.
+
+    The JSON goes to a temporary file in the target directory, which then
+    replaces ``path``: a reader never sees a partial checkpoint, and a
+    failed write leaves an existing one as it was.
+    """
+    fingerprint = checkpoint_fingerprint(policy.problem, policy.chain)
+    fd, tmp = tempfile.mkstemp(
+        prefix=".checkpoint-", suffix=".tmp", dir=os.path.dirname(os.path.abspath(path))
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
+            f.write(policy.pools.to_json(fingerprint))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def load_checkpoint(path: str, chain: MarkovChain) -> CutPool:
-    with open(path, encoding="utf-8") as f:
-        return CutPool.from_json(f.read(), chain)
+def load_checkpoint(path: str, problem: StorageProblem, chain: MarkovChain) -> CutPool:
+    """Read the pools that `save_checkpoint` wrote for ``problem`` on ``chain``.
+
+    Raises `CheckpointError` for a file that cannot be read and for
+    everything `CutPool.from_json` refuses.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    return CutPool.from_json(text, chain, checkpoint_fingerprint(problem, chain))

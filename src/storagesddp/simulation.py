@@ -108,11 +108,9 @@ def _simulate_lanes(
             data = policy.stage_data(t, node)
             own = (ask[lanes], bid[lanes]) if realized_prices else (None, None)
             if t < T:
-                sol = solve_lanes(
-                    data, utility, policy.pools.get(t, node), xm[lanes], xe[lanes], *own
-                )
+                sol = solve_lanes(data, policy.pools.get(t, node), xm[lanes], xe[lanes], *own)
             else:
-                sol = solve_terminal_lanes(data, utility, xm[lanes], xe[lanes], *own)
+                sol = solve_terminal_lanes(data, xm[lanes], xe[lanes], *own)
             buy[lanes], sell[lanes] = sol.buy, sol.sell
             next_m[lanes], next_e[lanes] = sol.next_wealth, sol.next_energy
         if not np.all(

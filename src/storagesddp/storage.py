@@ -308,16 +308,3 @@ def terminal_cost(utility: UtilitySpec, wealth: float) -> float:
             f"wealth {wealth:.6g} overflows exp at risk aversion {rho:.6g}"
         )
     return (math.exp(arg) - 1.0) / rho
-
-
-def terminal_cost_derivative(utility: UtilitySpec, wealth: float) -> float:
-    """Exact derivative -exp(-rho w) of `terminal_cost`, used for cut tangents."""
-    rho = utility.risk_aversion
-    if wealth < utility.floor:
-        raise OverflowGuardError(f"wealth {wealth:.6g} below floor {utility.floor:.6g}")
-    arg = -rho * wealth
-    if arg > _EXP_ARG_MAX:
-        raise OverflowGuardError(
-            f"wealth {wealth:.6g} overflows exp at risk aversion {rho:.6g}"
-        )
-    return -math.exp(arg)

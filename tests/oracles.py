@@ -13,6 +13,7 @@ closed form.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from storagesddp.price_model import simulate_deviation_path
 from storagesddp.sddp import Policy, StorageProblem
 from storagesddp.errors import MaxIterationsError
 from storagesddp.stage_solver import Cut, CutSet, NodeSubproblem
-from storagesddp.storage import stage_data_for, terminal_cost, terminal_cost_derivative
+from storagesddp.storage import stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
 
@@ -97,11 +98,84 @@ def chain_dp(
     return phi, G
 
 
+def chain_dp_ce(
+    problem: StorageProblem,
+    chain: MarkovChain,
+    n_energy: int = 1025,
+    n_control: int = 2049,
+):
+    """`chain_dp` in the cash-additive form, for risk aversions where it overflows.
+
+    Backward induction on the certainty equivalent of the remaining trading,
+    C_t(xe, node), with C_T = 0.  Once the prices of node i are seen,
+    W_i(xe) = max_u [-cost_i(u) + C_t(xe'(xe, u), i)]; before that,
+    C_{t-1}(xe, j) = -(1/rho) log sum_i P[j, i] exp(-rho W_i(xe)), evaluated
+    around the smallest W_i with P[j, i] > 0, so no exponential overflows.
+    Grids and breakpoints are `chain_dp`'s.  Linear interpolation
+    underestimates the concave C, so the root value underestimates the
+    exact certainty equivalent slightly.
+
+    Returns (ce_root, C) where C[t][j] is the stage-t array over the energy
+    grid and ce_root = C_0(0, root), the indifference price of the storage.
+    """
+    model, battery = problem.price_model, problem.battery
+    rho = problem.utility.risk_aversion
+    T = chain.horizon
+    cap, cp, cm = battery.capacity, battery.charge_eff, battery.discharge_eff
+    leak = 1.0 - battery.leakage
+    e_grid = np.linspace(0.0, cap, n_energy)
+    u = np.concatenate(
+        [
+            np.linspace(-battery.max_discharge, 0.0, n_control // 2 + 1),
+            np.linspace(0.0, battery.max_charge, n_control // 2 + 1)[1:],
+        ]
+    )
+    charge = np.where(u >= 0, cp * u, cm * u)
+    C = [None] * (T + 1)
+    C[T] = [np.zeros(n_energy) for _ in range(chain.node_count(T))]
+    for t in range(T, 0, -1):
+        level = []
+        for i in range(chain.node_count(t)):
+            bid, ask = bid_ask(model, t, float(chain.nodes[t][i]))
+            gain = -np.where(u >= 0, ask * u, bid * u)
+            Cn = C[t][i]
+            nxt = leak * e_grid[:, None] + charge[None, :]
+            ok = (nxt >= -1e-12) & (nxt <= cap + 1e-12)
+            vals = np.where(
+                ok, gain[None, :] + np.interp(np.clip(nxt, 0.0, cap), e_grid, Cn), -np.inf
+            )
+            best = vals.max(axis=1)
+            u_empty = np.maximum(-leak * e_grid / cm, -battery.max_discharge)
+            v_empty = np.where(
+                -leak * e_grid / cm >= -battery.max_discharge - 1e-15,
+                -bid * u_empty + Cn[0],
+                -np.inf,
+            )
+            u_fill = np.minimum((cap - leak * e_grid) / cp, battery.max_charge)
+            v_fill = np.where(
+                (cap - leak * e_grid) / cp <= battery.max_charge + 1e-15,
+                -ask * u_fill + Cn[-1],
+                -np.inf,
+            )
+            level.append(np.maximum(best, np.maximum(v_empty, v_fill)))
+        W = np.array(level)
+        P = chain.transitions[t - 1]
+        C[t - 1] = []
+        for j in range(chain.node_count(t - 1)):
+            low = W[P[j] > 0.0].min(axis=0)
+            C[t - 1].append(low - np.log(P[j] @ np.exp(-rho * (W - low))) / rho)
+    return float(C[0][0][0]), C
+
+
 def dp_cost_to_go(G, e_grid_cap: float, rho: float, t: int, node: int, xm: float, xe: float):
-    """Evaluate the DP cost-to-go J_t(xm, xe, node) from `chain_dp` output."""
+    """The cash-additive cost-to-go -(xm + CE_t(xe, node)) from `chain_dp` output.
+
+    ``exp(-rho * CE) = rho * G``, so ``-(xm + CE) = -xm + ln(rho * G) / rho``;
+    the logarithm keeps `chain_dp`'s overestimate on the cost side.
+    """
     Gn = G[t][node]
     e_grid = np.linspace(0.0, e_grid_cap, len(Gn))
-    return float(np.exp(-rho * xm) * np.interp(xe, e_grid, Gn) - 1.0 / rho)
+    return float(-xm + np.log(rho * np.interp(xe, e_grid, Gn)) / rho)
 
 
 def enumerate_node_paths(chain: MarkovChain):
@@ -268,9 +342,9 @@ def _simulate_one(
                 model, battery, t, xi, node=node, wealth_cap=policy.wealth_cap
             )
             if t == T:
-                sub = NodeSubproblem(data, utility, cutset=None, terminal=True)
+                sub = NodeSubproblem(data, cutset=None, terminal=True)
             else:
-                sub = NodeSubproblem(data, utility, cutset=policy.pools.get(t, node))
+                sub = NodeSubproblem(data, cutset=policy.pools.get(t, node))
         else:
             data = policy.stage_data(t, node)
             sub = policy.subproblem(t, node)
@@ -360,6 +434,12 @@ def max_wealth_controls(data, state) -> tuple[float, float]:
     return best
 
 
+def terminal_cost_derivative(utility, wealth: float) -> float:
+    """Exact derivative -exp(-rho w) of `terminal_cost`, for the tangents of `kelley_terminal`."""
+    terminal_cost(utility, wealth)  # its floor and overflow guards
+    return -math.exp(-utility.risk_aversion * wealth)
+
+
 def kelley_terminal(
     data, utility, state, tol: float = 1e-8, max_iter: int = 100, seed_wealth=None
 ):
@@ -377,7 +457,7 @@ def kelley_terminal(
         buy, sell = max_wealth_controls(data, state)
         w = state[0] - data.ask * buy + data.bid * sell
     cuts = CutSet()
-    sub = NodeSubproblem(data, utility, cutset=cuts)
+    sub = NodeSubproblem(data, cutset=cuts)
     gaps = []
     for _ in range(max_iter):
         slope = terminal_cost_derivative(utility, w)

@@ -165,8 +165,8 @@ def test_criterion_7_monotone_valuations():
     results = {}
     for axis, grid in grids.items():
         for rho in RHOS:
-            # ceiling-adjacent pricing at rho=0.3 retrains with a wealth
-            # shift; give it a larger per-run budget
+            # the rho=0.3 certainty equivalent converges more slowly; give
+            # it a larger per-run budget
             iters = 400 if rho == 0.3 else 150
             rows = s.price_sweep(axis, grid, base, iterations=iters, seed=0, rhos=[rho])
             results[(axis, rho)] = [r[2] for r in rows]

@@ -164,3 +164,46 @@ def test_out_dir_env_override(small_config, tmp_path, monkeypatch):
     monkeypatch.setenv("STORAGESDDP_OUT", str(target))
     assert main(["discretize", "--config", small_config]) == 0
     assert (target / "chain.json").exists()
+
+
+THREE_STAGE = {
+    "horizon": 3,
+    "market": {"day_ahead": [45.0, 60.0, 35.0]},
+    "battery": {"capacity_mwh": 1.0},
+    "utility": {"rho": 0.03},
+    "sddp": {"quadrature_points": 2, "iterations": 10, "seed": 0},
+    "simulate": {"scenarios": 20, "seed": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["other problem", "horizon", "truncated", "missing file", "old format", "missing key"]
+)
+def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
+    # each refusal is a data error (exit 3) with a message, not a traceback
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(THREE_STAGE), encoding="utf-8")
+    assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
+    ckpt = tmp_path / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    run = dict(THREE_STAGE)
+    if case == "other problem":
+        run = {**THREE_STAGE, "battery": {"capacity_mwh": 4.0}, "utility": {"rho": 0.3}}
+    elif case == "horizon":
+        run = {**THREE_STAGE, "horizon": 4, "market": {"day_ahead": [45.0, 60.0, 35.0, 50.0]}}
+    elif case == "truncated":
+        ckpt.write_text(ckpt.read_text()[: len(ckpt.read_text()) // 2])
+    elif case == "missing file":
+        ckpt.unlink()
+    elif case == "old format":
+        # the layout before format versions: horizon and pools only
+        ckpt.write_text(json.dumps({"horizon": doc["horizon"], "pools": doc["pools"]}))
+    elif case == "missing key":
+        del doc["fingerprint"]
+        ckpt.write_text(json.dumps(doc))
+    config.write_text(json.dumps(run), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["simulate", "--config", str(config), "--checkpoint", str(ckpt)]
+    assert main(argv + ["--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "checkpoint" in err

@@ -1,11 +1,14 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import storagesddp as s
-from storagesddp.errors import ConditionViolatedError, NotTrainedError
-from storagesddp.sddp import CutPool, best_case_trading
+from storagesddp.errors import CheckpointError, ConditionViolatedError, NotTrainedError
+from storagesddp.sddp import CutPool, _seed_cuts, best_case_trading, checkpoint_fingerprint
+from storagesddp.stage_solver import cost_floor
+from conftest import TOY
 from oracles import chain_dp, dp_cost_to_go, feedback_policy_value, policy_chain_value
 
 
@@ -45,7 +48,7 @@ class TestTrainToy:
         policy, _ = toy_trained
         _, G = chain_dp(toy_problem, toy_chain)
         rho = toy_problem.utility.risk_aversion
-        floor = -1.0 / rho
+        floor = cost_floor(policy.wealth_cap)
         cap = toy_problem.battery.capacity
         rng = np.random.default_rng(99)
         for _ in range(1000):
@@ -75,6 +78,14 @@ class TestTrainToy:
 
             value = feedback_policy_value(rule, toy_problem, toy_chain)
             assert value <= bound + 1e-9
+
+
+def test_every_cut_has_wealth_slope_minus_one(toy_trained, trained_n8):
+    for policy, _ in (toy_trained, trained_n8):
+        for t in range(policy.horizon):
+            for j in range(policy.chain.node_count(t)):
+                _, gw, _ = policy.pools.get(t, j).arrays()
+                assert gw.size and (gw == -1.0).all(), (t, j)
 
 
 class TestSeedCuts:
@@ -136,6 +147,32 @@ class TestSeedCuts:
             truth = dp_cost_to_go(G, cap, rho, t, j, xm, xe)
             assert seed.value(xm, xe) <= truth + 1e-6
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            TOY,
+            {"sddp": {"quadrature_points": 16}},
+            {"price": {"sigma_eps": 6.0}},
+            {"battery": {"capacity_mwh": 4.0}},
+        ],
+        ids=["default", "toy", "N16", "sigma6", "capacity4"],
+    )
+    def test_floor_lies_below_every_seed_cut_on_the_box(self, overrides):
+        cfg = s.config_from_dict(overrides)
+        problem = s.build_problem(cfg)
+        chain = s.build_chain_for(cfg)
+        pools = CutPool(chain)
+        _seed_cuts(problem, chain, pools)
+        cap_w = s.wealth_box(problem.price_model, problem.battery)
+        floor = cost_floor(cap_w)
+        for t in range(chain.horizon):
+            for j in range(chain.node_count(t)):
+                (a,), (gw,), (ge,) = pools.get(t, j).arrays()
+                capacity = problem.battery.capacity
+                corners = [a + gw * w + ge * e for w in (-cap_w, cap_w) for e in (0.0, capacity)]
+                assert floor < min(corners), (t, j)
+
 
 class TestPolicyOperations:
     def test_decide_terminal_examples(self, toy_trained):
@@ -159,8 +196,8 @@ class TestPolicyOperations:
         from oracles import grid_stage_minimum
 
         policy, _ = toy_trained
-        floor = -1.0 / toy_problem.utility.risk_aversion
         data = policy.stage_data(1, 0)
+        floor = cost_floor(data.wealth_cap)
         cuts = [s.Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
         got = policy.decide(1, 0, (0.0, 0.0))
         _, want = grid_stage_minimum(data, cuts, floor, (0.0, 0.0), n=401)
@@ -189,45 +226,102 @@ class TestPolicyOperations:
 
 
 class TestCheckpoints:
-    def test_roundtrip(self, toy_problem, toy_chain, toy_trained, tmp_path):
-        policy, log = toy_trained
+    @pytest.fixture
+    def saved(self, toy_trained, tmp_path):
+        policy, _ = toy_trained
         path = tmp_path / "ckpt.json"
         s.sddp.save_checkpoint(policy, str(path))
-        pools = s.sddp.load_checkpoint(str(path), toy_chain)
+        return path
+
+    def test_roundtrip(self, toy_problem, toy_chain, toy_trained, saved):
+        policy, log = toy_trained
+        pools = s.sddp.load_checkpoint(str(saved), toy_problem, toy_chain)
         restored = s.Policy(toy_problem, toy_chain, pools)
         assert restored.root_bound() == pytest.approx(policy.root_bound(), abs=1e-12)
         assert pools.total_cuts() == policy.pools.total_cuts()
-        assert pools.to_json() == path.read_text()
+        fingerprint = checkpoint_fingerprint(toy_problem, toy_chain)
+        assert pools.to_json(fingerprint) == saved.read_text()
+        assert json.loads(saved.read_text())["format_version"] == s.sddp.CHECKPOINT_VERSION
 
-    def test_warm_restart_monotone(self, toy_problem, toy_chain, toy_trained, tmp_path):
+    def test_warm_restart_monotone(self, toy_problem, toy_chain, toy_trained, saved):
         policy, log = toy_trained
-        path = tmp_path / "ckpt.json"
-        s.sddp.save_checkpoint(policy, str(path))
-        pools = s.sddp.load_checkpoint(str(path), toy_chain)
+        pools = s.sddp.load_checkpoint(str(saved), toy_problem, toy_chain)
         _, log2 = s.train(toy_problem, toy_chain, 20, 999, warm_start=pools)
         assert log2.bounds[0] <= log.final_bound() + 1e-12
 
-    def test_horizon_mismatch_rejected(self, toy_trained, toy_chain, toy_problem, tmp_path):
-        policy, _ = toy_trained
-        path = tmp_path / "ckpt.json"
-        s.sddp.save_checkpoint(policy, str(path))
+    def test_horizon_mismatch_rejected(self, toy_problem, saved):
         other = s.build_chain(
             s.PriceModel((50.0,) * 5, 0.4, 1.0, 1.0), 2, horizon=5
         )
-        with pytest.raises(ValueError):
-            s.sddp.load_checkpoint(str(path), other)
+        with pytest.raises(CheckpointError, match="horizon"):
+            s.sddp.load_checkpoint(str(saved), toy_problem, other)
 
-
-    def test_nan_intercept_rejected(self, toy_trained, toy_chain, tmp_path):
-        policy, _ = toy_trained
-        path = tmp_path / "ckpt.json"
-        s.sddp.save_checkpoint(policy, str(path))
-        doc = json.loads(path.read_text())
+    def test_nan_intercept_rejected(self, toy_problem, toy_chain, saved):
+        doc = json.loads(saved.read_text())
         doc["pools"][0]["cuts"][0]["intercept"] = float("nan")
-        path.write_text(json.dumps(doc))
-        assert "NaN" in path.read_text()
+        saved.write_text(json.dumps(doc))
+        assert "NaN" in saved.read_text()
         with pytest.raises(ValueError, match="cut coefficients must be finite"):
-            s.sddp.load_checkpoint(str(path), toy_chain)
+            s.sddp.load_checkpoint(str(saved), toy_problem, toy_chain)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ("rho", "trained on another"),
+            ("capacity", "trained on another"),
+            ("chain", "trained on another"),
+            ("absent version", "format version None"),
+            ("old version", "format version 1"),
+            ("missing pools", "lacks the key 'pools'"),
+            ("missing cut key", "malformed checkpoint cuts"),
+            ("truncated", "not valid JSON"),
+            ("missing file", "cannot read checkpoint"),
+        ],
+    )
+    def test_refusals_are_typed(self, toy_problem, toy_chain, saved, change, match):
+        problem, chain = toy_problem, toy_chain
+        doc = json.loads(saved.read_text())
+        if change == "rho":
+            problem = s.StorageProblem(
+                problem.price_model, problem.battery, s.UtilitySpec(risk_aversion=0.3)
+            )
+        elif change == "capacity":
+            problem = s.StorageProblem(
+                problem.price_model, s.BatterySpec(capacity=4.0), problem.utility
+            )
+        elif change == "chain":
+            chain = s.build_chain(problem.price_model, 3)
+        elif change == "absent version":
+            del doc["format_version"]
+        elif change == "old version":
+            doc["format_version"] = 1
+        elif change == "missing pools":
+            del doc["pools"]
+        elif change == "missing cut key":
+            del doc["pools"][0]["cuts"][0]["grad_energy"]
+        if change.startswith(("absent", "old", "missing ")):
+            saved.write_text(json.dumps(doc))
+        if change == "truncated":
+            saved.write_text(saved.read_text()[:200])
+        if change == "missing file":
+            saved.unlink()
+        with pytest.raises(CheckpointError, match=match) as err:
+            s.sddp.load_checkpoint(str(saved), problem, chain)
+        assert isinstance(err.value, s.errors.DataError)
+        assert isinstance(err.value, ValueError)
+
+    def test_failed_write_keeps_existing_checkpoint(self, toy_trained, saved, monkeypatch):
+        policy, _ = toy_trained
+        before = saved.read_bytes()
+
+        def broken(self, fingerprint):
+            raise RuntimeError("serialization failed")
+
+        monkeypatch.setattr(CutPool, "to_json", broken)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            s.sddp.save_checkpoint(policy, str(saved))
+        assert saved.read_bytes() == before
+        assert os.listdir(saved.parent) == [saved.name]
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])

@@ -1,4 +1,7 @@
-"""Static checks of the package source: no unused imports, a resolvable ``__all__``."""
+"""Static checks of the package source.
+
+No unused imports, no unreferenced private names, and a resolvable ``__all__``.
+"""
 
 import ast
 from pathlib import Path
@@ -6,6 +9,22 @@ from pathlib import Path
 import storagesddp as s
 
 PACKAGE = Path(s.__file__).parent
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name a module reads: ``Name`` loads and names in string annotations."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        else:
+            # return annotations of functions, annotations of arguments and
+            # annotated assignments
+            ann = getattr(node, "returns", None) or getattr(node, "annotation", None)
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                expr = ast.parse(ann.value, mode="eval")
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return used
 
 
 def unused_imports(source: str) -> list[str]:
@@ -17,7 +36,6 @@ def unused_imports(source: str) -> list[str]:
     """
     tree = ast.parse(source)
     imported: dict[str, int] = {}
-    used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -25,16 +43,51 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Name):
-            used.add(node.id)
-        else:
-            # return annotations of functions, annotations of arguments and
-            # annotated assignments
-            ann = getattr(node, "returns", None) or getattr(node, "annotation", None)
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                expr = ast.parse(ann.value, mode="eval")
-                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    used = names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that nothing references.
+
+    ``sources`` maps module names to their source.  A private name defined
+    at the top level of a module counts as referenced when that module reads
+    it, another module imports it from there by name, or any module reads
+    an attribute of that name.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    imported: set[tuple[str, str]] = set()
+    attributes: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rsplit(".", 1)[-1]
+                imported.update((module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    unused = []
+    for module, tree in trees.items():
+        defined: dict[str, int] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined.update((name, node.lineno) for name in targets if _is_private(name))
+        read = names_read(tree)
+        unused += [
+            f"{module}.{name} (line {line})"
+            for name, line in defined.items()
+            if name not in read and (module, name) not in imported and name not in attributes
+        ]
+    return sorted(unused)
 
 
 def test_detector_finds_unused_and_ignores_used():
@@ -48,6 +101,37 @@ def test_detector_finds_unused_and_ignores_used():
         "    return osp.join(dumps(x))\n"
     )
     assert unused_imports(source) == ["loads (line 4)", "os (line 2)"]
+
+
+def test_private_name_detector_on_synthetic_modules():
+    sources = {
+        "a": (
+            "_USED = 1\n"
+            "_UNUSED = 2\n"
+            "_A, _B = 3, 4\n"
+            "def _helper():\n"
+            "    return _USED + _A\n"
+            "def _orphan():\n"
+            "    _LOCAL = 5\n"
+            "    return _LOCAL\n"
+            "class _Box:\n"
+            "    pass\n"
+            "class _Shelf:\n"
+            "    pass\n"
+            "def public() -> '_Shelf':\n"
+            "    return _helper()\n"
+            "__all__ = ['public']\n"
+        ),
+        "b": "from .a import _B\nfrom . import a\ndef f():\n    return _B, a._Box\n",
+    }
+    assert unused_private_names(sources) == ["a._UNUSED (line 2)", "a._orphan (line 6)"]
+
+
+def test_package_has_no_unused_private_names():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unused_private_names(sources) == []
 
 
 def test_package_modules_have_no_unused_imports():

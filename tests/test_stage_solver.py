@@ -12,10 +12,17 @@ from storagesddp.stage_solver import (
     _OBJECTIVE,
     _TIE_BUY,
     _TIE_SELL,
+    cost_floor,
     solve_lanes,
     solve_terminal_lanes,
 )
-from oracles import grid_stage_minimum, kelley_terminal, max_wealth_controls, stage_objective
+from oracles import (
+    grid_stage_minimum,
+    kelley_terminal,
+    max_wealth_controls,
+    stage_objective,
+    terminal_cost_derivative,
+)
 
 
 def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0, wealth_cap=1e5):
@@ -80,87 +87,117 @@ def lp_reference(data, cuts, floor, state):
 class TestAgainstScipy:
     def test_random_instances(self):
         rng = np.random.default_rng(7)
-        utility = s.UtilitySpec(risk_aversion=0.03)
-        floor = -1.0 / 0.03
         for trial in range(120):
             mid = rng.uniform(-5, 90)
             data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sub = s.NodeSubproblem(data, utility, cutset=s.CutSet(cuts))
+            sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
             sol = sub.solve(state)
-            ref = lp_reference(data, cuts, floor, state)
+            ref = lp_reference(data, cuts, cost_floor(data.wealth_cap), state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
+
+    def test_visited_states_of_high_risk_aversion_policy(self):
+        # capacity 2 at rho 0.3: the stage LPs of a trained policy, at 200
+        # states its forward passes visit, reach scipy's optimum, and their
+        # controls attain it
+        cfg = s.config_from_dict(
+            {"battery": {"capacity_mwh": 2.0}, "utility": {"rho": 0.3}, "sddp": {"seed": 2}}
+        )
+        chain = s.build_chain_for(cfg)
+        policy, _ = s.train(s.build_problem(cfg), chain, 150, 2)
+        T = chain.horizon
+        draws = np.random.default_rng(5).random((10, T))
+        visited = 0
+        for path in chain.node_paths(draws).tolist():
+            state = (0.0, 0.0)
+            for t in range(1, T):
+                sub = policy.subproblem(t, path[t - 1])
+                cuts = [s.Cut(*c) for c in zip(*sub.cutset.arrays())]
+                sol = sub.solve(state)
+                ref = lp_reference(sub.data, cuts, sub.floor, state)
+                tol = 1e-7 * max(1.0, abs(ref))
+                assert sol.value == pytest.approx(ref, abs=tol), (t, state)
+                at_controls = stage_objective(sub.data, cuts, sub.floor, state, *sol.controls)
+                assert at_controls == pytest.approx(ref, abs=tol), (t, state)
+                state = sol.next_state
+                visited += 1
+        assert visited >= 200
 
 
 class TestSolveStage:
     def test_zero_value_to_go(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, utility, cutset=s.CutSet([s.Cut(0.0, 0.0, 0.0)]))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(0.0, 0.0, 0.0)]))
         value, _ = s.solve_stage(
-            state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0])
+            state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0]),
+            risk_aversion=0.03,
         )
         assert value == pytest.approx(0.0, abs=1e-9)
         assert sub.solve((0.0, 0.0)).controls == (0.0, 0.0)
 
     def test_matches_grid_oracle_on_random_instances(self):
         rng = np.random.default_rng(21)
-        utility = s.UtilitySpec(risk_aversion=0.03)
-        floor = -1.0 / 0.03
+        rho = 0.03
         for _ in range(15):
             mids = rng.uniform(10, 80, 2)
             datas = [stage(m - 1.0, m + 1.0) for m in mids]
             cuts = [random_cuts(rng, 4) for _ in range(2)]
-            subs = [s.NodeSubproblem(d, utility, cutset=s.CutSet(c)) for d, c in zip(datas, cuts)]
+            subs = [s.NodeSubproblem(d, cutset=s.CutSet(c)) for d, c in zip(datas, cuts)]
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
-            value, _ = s.solve_stage(state, subs, row)
-            want = sum(
-                row[i] * grid_stage_minimum(datas[i], cuts[i], floor, state, n=201)[0]
-                for i in range(2)
-            )
+            value, _ = s.solve_stage(state, subs, row, rho)
+            grid = [
+                grid_stage_minimum(d, c, cost_floor(d.wealth_cap), state, n=201)[0]
+                for d, c in zip(datas, cuts)
+            ]
+            want = math.log(sum(p * math.exp(rho * v) for p, v in zip(row, grid))) / rho
             # the grid can only overshoot the true minimum
             assert value <= want + 1e-9
             assert want - value <= 1e-3
 
     def test_transition_row_must_be_stochastic(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
-        sub = s.NodeSubproblem(stage(49, 51), utility, cutset=s.CutSet([]))
+        sub = s.NodeSubproblem(stage(49, 51), cutset=s.CutSet([]))
         with pytest.raises(ValueError):
-            s.solve_stage((0.0, 0.0), [sub], np.array([0.7]))
+            s.solve_stage((0.0, 0.0), [sub], np.array([0.7]), 0.03)
         # a stochastic row still needs one subproblem per entry
         with pytest.raises(ValueError):
-            s.solve_stage((0.0, 0.0), [sub], np.array([0.5, 0.5]))
+            s.solve_stage((0.0, 0.0), [sub], np.array([0.5, 0.5]), 0.03)
+        with pytest.raises(ValueError):
+            s.solve_stage((0.0, 0.0), [sub], np.array([1.0]), 0.0)
 
     def test_equals_per_successor_solves(self, toy_chain, toy_trained):
         # stage T holds the closed-form terminal subproblems, stage 2 LPs;
-        # the stage value and subgradient are the probability-weighted sums
-        # of the successor solves, accumulated in node order
+        # the stage value is the log-sum-exp of the successor solves around
+        # their largest value, the energy subgradient their average with the
+        # weights p_i exp(rho (J_i - max J)), both in node order, and the
+        # wealth subgradient -1
         policy, _ = toy_trained
+        rho = policy.problem.utility.risk_aversion
         T = toy_chain.horizon
         assert all(sub.terminal for sub in policy.subproblems(T))
         assert not any(sub.terminal for sub in policy.subproblems(2))
         for t in (T, 2):
             for row in toy_chain.transitions[t - 1]:
                 for state in ((0.0, 0.0), (1.5, 0.3), (-2.0, 0.9)):
-                    value, (vm, ve) = s.solve_stage(state, policy.subproblems(t), row)
-                    want, want_m, want_e = 0.0, 0.0, 0.0
-                    for i, p in enumerate(row):
-                        if p > 0.0:
-                            sol = policy.subproblem(t, i).solve(state)
-                            want += p * sol.value
-                            want_m += p * sol.subgradient[0]
-                            want_e += p * sol.subgradient[1]
-                    assert (value, vm, ve) == (want, want_m, want_e)
+                    value, (vm, ve) = s.solve_stage(state, policy.subproblems(t), row, rho)
+                    sols = [
+                        (p, policy.subproblem(t, i).solve(state))
+                        for i, p in enumerate(row.tolist())
+                        if p > 0.0
+                    ]
+                    top = max(sol.value for _, sol in sols)
+                    q = [p * math.exp(rho * (sol.value - top)) for p, sol in sols]
+                    want = top + math.log(sum(q)) / rho
+                    want_e = sum(w * sol.subgradient[1] for w, (_, sol) in zip(q, sols)) / sum(q)
+                    assert (value, vm, ve) == (want, -1.0, want_e)
 
     def test_lower_bound_validity(self):
         rng = np.random.default_rng(33)
-        utility = s.UtilitySpec(risk_aversion=0.03)
-        floor = -1.0 / 0.03
         data = stage(47.0, 49.0)
+        floor = cost_floor(data.wealth_cap)
         cuts = random_cuts(rng, 12)
-        sub = s.NodeSubproblem(data, utility, cutset=s.CutSet(cuts))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
         state = (3.0, 0.5)
         sol = sub.solve(state)
         for _ in range(100):
@@ -173,10 +210,9 @@ class TestSolveStage:
 
     def test_subgradient_tangent_inequality(self):
         rng = np.random.default_rng(44)
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(40.0, 42.0)
         cuts = random_cuts(rng, 10)
-        sub = s.NodeSubproblem(data, utility, cutset=s.CutSet(cuts))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
         for _ in range(20):
             state = (rng.uniform(-20, 20), rng.uniform(0.1, 0.9))
             base = sub.solve(state)
@@ -189,16 +225,14 @@ class TestSolveStage:
 
     def test_deterministic_outputs(self):
         rng = np.random.default_rng(5)
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
         cuts = random_cuts(rng, 6)
-        a = s.NodeSubproblem(data, utility, cutset=s.CutSet(cuts)).solve((1.0, 0.4))
-        b = s.NodeSubproblem(data, utility, cutset=s.CutSet(cuts)).solve((1.0, 0.4))
+        a = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve((1.0, 0.4))
+        b = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve((1.0, 0.4))
         assert a == b
 
     def test_infeasible_state(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
-        sub = s.NodeSubproblem(stage(49.0, 51.0), utility, cutset=s.CutSet([]))
+        sub = s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet([]))
         with pytest.raises(InfeasibleError):
             sub.solve((0.0, 2.0))
         with pytest.raises(InfeasibleError):
@@ -239,8 +273,8 @@ class TestTwoStageDeterministic:
         assert wealth >= best - 1e-3
 
 
-def terminal(state, data, utility):
-    return s.NodeSubproblem(data, utility, cutset=None, terminal=True).solve_terminal(state)
+def terminal(state, data):
+    return s.NodeSubproblem(data, cutset=None, terminal=True).solve_terminal(state)
 
 
 def max_wealth_lp(data, state):
@@ -270,15 +304,13 @@ class TestTerminalKelley:
     """Closed-form terminal stage against the Kelley cutting-plane oracle."""
 
     def test_full_battery_liquidates(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
-        sol = terminal((0.0, 1.0), data, utility)
+        sol = terminal((0.0, 1.0), data)
         assert sol.controls[1] == pytest.approx(min(0.4, 1.0 / 1.05), abs=1e-9)
         assert sol.controls[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_battery_does_nothing(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
-        sol = terminal((5.0, 0.0), stage(49.0, 51.0), utility)
+        sol = terminal((5.0, 0.0), stage(49.0, 51.0))
         assert sol.controls == (0.0, 0.0)
 
     def test_gap_monotone_and_small(self):
@@ -292,39 +324,39 @@ class TestTerminalKelley:
         assert 1 < len(gaps) <= 30
         assert gaps[-1] <= 1e-8
         assert np.all(np.diff(gaps) <= 1e-12)
-        sol = terminal(state, data, utility)
+        sol = terminal(state, data)
         assert sol.gaps == (0.0,)
         assert sol.controls == pytest.approx(ref.controls, rel=0.0, abs=4e-16)
-        assert sol.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+        assert sol.value == -sol.next_state[0]
+        w_star = sol.next_state[0]
+        assert ref.value == pytest.approx(s.terminal_cost(utility, w_star), rel=1e-12, abs=1e-12)
 
     def test_value_matches_exact_terminal_cost(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
+        # the terminal cost-to-go is minus the terminal wealth
         data = stage(49.0, 51.0)
         state = (2.0, 0.6)
-        sol = terminal(state, data, utility)
+        sol = terminal(state, data)
         w = state[0] + data.bid * sol.controls[1] - data.ask * sol.controls[0]
-        assert sol.value == pytest.approx(s.terminal_cost(utility, w), abs=1e-9)
-        assert sol.value == s.terminal_cost(utility, sol.next_state[0])
+        assert sol.value == pytest.approx(-w, abs=1e-9)
+        assert sol.value == -sol.next_state[0]
 
     def test_small_risk_aversion_limit(self):
-        # nearly linear utility: maximize expected terminal wealth by selling
-        # the whole charge (0.3/1.05 fits under the 0.4 speed bound)
-        utility = s.UtilitySpec(risk_aversion=1e-4)
+        # the last stage maximizes terminal wealth at every risk aversion:
+        # sell the whole charge (0.3/1.05 fits under the 0.4 speed bound)
         data = stage(49.0, 51.0)
-        sol = terminal((0.0, 0.3), data, utility)
+        sol = terminal((0.0, 0.3), data)
         assert sol.controls[1] == pytest.approx(0.3 / 1.05, abs=1e-6)
         assert sol.controls[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_subgradient_composition(self):
-        utility = s.UtilitySpec(risk_aversion=0.05)
         data = stage(49.0, 51.0)
         state = (1.0, 0.5)
-        sol = terminal(state, data, utility)
+        sol = terminal(state, data)
         for h in (1e-4, -1e-4):
-            assert terminal((state[0] + h, state[1]), data, utility).value >= (
+            assert terminal((state[0] + h, state[1]), data).value >= (
                 sol.value + h * sol.subgradient[0] - 1e-8
             )
-            assert terminal((state[0], state[1] + h), data, utility).value >= (
+            assert terminal((state[0], state[1] + h), data).value >= (
                 sol.value + h * sol.subgradient[1] - 1e-8
             )
 
@@ -340,31 +372,42 @@ class TestTerminalKelley:
                 leak=(0.0, 0.05)[trial % 2],
             )
             xe = (0.0, data.capacity, rng.uniform(0.0, data.capacity))[trial % 3]
-            # every tenth state is rich enough that tc' all but vanishes
+            # every tenth state is rich enough that the oracle's tc' all but vanishes
             xm = 40.0 / rho if trial % 10 == 9 and rho > 0.01 else rng.uniform(-20.0, 20.0)
             state = (xm, xe)
-            sol = terminal(state, data, utility)
+            sol = terminal(state, data)
 
             # the vectorized enumeration picks the scalar enumeration's vertex
-            sub = s.NodeSubproblem(data, utility, cutset=None, terminal=True)
+            sub = s.NodeSubproblem(data, cutset=None, terminal=True)
             controls = sub._clamp(max_wealth_controls(data, state), xe)
             assert sol.controls == controls
             assert sol.next_state == data.next_state(state, controls)
             assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-6)
-            assert sol.value == s.terminal_cost(utility, sol.next_state[0])
+            assert sol.value == -sol.next_state[0]
+            assert sol.subgradient[0] == -1.0
 
-            if abs(sol.subgradient[0]) * min(abs(data.bid), abs(data.ask)) < _LP_RESOLUTION:
+            # the oracle minimizes the exponential cost, whose subgradient is
+            # the closed form's scaled by -tc'(w*)
+            w_star = sol.next_state[0]
+            slope = terminal_cost_derivative(utility, w_star)
+            if abs(slope) * min(abs(data.bid), abs(data.ask)) < _LP_RESOLUTION:
                 seen["tiny slope"] += 1
                 continue
             ref, gaps = kelley_terminal(data, utility, state)
             assert len(gaps) == 1
             # the LP's Cramer solve may round the vertex one ulp apart
             assert sol.controls == pytest.approx(ref.controls, rel=0.0, abs=4e-16)
-            assert sol.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
-            assert sol.subgradient[0] == pytest.approx(ref.subgradient[0], rel=1e-12, abs=1e-12)
+            assert ref.value == pytest.approx(
+                s.terminal_cost(utility, w_star), rel=1e-12, abs=1e-12
+            )
+            assert -slope * sol.subgradient[0] == pytest.approx(
+                ref.subgradient[0], rel=1e-12, abs=1e-12
+            )
             # the LP duals carry its objective tie perturbation
             tie = data.leak_factor * (_TIE_BUY / data.charge_eff + _TIE_SELL / data.discharge_eff)
-            assert sol.subgradient[1] == pytest.approx(ref.subgradient[1], rel=1e-12, abs=tie)
+            assert -slope * sol.subgradient[1] == pytest.approx(
+                ref.subgradient[1], rel=1e-12, abs=tie
+            )
             seen["oracle"] += 1
             seen["empty battery"] += xe == 0.0
             seen["full battery"] += xe == data.capacity
@@ -378,7 +421,6 @@ class TestTerminalKelley:
     @pytest.mark.parametrize("own_prices", [True, False])
     def test_lanes_equal_single_calls(self, own_prices):
         rng = np.random.default_rng(3)
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
         K = 60
         wealth = rng.uniform(-30.0, 30.0, K)
@@ -389,21 +431,20 @@ class TestTerminalKelley:
             bid, ask = mids - 1.0, mids + 1.0
         else:
             bid = ask = None
-        sol = solve_terminal_lanes(data, utility, wealth, energy, ask=ask, bid=bid)
+        sol = solve_terminal_lanes(data, wealth, energy, ask=ask, bid=bid)
         for k in range(K):
             lane_data = data
             if own_prices:
                 lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
-            ref = terminal((float(wealth[k]), float(energy[k])), lane_data, utility)
+            ref = terminal((float(wealth[k]), float(energy[k])), lane_data)
             want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
             assert TestLaneKernel.lane_results(sol, k) == want, k
 
 
 def test_tie_break_prefers_smallest_controls():
     # a constant cost-to-go makes every control optimal: expect (0, 0)
-    utility = s.UtilitySpec(risk_aversion=0.03)
     data = stage(49.0, 51.0)
-    sub = s.NodeSubproblem(data, utility, cutset=s.CutSet([s.Cut(-5.0, 0.0, 0.0)]))
+    sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(-5.0, 0.0, 0.0)]))
     sol = sub.solve((0.0, 0.5))
     assert sol.controls == (0.0, 0.0)
     assert sol.value == pytest.approx(-5.0, abs=1e-9)
@@ -428,7 +469,6 @@ class TestLaneKernel:
     @pytest.mark.parametrize("own_prices", [True, False])
     def test_random_instances_match_scalar(self, own_prices):
         rng = np.random.default_rng(7)
-        utility = s.UtilitySpec(risk_aversion=0.03)
         for trial in range(120):
             mid = rng.uniform(-5, 90)
             data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
@@ -441,47 +481,45 @@ class TestLaneKernel:
                 bid, ask = mids - 1.0, mids + 1.0
             else:
                 bid = ask = None
-            sol = solve_lanes(data, utility, s.CutSet(cuts), wealth, energy, ask=ask, bid=bid)
+            sol = solve_lanes(data, s.CutSet(cuts), wealth, energy, ask=ask, bid=bid)
             for k in range(K):
                 lane_data = data
                 if own_prices:
                     lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
-                ref = s.NodeSubproblem(lane_data, utility, cutset=s.CutSet(cuts)).solve(
+                ref = s.NodeSubproblem(lane_data, cutset=s.CutSet(cuts)).solve(
                     (float(wealth[k]), float(energy[k]))
                 )
                 want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
                 assert self.lane_results(sol, k) == want, (trial, k)
 
     def test_energy_state_outside_box(self):
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0)
         cutset = s.CutSet([s.Cut(-5.0, -0.5, 1.0)])
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
-                s.NodeSubproblem(data, utility, cutset=cutset).solve((0.0, bad))
+                s.NodeSubproblem(data, cutset=cutset).solve((0.0, bad))
             with pytest.raises(InfeasibleError):
-                solve_lanes(data, utility, cutset, np.zeros(3), np.array([0.2, bad, 0.4]))
+                solve_lanes(data, cutset, np.zeros(3), np.array([0.2, bad, 0.4]))
             with pytest.raises(InfeasibleError):
-                terminal((0.0, bad), data, utility)
+                terminal((0.0, bad), data)
             with pytest.raises(InfeasibleError):
-                solve_terminal_lanes(data, utility, np.zeros(3), np.array([0.2, bad, 0.4]))
+                solve_terminal_lanes(data, np.zeros(3), np.array([0.2, bad, 0.4]))
 
     def test_binding_wealth_box(self):
         # a steep reward on wealth drives sales past a tiny wealth box
-        utility = s.UtilitySpec(risk_aversion=0.03)
         data = stage(49.0, 51.0, wealth_cap=1.0)
         cutset = s.CutSet([s.Cut(0.0, -1.0, 0.0)])
         with pytest.raises(StorageError, match="wealth box is binding"):
-            s.NodeSubproblem(data, utility, cutset=cutset).solve((0.9, 0.5))
+            s.NodeSubproblem(data, cutset=cutset).solve((0.9, 0.5))
         with pytest.raises(StorageError, match="wealth box is binding") as err:
             solve_lanes(
-                data, utility, cutset, np.array([0.0, 0.9]), np.array([0.0, 0.5]),
+                data, cutset, np.array([0.0, 0.9]), np.array([0.0, 0.5]),
                 ask=np.array([51.0, 51.0]), bid=np.array([49.0, 49.0]),
             )
         assert type(err.value) is StorageError
         # selling 0.4 MWh at 49 leaves the optimal terminal wealth outside the box
         with pytest.raises(StorageError, match="wealth box is binding") as err:
-            terminal((0.9, 0.5), data, utility)
+            terminal((0.9, 0.5), data)
         assert type(err.value) is StorageError
 
 

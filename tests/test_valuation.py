@@ -4,14 +4,15 @@ import logging
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import storagesddp as s
 from storagesddp.cli import main
 from storagesddp.errors import BracketInvalidError, DomainError, MaxEvaluationsError
+from storagesddp.sddp import best_case_prices, best_case_trading
 from storagesddp.valuation import second_differences
 from conftest import TOY
+from oracles import chain_dp, chain_dp_ce
 
 
 class TestClosedForm:
@@ -107,38 +108,50 @@ class TestStorageValuation:
             s.price_storage(toy_config)
         assert not caplog.records
 
-    def test_warns_when_shift_loop_ends_outside_window(self, caplog):
-        # capacity 4 at rho 0.3 with a short budget: every training saturates
-        # or nearly so, and the loop stops after three shifts with a ceiling
-        # gap of about 5e-15, far below the accurate window
-        cfg = s.config_from_dict(
-            {
-                "battery": {"capacity_mwh": 4.0},
-                "utility": {"rho": 0.3},
-                "sddp": {"iterations": 10, "seed": 3},
-            }
-        )
-        with caplog.at_level(logging.WARNING, logger="storagesddp.valuation"):
-            result = s.price_storage(cfg)
-        assert result.price > 0.0
-        assert result.iterations == 4 * 10
-        messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(messages) == 1
-        assert "after 4 trainings" in messages[0] and "outside [0.05, 20]" in messages[0]
-
-
-    def test_high_risk_aversion_saturates_with_domain_error(self, tmp_path):
-        # capacity 4 at rho 10 with 20 iterations: every training saturates at
-        # the utility ceiling; the refusal is the typed DomainError (exit 4)
+    def test_high_risk_aversion_prices_within_exact_and_best_case(self, tmp_path):
+        # capacity 4 at rho 10 with 20 iterations: the expected-utility bound
+        # sits at the ceiling 1/rho, but the certainty equivalent is finite,
+        # at or above the exact price and at most the best-case profit
         doc = copy.deepcopy(TOY)
         doc["battery"]["capacity_mwh"] = 4.0
         doc["utility"]["rho"] = 10.0
         doc["sddp"]["iterations"] = 20
-        with pytest.raises(DomainError, match="after 4 trainings"):
-            s.price_storage(s.config_from_dict(doc))
+        cfg = s.config_from_dict(doc)
+        problem, chain = s.build_problem(cfg), s.build_chain_for(cfg)
+        exact, _ = chain_dp_ce(problem, chain)
+        battery = problem.battery
+        best, _ = best_case_trading(
+            *best_case_prices(problem.price_model, chain),
+            battery.max_charge,
+            battery.max_discharge,
+            battery.charge_eff,
+            battery.discharge_eff,
+        )
+        price = s.price_storage(cfg).price
+        assert math.isfinite(price)
+        assert exact - 1e-3 <= price <= best
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["price", "--config", str(path), "--out", str(tmp_path)]) == 4
+        assert main(["price", "--config", str(path), "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "price.csv").read_text().splitlines()[1].split(",")
+        assert float(row[1]) == price
+
+    def test_high_risk_aversion_price_near_exact(self):
+        # capacity 2 at rho 0.3, 150 iterations, seed 2: rho times the
+        # price is about 16, so the expected utility sits within
+        # exp(-16) of its ceiling 1/rho and cannot carry the price
+        cfg = s.config_from_dict(
+            {
+                "battery": {"capacity_mwh": 2.0},
+                "utility": {"rho": 0.3},
+                "sddp": {"iterations": 150, "seed": 2},
+            }
+        )
+        phi, _ = chain_dp(s.build_problem(cfg), s.build_chain_for(cfg))
+        exact = -math.log(1.0 - 0.3 * phi) / 0.3
+        assert exact == pytest.approx(52.01, abs=0.01)
+        price = s.price_storage(cfg).price
+        assert exact - 1e-3 <= price <= 1.25 * exact
 
 
 class TestPriceSweep:
