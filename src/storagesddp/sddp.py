@@ -5,16 +5,18 @@ The costs-to-go are in the cash-additive entropic form of `stage_solver`,
 of the remaining trading under exponential utility.  Each iteration samples
 one node path through the chain (forward pass, recording visited states),
 then walks the stages backwards, adding at every visited (stage, node) one
-affine cut with wealth slope -1, computed by `stage_solver.solve_stage` (the
-entropic risk of the successor subproblems, with their freshly updated
-pools).  After each backward pass the root value of the polyhedral
-approximation gives a deterministic optimistic bound on the certainty
-equivalent; `TrainingLog.bounds` reports it as expected utility
-(maximization orientation), where it is non-increasing.
+affine cut with wealth slope -1, computed as in `stage_solver.solve_stage`
+(the entropic risk of the successor subproblems, with their freshly updated
+pools).  Adding a cut to a node's `CutSet` splices it into the node's cut
+envelope, which the stage solves read; the pools themselves keep every cut.
+After each backward pass the root value of the polyhedral approximation
+gives a deterministic optimistic bound on the certainty equivalent;
+`TrainingLog.bounds` reports it as expected utility (maximization
+orientation), where it is non-increasing.
 
 Checkpoints are versioned JSON that carry a fingerprint of the problem and
-chain the cuts were trained on; `load_checkpoint` refuses any other with
-`CheckpointError`.
+chain the cuts were trained on; `load_checkpoint` refuses any other, and any
+cut whose wealth slope is not -1, with `CheckpointError`.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .discretization import MarkovChain
 from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import Cut, CutSet, NodeSubproblem, cost_floor, solve_stage
+from .stage_solver import Cut, CutSet, NodeSubproblem, _stage_value, cost_floor
 from .storage import (
     BatterySpec,
     StageData,
@@ -59,8 +62,8 @@ class StorageProblem:
 class CutPool:
     """Per (stage, node) cut collections for stages 0..T-1.
 
-    Every stage LP also holds the floor `stage_solver.cost_floor`, which lies
-    below every seed cut, so stage LPs are bounded from iteration 0.
+    Every stage value is also at least the floor `stage_solver.cost_floor`,
+    which lies below every seed cut.
     """
 
     def __init__(self, chain: MarkovChain) -> None:
@@ -107,8 +110,8 @@ class CutPool:
 
         Raises `CheckpointError` for text that is not JSON, a format version
         other than `CHECKPOINT_VERSION`, missing keys, malformed or
-        non-finite cuts, and a horizon or fingerprint that differs from the
-        expected one.
+        non-finite cuts, cuts with a wealth slope other than -1, and a
+        horizon or fingerprint that differs from the expected one.
         """
         try:
             doc = json.loads(text)
@@ -141,6 +144,12 @@ class CutPool:
                 )
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
+        for t, level in enumerate(pool._sets):
+            for j, cuts in enumerate(level):
+                if (cuts.arrays()[1] != -1.0).any():
+                    raise CheckpointError(
+                        f"checkpoint cut at stage {t}, node {j} has a wealth slope other than -1"
+                    )
         return pool
 
 
@@ -276,16 +285,18 @@ def best_case_trading(
     of one free unit).
     """
     profit = float(np.sum(np.maximum(-asks, 0.0)) * u_buy)
-    # unit cost / unit value of one MWh of stored energy, with period quantities
-    supplies = sorted(max(a, 0.0) / c_plus for a in asks)
-    demands = sorted((b / c_minus for b in bids if b > 0.0), reverse=True)
+    # unit cost / unit value of one MWh of stored energy, with period
+    # quantities; the loops run on Python floats
+    supplies = sorted([max(a, 0.0) / c_plus for a in np.asarray(asks).tolist()])
+    demands = sorted([b / c_minus for b in np.asarray(bids).tolist() if b > 0.0], reverse=True)
     q_supply = c_plus * u_buy
     q_demand = c_minus * u_sell
     si = di = 0
+    n_supplies, n_demands = len(supplies), len(demands)
     s_rem = q_supply
     d_rem = q_demand
     dearest_used = None
-    while si < len(supplies) and di < len(demands) and demands[di] > supplies[si]:
+    while si < n_supplies and di < n_demands and demands[di] > supplies[si]:
         q = min(s_rem, d_rem)
         profit += (demands[di] - supplies[si]) * q
         dearest_used = supplies[si]
@@ -298,7 +309,7 @@ def best_case_trading(
             di += 1
             d_rem = q_demand
     marginal = 0.0
-    if di < len(demands):
+    if di < n_demands:
         marginal = demands[di]  # serve one more discharge period
     if dearest_used is not None:
         marginal = max(marginal, dearest_used)  # or displace the dearest charge
@@ -365,8 +376,13 @@ def train(
     x0 = (problem.utility.initial_wealth, 0.0)
     utility = problem.utility
     rho = utility.risk_aversion
-    draws = [np.random.default_rng([rng_seed, k]).random(T) for k in range(iterations)]
+    draws = [default_rng([rng_seed, k]).random(T) for k in range(iterations)]
     paths = chain.node_paths(np.array(draws)).tolist()
+    # per-stage lookups, made once: transition rows as Python floats (the
+    # chain checked that they are stochastic), the subproblems and cut sets
+    rows = [m.tolist() for m in chain.transitions]
+    subs = [policy.subproblems(t) for t in range(T + 1)]
+    sets = [[pools.get(t, j) for j in range(chain.node_count(t))] for t in range(T)]
 
     for k in range(iterations):
         t_start = time.perf_counter()
@@ -377,26 +393,17 @@ def train(
         states = [x0]
         state = x0
         for t in range(1, T + 1):
-            state = policy.subproblem(t, nodes[t]).solve(state).next_state
+            state = subs[t][nodes[t]].next_state(state)
             states.append(state)
         path_objective = -terminal_cost(utility, state[0])
 
         # backward pass: one cut per visited (stage, node), using the
         # successor pools updated earlier in this same pass
         for t in range(T - 1, -1, -1):
-            xt = states[t]
-            value, (vm, ve) = solve_stage(
-                xt, policy.subproblems(t + 1), chain.transitions[t][nodes[t]], rho
-            )
-            pools.add(
-                t,
-                nodes[t],
-                Cut(
-                    intercept=value - vm * xt[0] - ve * xt[1],
-                    grad_wealth=vm,
-                    grad_energy=ve,
-                ),
-            )
+            xm, xe = states[t]
+            j = nodes[t]
+            value, (vm, ve) = _stage_value((xm, xe), subs[t + 1], rows[t][j], rho)
+            sets[t][j].append(value - vm * xm - ve * xe, vm, ve)
 
         log.bounds.append(policy.root_bound())
         log.path_objectives.append(path_objective)

@@ -9,13 +9,13 @@ the discretization-gap comparison.
 
 Evaluation runs stage-major over blocks of scenarios, one lane per
 scenario.  At each stage every lane is mapped to its nearest node, and the
-lanes at one node are solved by a single `solve_lanes` call that shares the
-node's cut arrays (out of sample, each lane keeps its own bid/ask rows); at
-the last stage one `solve_terminal_lanes` call solves them in closed form.
-Evaluation only reads the policy: it writes none of the policy's subproblem
-scratch.  The block size follows an element budget, so memory does not grow
-with the number of scenarios, and the results equal a scenario-by-scenario
-loop of scalar solves bit for bit.
+lanes at one node are solved by a single `NodeSubproblem.solve_lanes` call
+on the node's cut envelope (out of sample, each lane keeps its own bid/ask);
+the terminal stage is the same closed form on the zero envelope.
+Evaluation only reads the policy: it writes nothing to the policy's
+subproblems or envelopes.  The block size follows an element budget, so
+memory does not grow with the number of scenarios, and the results equal a
+scenario-by-scenario loop of scalar solves bit for bit.
 """
 
 from __future__ import annotations
@@ -28,12 +28,11 @@ from .discretization import nearest_node
 from .errors import DegenerateSampleError
 from .price_model import bid_ask, simulate_deviation_path
 from .sddp import Policy
-from .stage_solver import solve_lanes, solve_terminal_lanes
 from .storage import terminal_cost
 
 _FEAS_TOL = 1e-9
 # element budgets (doubles per working array) that keep peak memory
-# independent of the sample size: lanes x cut rows for one block of
+# independent of the sample size: lanes x envelope lines for one block of
 # scenarios, and grid points x samples for one density chunk
 _LANE_ELEMENTS = 1 << 18
 _KDE_ELEMENTS = 1 << 18
@@ -68,14 +67,13 @@ class DensityEstimate:
 
 
 def _lane_block(policy: Policy) -> int:
-    """Scenarios per block: the element budget over the largest cut pool."""
-    T = policy.horizon
-    chain = policy.chain
-    rows = 1 + max(
-        (len(policy.pools.get(t, j)) for t in range(1, T) for j in range(chain.node_count(t))),
-        default=0,
+    """Scenarios per block: the element budget over the largest envelope."""
+    lines = 1 + max(
+        len(sub.envelope.slopes)
+        for t in range(1, policy.horizon + 1)
+        for sub in policy.subproblems(t)
     )
-    return max(1, _LANE_ELEMENTS // rows)
+    return max(1, _LANE_ELEMENTS // lines)
 
 
 def _simulate_lanes(
@@ -105,12 +103,8 @@ def _simulate_lanes(
         next_m, next_e = np.empty(K), np.empty(K)
         for node in np.unique(nodes).tolist():
             lanes = np.flatnonzero(nodes == node)
-            data = policy.stage_data(t, node)
             own = (ask[lanes], bid[lanes]) if realized_prices else (None, None)
-            if t < T:
-                sol = solve_lanes(data, policy.pools.get(t, node), xm[lanes], xe[lanes], *own)
-            else:
-                sol = solve_terminal_lanes(data, xm[lanes], xe[lanes], *own)
+            sol = policy.subproblem(t, node).solve_lanes(xm[lanes], xe[lanes], *own)
             buy[lanes], sell[lanes] = sol.buy, sol.sell
             next_m[lanes], next_e[lanes] = sol.next_wealth, sol.next_energy
         if not np.all(

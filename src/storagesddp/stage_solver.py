@@ -1,83 +1,66 @@
-"""One-stage subproblem solver.
+"""One-stage subproblem solver: a closed form on the exact cut envelope.
 
 Costs-to-go are in the cash-additive entropic form ``J(w, e) = -(w + CE(e))``:
 minus the wealth plus the certainty equivalent of the remaining trading.
 Exponential utility makes the certainty equivalent independent of wealth, so
-every cut has wealth slope exactly -1.  Each stage subproblem minimizes the
-polyhedral cost-to-go over the two relaxed controls after the stage's prices
-are observed:
+every cut has wealth slope exactly -1 and a node's cuts define the convex
+piecewise-linear function of the next energy
 
-    min  theta
-    s.t. theta >= intercept_c + gw_c * wealth' + ge_c * energy'   (cuts)
-         0 <= buy <= u_max_charge,  0 <= sell <= u_max_discharge
-         0 <= energy' <= capacity,  |wealth'| <= wealth_cap
-         theta >= cost_floor(wealth_cap)                          (floor)
+    H(e') = max_c (a_c + g_c * e')      over [0, capacity],
 
-with wealth' and energy' affine in (buy, sell).  The LP has three variables
-and many rows, so it is solved by the primal simplex on the dual: the basis
-is always three active rows and every pivot is a 3x3 solve.  The entering
-rule is most-violated-row with a deterministic switch to Bland's
-smallest-index rule for anti-cycling; ratio ties leave by smallest basis
-position.  The pivot sequence, and hence the output, is a pure function of
-the inputs.  A two-level objective perturbation (1e-10 on buy, 1e-13 on
-sell) selects the lexicographically smallest optimal controls.
+stored as its upper envelope (`Envelope`: the cuts that are the maximum
+somewhere on [0, capacity], with the breakpoints between them).  A stage
+subproblem minimizes ``-w' + H(e')`` over the relaxed controls after the
+stage's prices are observed.  The cheapest way to move the energy by ``d``
+costs ``G(d)``, convex piecewise linear with slopes ``s1 = min(ask/c+,
+bid/c-)`` and ``s2 = max(ask/c+, bid/c-)`` and its kink at 0 when the spread
+condition ``bid/c- <= ask/c+`` holds (otherwise at ``c+ B - c- S``, buying
+and selling at full speed).  With ``E = leak * e`` the stage value is
 
-Dual values double as state sensitivities: the subgradient of the stage value
-with respect to the incoming state is the dual-weighted sum of the row
-right-hand-side derivatives.
+    max(floor, -w + min over e' in [lo, hi] of G(e' - E) + H(e'))
 
-Two implementations run the same pivot rules.  `NodeSubproblem` solves one
-state per call on Python floats; `solve_lanes` pivots K LPs that share one
-node's cuts in lockstep on numpy arrays, each lane with its own state and,
-optionally, its own bid/ask.  Training and `Policy.decide` solve one state
-per subproblem, where the scalar path is about 9x faster (60 us against
-570 us at K=1 on a 372-cut node of the default pool, Intel Xeon, one
-thread); out-of-sample evaluation solves every scenario at a (stage, node)
-at once, where the lane kernel wins.  Both give bit-identical results lane
-by lane.  `solve_stage` is the Bellman stage of training's backward pass:
-the entropic risk ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's
-successor solves (nested entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
+with ``lo = max(0, E - c- S)`` and ``hi = min(capacity, E + c+ B)``.  Its
+minimizer is ``clip(median(x2, E + kink, x1), lo, hi)``, where x1 and x2 are
+the envelope breakpoints at which H's slope crosses ``-s1`` and ``-s2``
+(found by bisection).  The energy subgradient is ``leak * lambda`` for any
+lambda in ``d(H + box)(e*)`` and in ``-d(G + box)(e* - E)`` (the rule for
+an infimal convolution); where that set is an interval, the largest lambda
+is taken if the battery ends empty (``e* = 0``) and the smallest otherwise.
+The wealth subgradient is -1, or 0 where the floor binds.
 
-The terminal stage needs no LP.  Its cost is minus the terminal wealth, so
-the optimum is the vertex of the two-dimensional control polygon (control
-boxes plus energy band) with the largest next wealth; `solve_terminal_lanes`
-finds it by enumerating the candidate vertices.
+The terminal stage is the case ``H = 0``: its cost is minus the terminal
+wealth.  `NodeSubproblem` solves one state per call on Python floats;
+`NodeSubproblem.solve_lanes` solves K states of one node at once on numpy
+arrays, each lane optionally at its own bid/ask, with every floating-point
+operation in the scalar order, so each lane equals the scalar solve bit for
+bit.  `solve_stage` is the Bellman stage of training's backward pass: the
+entropic risk ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor
+solves (nested entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
+
+A `CutSet` keeps its envelope up to date as cuts arrive: a new cut is
+spliced into the envelope in O(envelope size), since
+``envelope(pool + cut) = envelope(envelope + cut)``; a cut set filled in one
+step (a checkpoint) builds it in one vectorized pass.  Each update is
+published by a single attribute assignment and solves write nothing, so
+solves on a trained policy may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, MaxIterationsError, StorageError
+from .errors import InfeasibleError, StorageError
 from .storage import StageData
 
-_PIVOT_TOL = 1e-9
 _STATE_TOL = 1e-9
-_MAX_PIVOTS = 10_000
-# most-violated entering rule normally; switch to Bland's smallest-index
-# rule (anti-cycling) if a solve runs unusually long
-_BLAND_AFTER = 60
-
-# hierarchical objective perturbation: among theta-optimal vertices prefer
-# the lexicographically smallest (buy, sell); biases theta by < 1e-9
-_TIE_BUY = 1e-10
-_TIE_SELL = 1e-13
-_OBJECTIVE = (_TIE_BUY, _TIE_SELL, 1.0)
-
-# static row indices
-_R_BUY_LO, _R_BUY_HI, _R_SELL_LO, _R_SELL_HI = 0, 1, 2, 3
-_R_FLOOR, _R_CAP_LO, _R_CAP_HI, _R_W_LO, _R_W_HI = 4, 5, 6, 7, 8
-_N_STATIC = 9
-_START_BASIS = (_R_BUY_LO, _R_SELL_LO, _R_FLOOR)
-# cofactor k of a row-major flattened 3x3 matrix M is
-# M[P1[k]] * M[P2[k]] - M[Q1[k]] * M[Q2[k]], in _solve3's order A..I
-_COF_P1 = np.array([4, 2, 1, 5, 0, 2, 3, 1, 0])
-_COF_P2 = np.array([8, 7, 5, 6, 8, 3, 7, 6, 4])
-_COF_Q1 = np.array([5, 1, 2, 3, 2, 0, 4, 0, 1])
-_COF_Q2 = np.array([7, 8, 4, 8, 6, 5, 6, 7, 3])
+_INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -107,21 +90,171 @@ def cost_floor(wealth_cap: float) -> float:
     profit of the remaining trading and the value of the stored energy.
     `storage.wealth_box` makes the cap far larger than that profit and
     value, so twice the cap lies below every seed cut on the state box.  The
-    floor keeps the stage LPs bounded before any cut binds.
+    floor keeps a stage value finite before any cut is added.
     """
     return -2.0 * wealth_cap
 
 
-class CutSet:
-    """Append-only cut collection, stored as its coefficient arrays."""
+class Envelope(NamedTuple):
+    """Upper envelope of a node's cuts in energy over ``[0, capacity]``.
 
-    __slots__ = ("_a", "_gw", "_ge", "n")
+    Line i, ``intercepts[i] + slopes[i] * e``, is the maximum on
+    ``[breaks[i], breaks[i + 1]]``; slopes and breaks strictly increase,
+    ``breaks`` runs from 0 to the capacity, and ``heights[k]`` is the
+    envelope's value at ``breaks[k]``.  Python lists: the scalar solve reads
+    them element by element.
+    """
+
+    slopes: list
+    intercepts: list
+    breaks: list
+    heights: list
+
+
+# builds an Envelope from a 4-tuple without the field-by-field constructor
+_new_envelope = partial(tuple.__new__, Envelope)
+
+
+def _heights(slopes: list, intercepts: list, breaks: list) -> list:
+    """Envelope value at each break: the larger of the two lines meeting there."""
+    h = len(slopes)
+    out = []
+    for k, x in enumerate(breaks):
+        y = intercepts[min(k, h - 1)] + slopes[min(k, h - 1)] * x
+        if 0 < k < h:
+            y = max(y, intercepts[k - 1] + slopes[k - 1] * x)
+        out.append(y)
+    return out
+
+
+def build_envelope(a: np.ndarray, g: np.ndarray, capacity: float) -> Envelope:
+    """Upper envelope over ``[0, capacity]`` of the lines ``a + g * e``, by gift wrapping.
+
+    Starts from the line that is largest at 0 (the steepest of ties) and
+    repeatedly moves to the steeper line that crosses the current one first
+    (the steepest of ties), until no crossing lies before the capacity.
+    Each step is one vectorized pass over the lines.  An empty set of lines
+    gives an envelope without lines.
+    """
+    if a.size == 0:
+        return Envelope([], [], [0.0, capacity], [])
+    top = np.flatnonzero(a == a.max())
+    i = int(top[g[top].argmax()])
+    slopes, intercepts, breaks = [g[i]], [a[i]], [0.0]
+    while True:
+        steeper = np.flatnonzero(g > g[i])
+        if not steeper.size:
+            break
+        cross = (a[i] - a[steeper]) / (g[steeper] - g[i])
+        x = cross.min()
+        if x >= capacity:
+            break
+        first = steeper[cross == x]
+        i = int(first[g[first].argmax()])
+        if x <= breaks[-1]:
+            # rounding put the crossing at or before the current break: the
+            # steeper line takes over there
+            slopes[-1], intercepts[-1] = g[i], a[i]
+        else:
+            slopes.append(g[i])
+            intercepts.append(a[i])
+            breaks.append(x)
+    slopes = [float(v) for v in slopes]
+    intercepts = [float(v) for v in intercepts]
+    breaks = [float(v) for v in breaks] + [float(capacity)]
+    return Envelope(slopes, intercepts, breaks, _heights(slopes, intercepts, breaks))
+
+
+def splice(env: Envelope, a_new: float, g_new: float) -> Envelope:
+    """The envelope of ``env``'s lines plus the line ``a_new + g_new * e``.
+
+    The new line minus the envelope is concave, so it is positive exactly on
+    one interval, found from its values at the breaks; a line positive at
+    no break is dominated and ``env`` itself is returned.  Otherwise the new
+    line replaces the lines inside that interval and crosses the two lines
+    at its ends.  Training calls this once per cut, so it is written for
+    speed on short Python lists.
+    """
+    g, a, x, y = env
+    if not g:
+        return _new_envelope(([g_new], [a_new], x, [a_new, a_new + g_new * x[1]]))
+    first = last = -1
+    k = 0
+    for xk, yk in zip(x, y):
+        if a_new + g_new * xk > yk:
+            if first < 0:
+                first = k
+            last = k
+        k += 1
+    h = len(g)
+    # a line no steeper than the one before its first positive break (or
+    # at least as steep as the one after its last) cannot exceed it there:
+    # the residue is rounding and the line is dominated
+    if first < 0 or (first and g_new <= g[first - 1]) or (last < h and g_new >= g[last]):
+        return env
+    left, right = first, last
+    if first:
+        i = first - 1
+        xl = (a[i] - a_new) / (g_new - g[i])
+        if xl <= x[i]:
+            xl, left = x[i], i  # the line before has no length left
+        elif xl > x[first]:
+            xl = x[first]
+    else:
+        xl = x[0]
+    if last < h:
+        xr = (a_new - a[last]) / (g[last] - g_new)
+        if xr >= x[last + 1]:
+            xr, right = x[last + 1], last + 1  # the line after has no length left
+        elif xr < x[last]:
+            xr = x[last]
+    else:
+        xr = x[h]
+    if xr <= xl:
+        return env
+    yl = a_new + g_new * xl
+    if left:
+        other = a[left - 1] + g[left - 1] * xl
+        if other > yl:
+            yl = other
+    yr = a_new + g_new * xr
+    if right < h:
+        other = a[right] + g[right] * xr
+        if other > yr:
+            yr = other
+    slopes, intercepts, breaks, heights = g.copy(), a.copy(), x.copy(), y.copy()
+    slopes[left:right] = (g_new,)
+    intercepts[left:right] = (a_new,)
+    breaks[left : right + 1] = xl, xr
+    heights[left : right + 1] = yl, yr
+    return _new_envelope((slopes, intercepts, breaks, heights))
+
+
+_WEALTH_SLOPE = "the closed-form stage solve needs cuts with grad_wealth == -1"
+
+
+def _check_wealth_slopes(gw: np.ndarray) -> None:
+    if (gw != -1.0).any():
+        raise ValueError(_WEALTH_SLOPE)
+
+
+class CutSet:
+    """Append-only cut collection: coefficient arrays plus their envelope.
+
+    The envelope over ``[0, capacity]`` is built on the first `envelope`
+    call and then kept current by every `add`/`append` (a splice) and
+    `extend` (a rebuild).  Cut sets without an envelope (the root pool)
+    take cuts of any wealth slope.
+    """
+
+    __slots__ = ("_a", "_gw", "_ge", "n", "_env")
 
     def __init__(self, cuts: list[Cut] | None = None) -> None:
         self._a = np.empty(16)
         self._gw = np.empty(16)
         self._ge = np.empty(16)
         self.n = 0
+        self._env: Envelope | None = None
         for c in cuts or []:
             self.add(c)
 
@@ -135,21 +268,50 @@ class CutSet:
             setattr(self, name, arr)
 
     def add(self, cut: Cut) -> None:
-        self._reserve(self.n + 1)
-        self._a[self.n] = cut.intercept
-        self._gw[self.n] = cut.grad_wealth
-        self._ge[self.n] = cut.grad_energy
-        self.n += 1
+        self.append(cut.intercept, cut.grad_wealth, cut.grad_energy)
+
+    def append(self, intercept: float, grad_wealth: float, grad_energy: float) -> None:
+        """`add` without building a `Cut`: the training loop's path."""
+        if not (isfinite(intercept) and isfinite(grad_wealth) and isfinite(grad_energy)):
+            raise ValueError("cut coefficients must be finite")
+        env = self._env
+        if env is not None and grad_wealth != -1.0:
+            raise ValueError(_WEALTH_SLOPE)
+        n = self.n
+        if n == len(self._a):
+            self._reserve(n + 1)
+        self._a[n] = intercept
+        self._gw[n] = grad_wealth
+        self._ge[n] = grad_energy
+        self.n = n + 1
+        if env is not None:
+            self._env = splice(env, intercept, grad_energy)
 
     def extend(self, coefs: np.ndarray) -> None:
         """Append the cuts in the rows (intercept, grad_wealth, grad_energy) of ``coefs``."""
         coefs = np.asarray(coefs, dtype=float).reshape(-1, 3)
         if not np.isfinite(coefs).all():
             raise ValueError("cut coefficients must be finite")
+        if self._env is not None:
+            _check_wealth_slopes(coefs[:, 1])
         lo, hi = self.n, self.n + len(coefs)
         self._reserve(hi)
         self._a[lo:hi], self._gw[lo:hi], self._ge[lo:hi] = coefs.T
         self.n = hi
+        if self._env is not None:
+            self._env = self._build(self._env.breaks[-1])
+
+    def _build(self, capacity: float) -> Envelope:
+        a, gw, ge = self.arrays()
+        _check_wealth_slopes(gw)
+        return build_envelope(a, ge, capacity)
+
+    def envelope(self, capacity: float) -> Envelope:
+        """The cuts' envelope over ``[0, capacity]``; built on first use."""
+        env = self._env
+        if env is None or env.breaks[-1] != capacity:
+            env = self._env = self._build(capacity)
+        return env
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._a[: self.n], self._gw[: self.n], self._ge[: self.n]
@@ -185,74 +347,51 @@ class TerminalSolution(NodeSolution):
     gaps: tuple[float, ...] = (0.0,)
 
 
-def _static_rows(data: StageData, ask, bid) -> list[tuple]:
-    """The nine static rows (control boxes, floor, energy band, wealth box), unscaled.
+@dataclass(frozen=True)
+class LaneSolution:
+    """Per-lane optima of `NodeSubproblem.solve_lanes`; one entry per lane in every field."""
 
-    ``ask`` and ``bid`` enter the wealth-box rows only; they are the node's
-    scalars or per-lane arrays.
+    buy: np.ndarray
+    sell: np.ndarray
+    value: np.ndarray
+    grad_wealth: np.ndarray
+    grad_energy: np.ndarray
+    next_wealth: np.ndarray
+    next_energy: np.ndarray
+
+
+def _price_slopes(data: StageData, ask, bid, cp_b: float, cm_s: float):
+    """(s1, s2, kink, spread condition holds) of the trading cost G at ``ask``/``bid``.
+
+    ``ask`` and ``bid`` are the node's scalars or per-lane arrays.
     """
-    cp, cm = data.charge_eff, data.discharge_eff
-    return [
-        (1.0, 0.0, 0.0),
-        (-1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (0.0, -1.0, 0.0),
-        (0.0, 0.0, 1.0),
-        (cp, -cm, 0.0),
-        (-cp, cm, 0.0),
-        (-ask, bid, 0.0),
-        (ask, -bid, 0.0),
-    ]
-
-
-def _cut_rows(data: StageData, gw, ge, ask, bid):
-    """Unit-scaled cut rows: (buy coefficient, sell coefficient, row scale).
-
-    A cut ``theta >= a + gw*x_m' + ge*x_e'`` becomes the row
-    ``(gw*ask - ge*c_plus, -gw*bid + ge*c_minus, 1)``, divided by its largest
-    magnitude (at least one); the returned scale also multiplies the cut's
-    right-hand-side pieces.  ``ask``/``bid`` are scalars or per-lane columns,
-    which broadcast the rows to one set per lane.
-    """
-    c0 = gw * ask - ge * data.charge_eff
-    c1 = -gw * bid + ge * data.discharge_eff
-    inv = 1.0 / np.maximum(1.0, np.maximum(np.abs(c0), np.abs(c1)))
-    return c0 * inv, c1 * inv, inv
-
-
-def _solve3(r0, r1, r2, v0, v1, v2):
-    """Solve M x = v for the 3x3 matrix with rows r0, r1, r2 (Cramer)."""
-    a, b, c = r0
-    d, e, f = r1
-    g, h, i = r2
-    A = e * i - f * h
-    B = c * h - b * i
-    C = b * f - c * e
-    D = f * g - d * i
-    E = a * i - c * g
-    F = c * d - a * f
-    G = d * h - e * g
-    H = b * g - a * h
-    I = a * e - b * d
-    det = a * A + b * D + c * G
-    if det == 0.0:
-        raise StorageError("singular stage-LP basis")
-    inv = 1.0 / det
+    ask_c = ask / data.charge_eff
+    bid_c = bid / data.discharge_eff
+    if np.ndim(ask_c) == 0:
+        if bid_c <= ask_c:
+            return bid_c, ask_c, 0.0, True
+        return ask_c, bid_c, cp_b - cm_s, False
+    spread = bid_c <= ask_c
     return (
-        (A * v0 + B * v1 + C * v2) * inv,
-        (D * v0 + E * v1 + F * v2) * inv,
-        (G * v0 + H * v1 + I * v2) * inv,
-        (A, B, C, D, E, F, G, H, I, inv),
+        np.where(spread, bid_c, ask_c),
+        np.where(spread, ask_c, bid_c),
+        np.where(spread, 0.0, cp_b - cm_s),
+        spread,
     )
 
 
-class NodeSubproblem:
-    """LP template for one (stage, successor-node) subproblem.
+_WEALTH_BOX = (
+    "wealth box is binding; raise wealth_cap (state far outside the expected operating range)"
+)
 
-    The constraint matrix depends only on the node's prices and cuts; the
-    incoming state enters the right-hand side alone, so a template is built
-    once per node and re-solved for many states.  Terminal subproblems build
-    no LP: `solve_terminal` is closed form.
+
+class NodeSubproblem:
+    """One (stage, node) subproblem: the node's prices, boxes and cut envelope.
+
+    The incoming state enters only the closed form, so a subproblem is built
+    once per node and solved for many states.  A subproblem holds nothing
+    that a solve writes.  Terminal subproblems have no cut set; their
+    envelope is the zero line.
     """
 
     def __init__(
@@ -267,228 +406,47 @@ class NodeSubproblem:
         self.cutset = cutset
         self.terminal = terminal
         self.floor = cost_floor(data.wealth_cap)
+        d = data
+        cp_b = d.charge_eff * d.u_max_charge
+        cm_s = d.discharge_eff * d.u_max_discharge
+        s1, s2, kink, spread = _price_slopes(d, d.ask, d.bid, cp_b, cm_s)
+        self._const = (
+            d.leak_factor, d.capacity, d.u_max_charge, d.u_max_discharge,
+            d.charge_eff, d.discharge_eff, cp_b, cm_s, -s1, -s2, kink, spread,
+        )  # fmt: skip
         if terminal:
-            return
-        cap0 = 32
-        self._c0 = np.empty(cap0)
-        self._c1 = np.empty(cap0)
-        self._c2 = np.empty(cap0)
-        self._b = np.empty(cap0)
-        # the pivot's Python-float row cache: _c0/_c1/_c2 as tuples, because
-        # _pivot reads single rows element by element (reading them from one
-        # (3, m) array via .tolist() made each solve about 7% slower)
-        self._rows: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * cap0
-        static = _static_rows(data, data.ask, data.bid)
-        # rows are normalized to unit magnitude at insertion; the matching
-        # rhs divisors for the static rows are kept for assembly
-        self._static_inv = np.array([1.0 / max(1.0, abs(r[0]), abs(r[1]), abs(r[2])) for r in static])
-        for i, row in enumerate(static):
-            self._set_row(i, row)
-        self._m = _N_STATIC  # rows in use (static + synced cuts)
-        self._synced = 0  # cuts mirrored into rows so far
-        # per-cut rhs pieces, pre-divided by the row scale:
-        # b_cut = (a + gw * x_m + ge*leak * x_e) / row_scale
-        self._cut_a = np.empty(cap0)
-        self._cut_gw = np.empty(cap0)
-        self._cut_gel = np.empty(cap0)
+            self._zero = Envelope([0.0], [0.0], [0.0, d.capacity], [0.0, 0.0])
+        else:
+            cutset.envelope(d.capacity)
 
-    # -- row storage -------------------------------------------------------
+    @property
+    def envelope(self) -> Envelope:
+        """The envelope the solves read: the cut set's, or the zero line when terminal."""
+        if self.terminal:
+            return self._zero
+        return self.cutset.envelope(self.data.capacity)
 
-    def _ensure(self, m: int) -> None:
-        cap = len(self._b)
-        if m <= cap:
-            return
-        while cap < m:
-            cap *= 2
-        for name in ("_c0", "_c1", "_c2", "_b", "_cut_a", "_cut_gw", "_cut_gel"):
-            old = getattr(self, name)
-            arr = np.empty(cap)
-            arr[: len(old)] = old
-            setattr(self, name, arr)
-        self._rows = self._rows + [(0.0, 0.0, 0.0)] * (cap - len(self._rows))
-
-    def _set_row(self, i: int, row: tuple[float, float, float]) -> None:
-        self._ensure(i + 1)
-        inv = 1.0 / max(1.0, abs(row[0]), abs(row[1]), abs(row[2]))
-        row = (row[0] * inv, row[1] * inv, row[2] * inv)
-        self._c0[i], self._c1[i], self._c2[i] = row
-        self._rows[i] = row
-
-    def _sync_cuts(self) -> None:
-        cs = self.cutset
-        if cs is None or self._synced == cs.n:
-            return
-        a, gw, ge = cs.arrays()
-        lo, hi = self._synced, cs.n
-        n_new = hi - lo
-        d = self.data
-        start = self._m
-        self._ensure(start + n_new)
-        sl = slice(start, start + n_new)
-        c0, c1, inv = _cut_rows(d, gw[lo:hi], ge[lo:hi], d.ask, d.bid)
-        self._c0[sl] = c0
-        self._c1[sl] = c1
-        self._c2[sl] = inv
-        self._cut_a[sl] = a[lo:hi] * inv
-        self._cut_gw[sl] = gw[lo:hi] * inv
-        self._cut_gel[sl] = ge[lo:hi] * d.leak_factor * inv
-        rows = self._rows
-        for k in range(n_new):
-            rows[start + k] = (c0[k], c1[k], inv[k])
-        self._m = start + n_new
-        self._synced = hi
-
-    # -- LP core -----------------------------------------------------------
-
-    def _assemble_b(self, xm: float, xe: float, m: int) -> None:
-        d = self.data
-        b = self._b
-        b[_R_BUY_LO] = 0.0
-        b[_R_BUY_HI] = -d.u_max_charge
-        b[_R_SELL_LO] = 0.0
-        b[_R_SELL_HI] = -d.u_max_discharge
-        b[_R_FLOOR] = self.floor
-        leak_xe = d.leak_factor * xe
-        b[_R_CAP_LO] = -leak_xe
-        b[_R_CAP_HI] = leak_xe - d.capacity
-        b[_R_W_LO] = -d.wealth_cap - xm
-        b[_R_W_HI] = xm - d.wealth_cap
-        b[:_N_STATIC] *= self._static_inv
-        if m > _N_STATIC:
-            sl = slice(_N_STATIC, m)
-            np.multiply(self._cut_gw[sl], xm, out=b[sl])
-            b[sl] += self._cut_gel[sl] * xe
-            b[sl] += self._cut_a[sl]
-
-    def _pivot(self, m: int, c: tuple[float, float, float]):
-        """Run the dual-form simplex on the first ``m`` rows, objective ``c``.
-
-        Returns (x, basis, y_basis).  Raises InfeasibleError if the primal is
-        infeasible (dual unbounded).
-        """
-        rows = self._rows
-        b = self._b
-        c0v, c1v, c2v = c
-        W0, W1, W2 = _START_BASIS
-        col0 = self._c0[:m]
-        col1 = self._c1[:m]
-        col2 = self._c2[:m]
-        bm = b[:m]
-        pivots = 0
-        for _ in range(_MAX_PIVOTS):
-            r0, r1, r2 = rows[W0], rows[W1], rows[W2]
-            # multipliers solve A_W^T y = c; primal point solves A_W x = b_W
-            y0, y1, y2, co = _solve3(
-                (r0[0], r1[0], r2[0]),
-                (r0[1], r1[1], r2[1]),
-                (r0[2], r1[2], r2[2]),
-                c0v,
-                c1v,
-                c2v,
-            )
-            A, B, C, D, E, F, G, H, I, inv = co
-            bw0, bw1, bw2 = b[W0], b[W1], b[W2]
-            # x = A_W^{-1} b_W; note co is the adjugate of A_W^T, so transpose back
-            x0 = (A * bw0 + D * bw1 + G * bw2) * inv
-            x1 = (B * bw0 + E * bw1 + H * bw2) * inv
-            x2 = (C * bw0 + F * bw1 + I * bw2) * inv
-            slack = col0 * x0
-            slack += col1 * x1
-            slack += col2 * x2
-            slack -= bm
-            # ill-conditioned bases (near-parallel active rows) inflate the fp
-            # error of x beyond the base tolerance; widen it accordingly
-            minv_max = max(abs(A), abs(B), abs(C), abs(D), abs(E), abs(F), abs(G), abs(H), abs(I)) * abs(inv)
-            x_err = 64.0 * 2.3e-16 * minv_max * max(abs(bw0), abs(bw1), abs(bw2), 1.0)
-            thresh = -(_PIVOT_TOL + x_err)
-            if pivots < _BLAND_AFTER:
-                j = int(slack.argmin())  # most violated row enters
-            else:
-                j = int((slack < thresh).argmax())  # Bland: smallest index
-            pivots += 1
-            if slack[j] >= thresh:
-                return (x0, x1, x2), (W0, W1, W2), (y0, y1, y2)
-            aj = rows[j]
-            u0 = (A * aj[0] + B * aj[1] + C * aj[2]) * inv
-            u1 = (D * aj[0] + E * aj[1] + F * aj[2]) * inv
-            u2 = (G * aj[0] + H * aj[1] + I * aj[2]) * inv
-            leave = -1
-            t_best = 0.0
-            if u0 > _PIVOT_TOL:
-                t_best, leave = y0 / u0, 0
-            if u1 > _PIVOT_TOL:
-                t = y1 / u1
-                if leave < 0 or t < t_best:
-                    t_best, leave = t, 1
-            if u2 > _PIVOT_TOL:
-                t = y2 / u2
-                if leave < 0 or t < t_best:
-                    t_best, leave = t, 2
-            if leave < 0:
-                # rows normalized against large cut gradients can have
-                # legitimately tiny pivot elements; accept an exactly
-                # positive one (a huge but finite step) before giving up
-                if u0 > 0.0:
-                    t_best, leave = y0 / u0, 0
-                if u1 > 0.0 and (leave < 0 or y1 / u1 < t_best):
-                    t_best, leave = y1 / u1, 1
-                if u2 > 0.0 and (leave < 0 or y2 / u2 < t_best):
-                    leave = 2
-            if leave < 0:
-                raise InfeasibleError("stage subproblem infeasible")
-            if leave == 0:
-                W0 = j
-            elif leave == 1:
-                W1 = j
-            else:
-                W2 = j
-        raise MaxIterationsError("stage LP exceeded pivot budget")
-
-    def _check_state(self, state: tuple[float, float]) -> None:
-        xm, xe = state
+    def _check_state(self, xm: float, xe: float) -> None:
         d = self.data
         if not (-_STATE_TOL <= xe <= d.capacity + _STATE_TOL):
             raise InfeasibleError(f"energy state {xe:.6g} outside [0, {d.capacity:.6g}]")
         if abs(xm) > d.wealth_cap + _STATE_TOL:
             raise InfeasibleError(f"wealth state {xm:.6g} outside +-{d.wealth_cap:.6g}")
 
-    def _subgradient(
-        self, basis: tuple[int, int, int], y_basis: tuple[float, float, float]
-    ) -> tuple[float, float]:
-        d = self.data
-        vm = 0.0
-        ve = 0.0
-        for idx, y in zip(basis, y_basis):
-            if y <= 0.0:
-                continue
-            if idx >= _N_STATIC:
-                # cut data are stored pre-divided by the row scale, so the
-                # scaled dual times them is already the unscaled product
-                vm += y * self._cut_gw[idx]
-                ve += y * self._cut_gel[idx]
-            elif idx == _R_CAP_LO:
-                ve -= y * d.leak_factor * self._static_inv[idx]
-            elif idx == _R_CAP_HI:
-                ve += y * d.leak_factor * self._static_inv[idx]
-            elif idx in (_R_W_LO, _R_W_HI):
-                raise StorageError(
-                    "wealth box is binding; raise wealth_cap (state far outside "
-                    "the expected operating range)"
-                )
-        return vm, ve
-
-    # -- public solves -----------------------------------------------------
-
     def _clamp(self, x, xe: float) -> tuple[float, float]:
-        """Snap LP controls into their boxes and the energy band.
+        """Snap controls into their boxes and the energy band.
 
-        Pivot tolerances let solutions stray from the capacity band by a few
-        1e-9; repairing the controls here (rather than clipping the state)
-        keeps the dynamics identity exact and stops drift across stages.
+        Rounding can put a recovered control an ulp outside its box or the
+        next energy an ulp outside [0, capacity]; repairing the controls
+        here (rather than clipping the state) keeps the dynamics identity
+        exact and stops drift across stages.
         """
         d = self.data
-        buy = min(max(x[0], 0.0), d.u_max_charge)
-        sell = min(max(x[1], 0.0), d.u_max_discharge)
+        buy, sell = x
+        buy = buy if buy >= 0.0 else 0.0
+        sell = sell if sell >= 0.0 else 0.0
+        buy = buy if buy <= d.u_max_charge else d.u_max_charge
+        sell = sell if sell <= d.u_max_discharge else d.u_max_discharge
         nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
         if nxt < 0.0:
             sell = max(sell + nxt / d.discharge_eff, 0.0)
@@ -496,236 +454,189 @@ class NodeSubproblem:
             buy = max(buy - (nxt - d.capacity) / d.charge_eff, 0.0)
         return buy, sell
 
+    def _optimum(self, state: tuple[float, float], full: bool = True):
+        """``(controls, value, subgradient, next_state)`` at ``state``, as plain tuples.
+
+        With ``full`` false, only the next state, without the value and
+        subgradient work.
+        """
+        xm, xe = state
+        self._check_state(xm, xe)
+        leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
+        g, a, x, _ = self.envelope
+        d = self.data
+        big = leak * xe
+        low = big - cm_s  # selling at full speed
+        high = big + cp_b  # buying at full speed
+        kink = big + kink
+        if not g:
+            e = big  # no cuts: the floor is the value, hold
+        else:
+            # median(x2, kink, x1), then into the reachable band
+            e = x[bisect_left(g, ns2)]
+            if e < kink:
+                e = kink
+            x1 = x[bisect_left(g, ns1)]
+            if e > x1:
+                e = x1
+        if e < low:
+            e = low
+        if e > high:
+            e = high
+        if not 0.0 <= e <= cap:
+            raise InfeasibleError("stage subproblem infeasible")
+        # the cheapest controls that move the energy from leak*xe to e
+        if spread:
+            if e >= big:
+                buy, sell = (u_buy if e == high else (e - big) / cp), 0.0
+            else:
+                buy, sell = 0.0, (u_sell if e == low else (big - e) / cm)
+        elif e < kink:
+            buy, sell = (e - low) / cp, u_sell
+        elif e > kink:
+            buy, sell = u_buy, (high - e) / cm
+        else:
+            buy, sell = u_buy, u_sell
+        controls = self._clamp((buy, sell), xe)
+        buy, sell = controls
+        w_next = xm - d.ask * buy + d.bid * sell
+        e_next = leak * xe + cp * buy - cm * sell
+        if abs(w_next) > d.wealth_cap:
+            raise StorageError(_WEALTH_BOX)
+        if not full:
+            return w_next, e_next
+        if not g:
+            return controls, self.floor, (0.0, 0.0), (w_next, e_next)
+        h = len(g)
+        p = bisect_right(x, e_next) - 1
+        p = 0 if p < 0 else (h - 1 if p >= h else p)
+        value = a[p] + g[p] * e_next - w_next
+        if value < self.floor:
+            return controls, self.floor, (0.0, 0.0), (w_next, e_next)
+        # lambda in d(H + box)(e) = [hl, hr] and in -d(G + box)(e - E) = [gl, gr]
+        j = bisect_left(x, e)
+        if x[j] == e:
+            hl = g[j - 1] if j else -_INF
+            hr = g[j] if j < h else _INF
+        else:
+            hl = hr = g[j - 1]
+        if hl == hr:
+            lam = hl
+        else:
+            gr = _INF if e <= low else (ns1 if e <= kink else ns2)
+            gl = -_INF if e >= high else (ns1 if e < kink else ns2)
+            # the largest where the battery ends empty, else the smallest
+            lam = min(hr, gr) if e == 0.0 else max(hl, gl)
+        return controls, value, (-1.0, leak * lam), (w_next, e_next)
+
+    def next_state(self, state: tuple[float, float]) -> tuple[float, float]:
+        """The optimal next state alone: `solve` without its record (the forward pass)."""
+        return self._optimum(state, False)
+
     def solve(self, state: tuple[float, float]) -> NodeSolution:
         """Solve the subproblem at the incoming ``state``."""
         if self.terminal:
             return self.solve_terminal(state)
-        self._sync_cuts()
-        self._check_state(state)
-        xm, xe = state
-        m = self._m
-        self._assemble_b(xm, xe, m)
-        x, basis, y_basis = self._pivot(m, _OBJECTIVE)
-        controls = self._clamp(x, xe)
-        return NodeSolution(
-            controls=controls,
-            value=x[2],
-            subgradient=self._subgradient(basis, y_basis),
-            next_state=self.data.next_state(state, controls),
-        )
+        return NodeSolution(*self._optimum(state))
 
     def solve_terminal(self, state: tuple[float, float]) -> TerminalSolution:
-        """Minimize minus the terminal wealth: `solve_terminal_lanes` at K=1."""
+        """Minimize minus the terminal wealth: the closed form with ``H = 0``."""
         if not self.terminal:
             raise ValueError("not a terminal subproblem")
-        sol = solve_terminal_lanes(self.data, np.array([state[0]]), np.array([state[1]]))
-        return TerminalSolution(
-            controls=(float(sol.buy[0]), float(sol.sell[0])),
-            value=float(sol.value[0]),
-            subgradient=(float(sol.grad_wealth[0]), float(sol.grad_energy[0])),
-            next_state=(float(sol.next_wealth[0]), float(sol.next_energy[0])),
-        )
+        return TerminalSolution(*self._optimum(state))
 
+    def solve_lanes(
+        self,
+        wealth: np.ndarray,
+        energy: np.ndarray,
+        ask: np.ndarray | None = None,
+        bid: np.ndarray | None = None,
+    ) -> LaneSolution:
+        """Solve K states of this node at once; lane k starts from ``(wealth[k], energy[k])``.
 
-@dataclass(frozen=True)
-class LaneSolution:
-    """Per-lane optima of `solve_lanes`; every field has one entry per lane."""
-
-    buy: np.ndarray
-    sell: np.ndarray
-    value: np.ndarray
-    grad_wealth: np.ndarray
-    grad_energy: np.ndarray
-    next_wealth: np.ndarray
-    next_energy: np.ndarray
-
-
-def solve_lanes(
-    data: StageData,
-    cutset: CutSet,
-    wealth: np.ndarray,
-    energy: np.ndarray,
-    ask: np.ndarray | None = None,
-    bid: np.ndarray | None = None,
-) -> LaneSolution:
-    """Solve K subproblems of one node in lockstep, one per incoming state.
-
-    Lane k is the LP that ``NodeSubproblem(data', cutset)`` solves at
-    ``(wealth[k], energy[k])``, where ``data'`` is ``data`` with its bid/ask
-    replaced by ``bid[k]``/``ask[k]`` when those are given.  The pivot rules,
-    row scaling, tolerances and objective perturbation are the scalar
-    solver's, applied per lane, with every floating-point expression
-    evaluated in the same order; a lane leaves the loop when it is optimal,
-    so every output equals the scalar solve bit for bit.  Errors are the
-    scalar solver's: `InfeasibleError` for a state outside its box or an
-    infeasible LP, `StorageError` for a singular basis or a binding wealth
-    box, and `MaxIterationsError` when a lane exhausts the pivot budget.
-    """
-    d = data
-    xm = np.asarray(wealth, dtype=float)
-    xe = np.asarray(energy, dtype=float)
-    K = xm.size
-    if ask is None:
-        # every lane sees the node's prices: one shared set of rows
-        ask_l = np.full(1, d.ask)
-        bid_l = np.full(1, d.bid)
-    else:
-        ask_l = np.asarray(ask, dtype=float)
-        bid_l = np.asarray(bid, dtype=float)
-    _check_lane_states(d, xm, xe)
-
-    # unit-scaled rows: coef[q] is (R, m), R = 1 (shared) or K (own prices)
-    a, gw, ge = cutset.arrays()
-    n = a.size
-    m = _N_STATIC + n
-    R = ask_l.size
-    static = np.empty((3, R, _N_STATIC))
-    for i, row in enumerate(_static_rows(d, ask_l, bid_l)):
-        for q in range(3):
-            static[q, :, i] = row[q]
-    static_inv = 1.0 / np.maximum(
-        np.maximum(1.0, np.abs(static[0])), np.maximum(np.abs(static[1]), np.abs(static[2]))
-    )
-    coef = np.empty((3, R, m))
-    np.multiply(static, static_inv, out=coef[:, :, :_N_STATIC])
-    for q, part in enumerate(_cut_rows(d, gw, ge, ask_l[:, None], bid_l[:, None])):
-        coef[q, :, _N_STATIC:] = part
-    cut_inv = coef[2, :, _N_STATIC:]
-    ge_leak = ge * d.leak_factor
-
-    # right-hand sides, one row per lane (as _assemble_b)
-    rhs = np.empty((K, m))
-    leak_xe = d.leak_factor * xe
-    rhs[:, _R_BUY_LO] = 0.0
-    rhs[:, _R_BUY_HI] = -d.u_max_charge
-    rhs[:, _R_SELL_LO] = 0.0
-    rhs[:, _R_SELL_HI] = -d.u_max_discharge
-    rhs[:, _R_FLOOR] = cost_floor(d.wealth_cap)
-    rhs[:, _R_CAP_LO] = -leak_xe
-    rhs[:, _R_CAP_HI] = leak_xe - d.capacity
-    rhs[:, _R_W_LO] = -d.wealth_cap - xm
-    rhs[:, _R_W_HI] = xm - d.wealth_cap
-    rhs[:, :_N_STATIC] *= static_inv
-    if n:
-        cut_rhs = rhs[:, _N_STATIC:]
-        np.multiply(gw * cut_inv, xm[:, None], out=cut_rhs)
-        cut_rhs += (ge_leak * cut_inv) * xe[:, None]
-        cut_rhs += a * cut_inv
-
-    x_out = np.empty((K, 3))
-    basis_out = np.empty((K, 3), dtype=np.intp)
-    y_out = np.empty((K, 3))
-    lanes = np.arange(K)  # lanes still pivoting
-    basis = np.tile(np.array(_START_BASIS, dtype=np.intp), (K, 1))
-    row_of = np.arange(K) if R > 1 else np.zeros(K, dtype=np.intp)
-    work = coef  # rows of the pivoting lanes (shared rows are never compacted)
-    b = rhs
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in range(_MAX_PIVOTS):
-            if not lanes.size:
-                break
-            L = np.arange(lanes.size)
-            # M[k] is A_W^T flattened row-major: M[k, 3q + p] = component q of basis row p
-            M = work[:, row_of[:, None], basis].transpose(1, 0, 2).reshape(-1, 9)
-            cof = M[:, _COF_P1] * M[:, _COF_P2] - M[:, _COF_Q1] * M[:, _COF_Q2]
-            det = M[:, 0] * cof[:, 0] + M[:, 1] * cof[:, 3] + M[:, 2] * cof[:, 6]
-            if np.any(det == 0.0):
-                raise StorageError("singular stage-LP basis")
-            inv = (1.0 / det)[:, None]
-            adj = cof.reshape(-1, 3, 3)  # adj[k, r] = (A, B, C), (D, E, F), (G, H, I)
-            # multipliers solve A_W^T y = c; primal point solves A_W x = b_W
-            c0v, c1v, c2v = _OBJECTIVE
-            y = (adj[:, :, 0] * c0v + adj[:, :, 1] * c1v + adj[:, :, 2] * c2v) * inv
-            bw = b[L[:, None], basis]
-            x = (adj[:, 0] * bw[:, 0:1] + adj[:, 1] * bw[:, 1:2] + adj[:, 2] * bw[:, 2:3]) * inv
-            slack = work[0] * x[:, 0:1]
-            slack += work[1] * x[:, 1:2]
-            slack += work[2] * x[:, 2:3]
-            slack -= b
-            minv_max = np.abs(cof).max(axis=1) * np.abs(inv[:, 0])
-            x_err = 64.0 * 2.3e-16 * minv_max * np.maximum(np.abs(bw).max(axis=1), 1.0)
-            thresh = -(_PIVOT_TOL + x_err)
-            if it < _BLAND_AFTER:
-                j = slack.argmin(axis=1)  # most violated row enters
-            else:
-                j = (slack < thresh[:, None]).argmax(axis=1)  # Bland: smallest index
-            done = slack[L, j] >= thresh
-            if np.any(done):
-                idx = lanes[done]
-                x_out[idx], basis_out[idx], y_out[idx] = x[done], basis[done], y[done]
-                keep = ~done
-                lanes, basis, row_of, b = lanes[keep], basis[keep], row_of[keep], b[keep]
-                adj, inv, y, j = adj[keep], inv[keep], y[keep], j[keep]
-                if R > 1:
-                    work = work[:, keep]
-                    row_of = np.arange(lanes.size)
-            aj = work[:, row_of, j].T[:, None, :]
-            u = adj[:, :, 0] * aj[..., 0] + adj[:, :, 1] * aj[..., 1] + adj[:, :, 2] * aj[..., 2]
-            u *= inv
-            ratio = y / u
-            leave = _ratio_leave(u, ratio, _PIVOT_TOL)
-            # rows normalized against large cut gradients can have legitimately
-            # tiny pivot elements; accept an exactly positive one (a huge but
-            # finite step) before giving up
-            stuck = leave < 0
-            if np.any(stuck):
-                leave = np.where(stuck, _ratio_leave(u, ratio, 0.0), leave)
-                if np.any(leave < 0):
-                    raise InfeasibleError("stage subproblem infeasible")
-            basis[np.arange(lanes.size), leave] = j
+        With ``ask``/``bid`` given, lane k trades at ``ask[k]``/``bid[k]``
+        instead of the node's prices (out-of-sample scenarios), which
+        changes only the slopes and kink of the trading cost.  Every
+        operation is the scalar solve's, elementwise and in its order, so
+        lane k equals ``solve`` on a subproblem with lane k's prices bit for
+        bit.  Raises the scalar solve's errors.
+        """
+        d = self.data
+        xm = np.asarray(wealth, dtype=float)
+        xe = np.asarray(energy, dtype=float)
+        leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
+        if ask is None:
+            ask_l, bid_l = d.ask, d.bid
         else:
-            raise MaxIterationsError("stage LP exceeded pivot budget")
-
-    # subgradient: dual-weighted right-hand-side derivatives (as _subgradient)
-    row_of = np.arange(K) if R > 1 else np.zeros(K, dtype=np.intp)
-    vm = np.zeros(K)
-    ve = np.zeros(K)
-    leak = d.leak_factor
-    for p in range(3):
-        idx = basis_out[:, p]
-        y = y_out[:, p]
-        pos = y > 0.0
-        if np.any(pos & ((idx == _R_W_LO) | (idx == _R_W_HI))):
-            raise StorageError(
-                "wealth box is binding; raise wealth_cap (state far outside "
-                "the expected operating range)"
-            )
-        is_cut = pos & (idx >= _N_STATIC)
-        if n:
-            ci = np.maximum(idx - _N_STATIC, 0)
-            inv_at = cut_inv[row_of, ci]
-            vm = vm + np.where(is_cut, y * (gw[ci] * inv_at), 0.0)
-            cut_term = y * (ge_leak[ci] * inv_at)
+            ask_l = np.asarray(ask, dtype=float)
+            bid_l = np.asarray(bid, dtype=float)
+            s1, s2, kink, spread = _price_slopes(d, ask_l, bid_l, cp_b, cm_s)
+            ns1, ns2 = -s1, -s2
+        if not ((-_STATE_TOL <= xe) & (xe <= cap + _STATE_TOL)).all():
+            raise InfeasibleError(f"energy state outside [0, {cap:.6g}]")
+        if (np.abs(xm) > d.wealth_cap + _STATE_TOL).any():
+            raise InfeasibleError(f"wealth state outside +-{d.wealth_cap:.6g}")
+        g, a, x, _ = self.envelope
+        K = xe.size
+        big = leak * xe
+        low = big - cm_s
+        high = big + cp_b
+        kink = big + kink
+        if not g:
+            e = big
         else:
-            cut_term = 0.0
-        cap_term = y * leak * static_inv[row_of, np.minimum(idx, _N_STATIC - 1)]
-        ve = ve + np.where(
-            is_cut,
-            cut_term,
-            np.where(
-                pos & (idx == _R_CAP_LO),
-                -cap_term,
-                np.where(pos & (idx == _R_CAP_HI), cap_term, 0.0),
-            ),
+            g_arr, x_arr = np.array(g), np.array(x)
+            e = x_arr[np.searchsorted(g_arr, ns2)]
+            e = np.where(e < kink, kink, e)
+            x1 = x_arr[np.searchsorted(g_arr, ns1)]
+            e = np.where(e > x1, x1, e)
+        e = np.where(e < low, low, e)
+        e = np.where(e > high, high, e)
+        if not ((0.0 <= e) & (e <= cap)).all():
+            raise InfeasibleError("stage subproblem infeasible")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = e >= big
+            buy = np.where(up, np.where(e == high, u_buy, (e - big) / cp), 0.0)
+            sell = np.where(up, 0.0, np.where(e == low, u_sell, (big - e) / cm))
+            if not np.all(spread):
+                buy_v = np.where(e < kink, (e - low) / cp, u_buy)
+                sell_v = np.where(e > kink, (high - e) / cm, u_sell)
+                buy = np.where(spread, buy, buy_v)
+                sell = np.where(spread, sell, sell_v)
+        buy, sell = _clamp_lanes(d, np.array([buy, sell]), xe)
+        w_next = xm - ask_l * buy + bid_l * sell
+        e_next = leak * xe + cp * buy - cm * sell
+        if (np.abs(w_next) > d.wealth_cap).any():
+            raise StorageError(_WEALTH_BOX)
+        if not g:
+            zero = np.zeros(K)
+            return LaneSolution(buy, sell, np.full(K, self.floor), zero, zero, w_next, e_next)
+        h = len(g)
+        a_arr = np.array(a)
+        p = np.clip(np.searchsorted(x_arr, e_next, side="right") - 1, 0, h - 1)
+        value = a_arr[p] + g_arr[p] * e_next - w_next
+        floored = value < self.floor
+        j = np.searchsorted(x_arr, e)
+        at = x_arr[j] == e
+        g_pad = np.concatenate(([-_INF], g_arr, [_INF]))
+        hl = g_pad[j]  # g[j - 1], or -inf at j = 0
+        hr = np.where(at, g_pad[j + 1], hl)
+        gr = np.where(e <= low, _INF, np.where(e <= kink, ns1, ns2))
+        gl = np.where(e >= high, -_INF, np.where(e < kink, ns1, ns2))
+        lam = np.where(
+            hl == hr,
+            hl,
+            np.where(e == 0.0, np.minimum(hr, gr), np.maximum(hl, gl)),
         )
-
-    buy, sell = _clamp_lanes(d, x_out[:, :2].T, xe)
-    return LaneSolution(
-        buy=buy,
-        sell=sell,
-        value=x_out[:, 2],
-        grad_wealth=vm,
-        grad_energy=ve,
-        next_wealth=xm - ask_l * buy + bid_l * sell,
-        next_energy=leak * xe + d.charge_eff * buy - d.discharge_eff * sell,
-    )
-
-
-def _check_lane_states(d: StageData, xm: np.ndarray, xe: np.ndarray) -> None:
-    if not ((-_STATE_TOL <= xe) & (xe <= d.capacity + _STATE_TOL)).all():
-        raise InfeasibleError(f"energy state outside [0, {d.capacity:.6g}]")
-    if (np.abs(xm) > d.wealth_cap + _STATE_TOL).any():
-        raise InfeasibleError(f"wealth state outside +-{d.wealth_cap:.6g}")
+        return LaneSolution(
+            buy=buy,
+            sell=sell,
+            value=np.where(floored, self.floor, value),
+            grad_wealth=np.where(floored, 0.0, -1.0),
+            grad_energy=np.where(floored, 0.0, leak * lam),
+            next_wealth=w_next,
+            next_energy=e_next,
+        )
 
 
 def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):
@@ -749,122 +660,23 @@ def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):
     return buy, sell
 
 
-def _ratio_leave(u: np.ndarray, ratio: np.ndarray, tol: float) -> np.ndarray:
-    """Leaving basis position per lane (-1 if none), as in `NodeSubproblem._pivot`.
-
-    Among positions with a pivot element above ``tol``, the smallest ratio
-    leaves; ties keep the smaller position.
-    """
-    leave = np.where(u[:, 0] > tol, 0, -1)
-    best = ratio[:, 0]
-    for p in (1, 2):
-        take = (u[:, p] > tol) & ((leave < 0) | (ratio[:, p] < best))
-        leave = np.where(take, p, leave)
-        best = np.where(take, ratio[:, p], best)
-    return leave
-
-
-def solve_terminal_lanes(
-    data: StageData,
-    wealth: np.ndarray,
-    energy: np.ndarray,
-    ask: np.ndarray | None = None,
-    bid: np.ndarray | None = None,
-) -> LaneSolution:
-    """Solve K terminal subproblems of one node in closed form.
-
-    Lane k starts from ``(wealth[k], energy[k])`` and trades at
-    ``bid[k]``/``ask[k]`` when those are given, else at the node's prices.
-    The terminal cost is minus the terminal wealth, so the optimal controls
-    are the vertex of the control polygon (control boxes plus the energy
-    band) with the largest next wealth w*.  The candidate vertices are
-    enumerated in a fixed order and the first strict maximum of the wealth
-    gain wins, starting from (0, 0) at gain 0; the controls are then clamped
-    as in `solve_lanes`.  The value is ``-w*`` and the subgradient
-    ``(-1, -leak * g)``, where g is the marginal wealth of stored energy at
-    the vertex: ``bid/c-`` where the empty-battery band binds, the sell box
-    does not and the bid is positive, ``ask/c+`` where the full-battery band
-    binds, the buy box does not and the ask is negative, and 0 otherwise.
-    Every operation is elementwise, so lane k equals a K=1 call bit for bit.
-    Raises `InfeasibleError` for a state outside its box and `StorageError`
-    when the optimum leaves the wealth box.
-    """
-    d = data
-    xm = np.asarray(wealth, dtype=float)
-    xe = np.asarray(energy, dtype=float)
-    if ask is None:
-        ask_l = ask_c = d.ask
-        bid_l = bid_c = d.bid
-    else:
-        ask_l = np.asarray(ask, dtype=float)
-        bid_l = np.asarray(bid, dtype=float)
-        ask_c, bid_c = ask_l[:, None], bid_l[:, None]
-    _check_lane_states(d, xm, xe)
-    K = xe.size
-    B, S = d.u_max_charge, d.u_max_discharge
-    cp, cm, C = d.charge_eff, d.discharge_eff, d.capacity
-    E = d.leak_factor * xe[:, None]
-    # candidate vertices (buy, sell), one column each: the four box corners,
-    # then per buy bound the sells, and per sell bound the buys, that put the
-    # next energy at 0 or at capacity
-    cand = np.empty((2, K, 12))
-    cand_b = cand[0]
-    cand_s = cand[1]
-    cand_b[:, :8] = (0.0, B, 0.0, B, 0.0, 0.0, B, B)
-    cand_s[:, :4] = (0.0, 0.0, S, S)
-    cand_s[:, 8:] = (0.0, 0.0, S, S)
-    target = np.array((0.0, C, 0.0, C))
-    cand_s[:, 4:8] = (E + cp * cand_b[:, 4:8] - target) / cm
-    cand_b[:, 8:] = (target - E + cm * cand_s[:, 8:]) / cp
-    box = np.array((B, S))[:, None, None]
-    feasible = ((-1e-12 <= cand) & (cand <= box + 1e-12)).all(axis=0)
-    np.minimum(np.maximum(cand, 0.0, out=cand), box, out=cand)
-    nxt = E + cp * cand_b - cm * cand_s
-    feasible &= (-1e-9 <= nxt) & (nxt <= C + 1e-9)
-    gain = np.where(feasible, -ask_c * cand_b + bid_c * cand_s, -np.inf)
-    # column 0, (0, 0) at gain 0, is always feasible: argmax keeps it unless
-    # some gain is positive, and otherwise returns the first largest
-    best = gain.argmax(axis=1)
-    buy, sell = _clamp_lanes(d, cand[:, np.arange(K), best], xe)
-
-    next_wealth = xm - ask_l * buy + bid_l * sell
-    next_energy = d.leak_factor * xe + cp * buy - cm * sell
-    if (np.abs(next_wealth) > d.wealth_cap).any():
-        raise StorageError(
-            "wealth box is binding; raise wealth_cap (state far outside "
-            "the expected operating range)"
-        )
-    empty = (next_energy <= _STATE_TOL) & (sell < S) & (bid_l > 0.0)
-    full = (next_energy >= C - _STATE_TOL) & (buy < B) & (ask_l < 0.0)
-    g = empty * (bid_l / cm) + full * (ask_l / cp)
-    return LaneSolution(
-        buy=buy,
-        sell=sell,
-        value=-next_wealth,
-        grad_wealth=np.full(K, -1.0),
-        grad_energy=-(d.leak_factor * g),
-        next_wealth=next_wealth,
-        next_energy=next_energy,
-    )
-
-
 def solve_stage(
     state: tuple[float, float],
     subproblems: list[NodeSubproblem],
-    transition_row: np.ndarray,
+    transition_row,
     risk_aversion: float,
 ) -> tuple[float, tuple[float, float]]:
     """Solve one Bellman stage: entropic risk over the successor subproblems.
 
     Prices are observed before the stage control is chosen, so successor
-    node i has its own deterministic subproblem ``subproblems[i]`` (terminal
-    ones solve in closed form).  The stage value is
-    ``(1/rho) log sum_i p_i exp(rho J_i)``, evaluated around the largest
-    successor value ``m`` as ``m + log(sum_i p_i exp(rho (J_i - m))) / rho``.
-    Its energy subgradient is the successors' energy subgradients averaged
-    with the weights ``q_i ∝ p_i exp(rho J_i)``; its wealth subgradient is
-    -1 exactly, as for every cost-to-go.  Successors with probability 0 are
-    not solved.  Returns ``(value, (-1.0, grad_energy))``.
+    node i has its own deterministic subproblem ``subproblems[i]``.  The
+    stage value is ``(1/rho) log sum_i p_i exp(rho J_i)``, evaluated around
+    the largest successor value ``m`` as
+    ``m + log(sum_i p_i exp(rho (J_i - m))) / rho``.  Its energy subgradient
+    is the successors' energy subgradients averaged with the weights
+    ``q_i ∝ p_i exp(rho J_i)``; its wealth subgradient is -1 exactly, as
+    for every cost-to-go.  Successors with probability 0 are not solved.
+    Returns ``(value, (-1.0, grad_energy))``.
     """
     # Python floats: scalar arithmetic on them is faster than on numpy
     # scalars and rounds identically
@@ -875,10 +687,17 @@ def solve_stage(
         raise ValueError("transition_row must sum to 1")
     if not risk_aversion > 0.0:
         raise ValueError("risk_aversion must be > 0")
+    return _stage_value(state, subproblems, probs, risk_aversion)
+
+
+def _stage_value(
+    state: tuple[float, float], subproblems: list[NodeSubproblem], probs: list, rho: float
+) -> tuple[float, tuple[float, float]]:
+    """`solve_stage` on a checked row of Python floats (training's rows are checked once)."""
     sols = [(p, sub.solve(state)) for p, sub in zip(probs, subproblems) if p > 0.0]
-    top = max(sol.value for _, sol in sols)
-    weights = [p * math.exp(risk_aversion * (sol.value - top)) for p, sol in sols]
+    top = max([sol.value for _, sol in sols])
+    weights = [p * math.exp(rho * (sol.value - top)) for p, sol in sols]
     total = sum(weights)
-    value = top + math.log(total) / risk_aversion
-    ve = sum(q * sol.subgradient[1] for q, (_, sol) in zip(weights, sols)) / total
+    value = top + math.log(total) / rho
+    ve = sum([q * sol.subgradient[1] for q, (_, sol) in zip(weights, sols)]) / total
     return value, (-1.0, ve)

@@ -5,8 +5,10 @@ programming, exhaustive enumeration, or closed forms, so agreement with the
 package is meaningful evidence.  The exceptions are `scenario_major_evaluation`,
 the scenario-by-scenario loop over scalar `NodeSubproblem` solves that
 `evaluate_out_of_sample` ran before its stage-major lane batches, which is
-the reference those batches must reproduce bit for bit, and
-`kelley_terminal`, the cutting-plane loop the terminal stage ran before its
+the reference those batches must reproduce bit for bit; `LPSubproblem`, the
+hand-written dual simplex that solved the stage LP before the closed form on
+the cut envelope (it takes cuts of any wealth slope); and `kelley_terminal`,
+the cutting-plane loop on that LP that the terminal stage ran before its
 closed form.
 """
 
@@ -21,11 +23,361 @@ from storagesddp import bid_ask
 from storagesddp.discretization import MarkovChain, nearest_node
 from storagesddp.price_model import simulate_deviation_path
 from storagesddp.sddp import Policy, StorageProblem
-from storagesddp.errors import MaxIterationsError
-from storagesddp.stage_solver import Cut, CutSet, NodeSubproblem
-from storagesddp.storage import stage_data_for, terminal_cost
+from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
+from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem, cost_floor
+from storagesddp.storage import StageData, stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
+
+# -- stage LP oracle: the dual-form simplex ---------------------------------
+#
+# min theta  s.t.  theta >= intercept_c + gw_c * wealth' + ge_c * energy' (cuts),
+# the control boxes, 0 <= energy' <= capacity, |wealth'| <= wealth_cap and
+# theta >= cost_floor(wealth_cap), with wealth' and energy' affine in
+# (buy, sell).  Three variables and many rows: the primal simplex on the
+# dual, every pivot a 3x3 solve; most-violated entering row with a switch to
+# Bland's rule, ratio ties to the smallest basis position, and a two-level
+# objective perturbation that selects the lexicographically smallest optimal
+# controls.  Dual values give the state subgradient.
+
+_PIVOT_TOL = 1e-9
+_STATE_TOL = 1e-9
+_MAX_PIVOTS = 10_000
+# most-violated entering rule normally; switch to Bland's smallest-index
+# rule (anti-cycling) if a solve runs unusually long
+_BLAND_AFTER = 60
+
+# hierarchical objective perturbation: among theta-optimal vertices prefer
+# the lexicographically smallest (buy, sell); biases theta by < 1e-9
+_TIE_BUY = 1e-10
+_TIE_SELL = 1e-13
+_OBJECTIVE = (_TIE_BUY, _TIE_SELL, 1.0)
+
+# static row indices
+_R_BUY_LO, _R_BUY_HI, _R_SELL_LO, _R_SELL_HI = 0, 1, 2, 3
+_R_FLOOR, _R_CAP_LO, _R_CAP_HI, _R_W_LO, _R_W_HI = 4, 5, 6, 7, 8
+_N_STATIC = 9
+_START_BASIS = (_R_BUY_LO, _R_SELL_LO, _R_FLOOR)
+
+
+def _static_rows(data: StageData, ask, bid) -> list[tuple]:
+    """The nine static rows (control boxes, floor, energy band, wealth box), unscaled.
+
+    ``ask`` and ``bid`` enter the wealth-box rows only.
+    """
+    cp, cm = data.charge_eff, data.discharge_eff
+    return [
+        (1.0, 0.0, 0.0),
+        (-1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (0.0, -1.0, 0.0),
+        (0.0, 0.0, 1.0),
+        (cp, -cm, 0.0),
+        (-cp, cm, 0.0),
+        (-ask, bid, 0.0),
+        (ask, -bid, 0.0),
+    ]
+
+
+def _cut_rows(data: StageData, gw, ge, ask, bid):
+    """Unit-scaled cut rows: (buy coefficient, sell coefficient, row scale).
+
+    A cut ``theta >= a + gw*x_m' + ge*x_e'`` becomes the row
+    ``(gw*ask - ge*c_plus, -gw*bid + ge*c_minus, 1)``, divided by its largest
+    magnitude (at least one); the returned scale also multiplies the cut's
+    right-hand-side pieces.
+    """
+    c0 = gw * ask - ge * data.charge_eff
+    c1 = -gw * bid + ge * data.discharge_eff
+    inv = 1.0 / np.maximum(1.0, np.maximum(np.abs(c0), np.abs(c1)))
+    return c0 * inv, c1 * inv, inv
+
+
+def _solve3(r0, r1, r2, v0, v1, v2):
+    """Solve M x = v for the 3x3 matrix with rows r0, r1, r2 (Cramer)."""
+    a, b, c = r0
+    d, e, f = r1
+    g, h, i = r2
+    A = e * i - f * h
+    B = c * h - b * i
+    C = b * f - c * e
+    D = f * g - d * i
+    E = a * i - c * g
+    F = c * d - a * f
+    G = d * h - e * g
+    H = b * g - a * h
+    I = a * e - b * d
+    det = a * A + b * D + c * G
+    if det == 0.0:
+        raise StorageError("singular stage-LP basis")
+    inv = 1.0 / det
+    return (
+        (A * v0 + B * v1 + C * v2) * inv,
+        (D * v0 + E * v1 + F * v2) * inv,
+        (G * v0 + H * v1 + I * v2) * inv,
+        (A, B, C, D, E, F, G, H, I, inv),
+    )
+
+
+
+class LPSubproblem:
+    """LP template for one (stage, successor-node) subproblem.
+
+    The constraint matrix depends only on the node's prices and cuts; the
+    incoming state enters the right-hand side alone, so a template is built
+    once per node and re-solved for many states.  Cuts may have any wealth
+    slope, and cuts added to the cut set later are synced lazily.
+    """
+
+    def __init__(self, data: StageData, cutset: CutSet) -> None:
+        self.data = data
+        self.cutset = cutset
+        self.floor = cost_floor(data.wealth_cap)
+        cap0 = 32
+        self._c0 = np.empty(cap0)
+        self._c1 = np.empty(cap0)
+        self._c2 = np.empty(cap0)
+        self._b = np.empty(cap0)
+        # the pivot's Python-float row cache: _c0/_c1/_c2 as tuples, because
+        # _pivot reads single rows element by element (reading them from one
+        # (3, m) array via .tolist() made each solve about 7% slower)
+        self._rows: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0)] * cap0
+        static = _static_rows(data, data.ask, data.bid)
+        # rows are normalized to unit magnitude at insertion; the matching
+        # rhs divisors for the static rows are kept for assembly
+        self._static_inv = np.array([1.0 / max(1.0, abs(r[0]), abs(r[1]), abs(r[2])) for r in static])
+        for i, row in enumerate(static):
+            self._set_row(i, row)
+        self._m = _N_STATIC  # rows in use (static + synced cuts)
+        self._synced = 0  # cuts mirrored into rows so far
+        # per-cut rhs pieces, pre-divided by the row scale:
+        # b_cut = (a + gw * x_m + ge*leak * x_e) / row_scale
+        self._cut_a = np.empty(cap0)
+        self._cut_gw = np.empty(cap0)
+        self._cut_gel = np.empty(cap0)
+
+    # -- row storage -------------------------------------------------------
+
+    def _ensure(self, m: int) -> None:
+        cap = len(self._b)
+        if m <= cap:
+            return
+        while cap < m:
+            cap *= 2
+        for name in ("_c0", "_c1", "_c2", "_b", "_cut_a", "_cut_gw", "_cut_gel"):
+            old = getattr(self, name)
+            arr = np.empty(cap)
+            arr[: len(old)] = old
+            setattr(self, name, arr)
+        self._rows = self._rows + [(0.0, 0.0, 0.0)] * (cap - len(self._rows))
+
+    def _set_row(self, i: int, row: tuple[float, float, float]) -> None:
+        self._ensure(i + 1)
+        inv = 1.0 / max(1.0, abs(row[0]), abs(row[1]), abs(row[2]))
+        row = (row[0] * inv, row[1] * inv, row[2] * inv)
+        self._c0[i], self._c1[i], self._c2[i] = row
+        self._rows[i] = row
+
+    def _sync_cuts(self) -> None:
+        cs = self.cutset
+        if self._synced == cs.n:
+            return
+        a, gw, ge = cs.arrays()
+        lo, hi = self._synced, cs.n
+        n_new = hi - lo
+        d = self.data
+        start = self._m
+        self._ensure(start + n_new)
+        sl = slice(start, start + n_new)
+        c0, c1, inv = _cut_rows(d, gw[lo:hi], ge[lo:hi], d.ask, d.bid)
+        self._c0[sl] = c0
+        self._c1[sl] = c1
+        self._c2[sl] = inv
+        self._cut_a[sl] = a[lo:hi] * inv
+        self._cut_gw[sl] = gw[lo:hi] * inv
+        self._cut_gel[sl] = ge[lo:hi] * d.leak_factor * inv
+        rows = self._rows
+        for k in range(n_new):
+            rows[start + k] = (c0[k], c1[k], inv[k])
+        self._m = start + n_new
+        self._synced = hi
+
+    # -- LP core -----------------------------------------------------------
+
+    def _assemble_b(self, xm: float, xe: float, m: int) -> None:
+        d = self.data
+        b = self._b
+        b[_R_BUY_LO] = 0.0
+        b[_R_BUY_HI] = -d.u_max_charge
+        b[_R_SELL_LO] = 0.0
+        b[_R_SELL_HI] = -d.u_max_discharge
+        b[_R_FLOOR] = self.floor
+        leak_xe = d.leak_factor * xe
+        b[_R_CAP_LO] = -leak_xe
+        b[_R_CAP_HI] = leak_xe - d.capacity
+        b[_R_W_LO] = -d.wealth_cap - xm
+        b[_R_W_HI] = xm - d.wealth_cap
+        b[:_N_STATIC] *= self._static_inv
+        if m > _N_STATIC:
+            sl = slice(_N_STATIC, m)
+            np.multiply(self._cut_gw[sl], xm, out=b[sl])
+            b[sl] += self._cut_gel[sl] * xe
+            b[sl] += self._cut_a[sl]
+
+    def _pivot(self, m: int, c: tuple[float, float, float]):
+        """Run the dual-form simplex on the first ``m`` rows, objective ``c``.
+
+        Returns (x, basis, y_basis).  Raises InfeasibleError if the primal is
+        infeasible (dual unbounded).
+        """
+        rows = self._rows
+        b = self._b
+        c0v, c1v, c2v = c
+        W0, W1, W2 = _START_BASIS
+        col0 = self._c0[:m]
+        col1 = self._c1[:m]
+        col2 = self._c2[:m]
+        bm = b[:m]
+        pivots = 0
+        for _ in range(_MAX_PIVOTS):
+            r0, r1, r2 = rows[W0], rows[W1], rows[W2]
+            # multipliers solve A_W^T y = c; primal point solves A_W x = b_W
+            y0, y1, y2, co = _solve3(
+                (r0[0], r1[0], r2[0]),
+                (r0[1], r1[1], r2[1]),
+                (r0[2], r1[2], r2[2]),
+                c0v,
+                c1v,
+                c2v,
+            )
+            A, B, C, D, E, F, G, H, I, inv = co
+            bw0, bw1, bw2 = b[W0], b[W1], b[W2]
+            # x = A_W^{-1} b_W; note co is the adjugate of A_W^T, so transpose back
+            x0 = (A * bw0 + D * bw1 + G * bw2) * inv
+            x1 = (B * bw0 + E * bw1 + H * bw2) * inv
+            x2 = (C * bw0 + F * bw1 + I * bw2) * inv
+            slack = col0 * x0
+            slack += col1 * x1
+            slack += col2 * x2
+            slack -= bm
+            # ill-conditioned bases (near-parallel active rows) inflate the fp
+            # error of x beyond the base tolerance; widen it accordingly
+            minv_max = max(abs(A), abs(B), abs(C), abs(D), abs(E), abs(F), abs(G), abs(H), abs(I)) * abs(inv)
+            x_err = 64.0 * 2.3e-16 * minv_max * max(abs(bw0), abs(bw1), abs(bw2), 1.0)
+            thresh = -(_PIVOT_TOL + x_err)
+            if pivots < _BLAND_AFTER:
+                j = int(slack.argmin())  # most violated row enters
+            else:
+                j = int((slack < thresh).argmax())  # Bland: smallest index
+            pivots += 1
+            if slack[j] >= thresh:
+                return (x0, x1, x2), (W0, W1, W2), (y0, y1, y2)
+            aj = rows[j]
+            u0 = (A * aj[0] + B * aj[1] + C * aj[2]) * inv
+            u1 = (D * aj[0] + E * aj[1] + F * aj[2]) * inv
+            u2 = (G * aj[0] + H * aj[1] + I * aj[2]) * inv
+            leave = -1
+            t_best = 0.0
+            if u0 > _PIVOT_TOL:
+                t_best, leave = y0 / u0, 0
+            if u1 > _PIVOT_TOL:
+                t = y1 / u1
+                if leave < 0 or t < t_best:
+                    t_best, leave = t, 1
+            if u2 > _PIVOT_TOL:
+                t = y2 / u2
+                if leave < 0 or t < t_best:
+                    t_best, leave = t, 2
+            if leave < 0:
+                # rows normalized against large cut gradients can have
+                # legitimately tiny pivot elements; accept an exactly
+                # positive one (a huge but finite step) before giving up
+                if u0 > 0.0:
+                    t_best, leave = y0 / u0, 0
+                if u1 > 0.0 and (leave < 0 or y1 / u1 < t_best):
+                    t_best, leave = y1 / u1, 1
+                if u2 > 0.0 and (leave < 0 or y2 / u2 < t_best):
+                    leave = 2
+            if leave < 0:
+                raise InfeasibleError("stage subproblem infeasible")
+            if leave == 0:
+                W0 = j
+            elif leave == 1:
+                W1 = j
+            else:
+                W2 = j
+        raise MaxIterationsError("stage LP exceeded pivot budget")
+
+    def _check_state(self, state: tuple[float, float]) -> None:
+        xm, xe = state
+        d = self.data
+        if not (-_STATE_TOL <= xe <= d.capacity + _STATE_TOL):
+            raise InfeasibleError(f"energy state {xe:.6g} outside [0, {d.capacity:.6g}]")
+        if abs(xm) > d.wealth_cap + _STATE_TOL:
+            raise InfeasibleError(f"wealth state {xm:.6g} outside +-{d.wealth_cap:.6g}")
+
+    def _subgradient(
+        self, basis: tuple[int, int, int], y_basis: tuple[float, float, float]
+    ) -> tuple[float, float]:
+        d = self.data
+        vm = 0.0
+        ve = 0.0
+        for idx, y in zip(basis, y_basis):
+            if y <= 0.0:
+                continue
+            if idx >= _N_STATIC:
+                # cut data are stored pre-divided by the row scale, so the
+                # scaled dual times them is already the unscaled product
+                vm += y * self._cut_gw[idx]
+                ve += y * self._cut_gel[idx]
+            elif idx == _R_CAP_LO:
+                ve -= y * d.leak_factor * self._static_inv[idx]
+            elif idx == _R_CAP_HI:
+                ve += y * d.leak_factor * self._static_inv[idx]
+            elif idx in (_R_W_LO, _R_W_HI):
+                raise StorageError(
+                    "wealth box is binding; raise wealth_cap (state far outside "
+                    "the expected operating range)"
+                )
+        return vm, ve
+
+    # -- public solves -----------------------------------------------------
+
+    def _clamp(self, x, xe: float) -> tuple[float, float]:
+        """Snap LP controls into their boxes and the energy band.
+
+        Pivot tolerances let solutions stray from the capacity band by a few
+        1e-9; repairing the controls here (rather than clipping the state)
+        keeps the dynamics identity exact and stops drift across stages.
+        """
+        d = self.data
+        buy = min(max(x[0], 0.0), d.u_max_charge)
+        sell = min(max(x[1], 0.0), d.u_max_discharge)
+        nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
+        if nxt < 0.0:
+            sell = max(sell + nxt / d.discharge_eff, 0.0)
+        elif nxt > d.capacity:
+            buy = max(buy - (nxt - d.capacity) / d.charge_eff, 0.0)
+        return buy, sell
+
+    def solve(self, state: tuple[float, float]) -> NodeSolution:
+        """Solve the subproblem at the incoming ``state``."""
+        self._sync_cuts()
+        self._check_state(state)
+        xm, xe = state
+        m = self._m
+        self._assemble_b(xm, xe, m)
+        x, basis, y_basis = self._pivot(m, _OBJECTIVE)
+        controls = self._clamp(x, xe)
+        return NodeSolution(
+            controls=controls,
+            value=x[2],
+            subgradient=self._subgradient(basis, y_basis),
+            next_state=self.data.next_state(state, controls),
+        )
+
+
+# -- grid, enumeration and closed-form references ----------------------------
 
 
 def chain_dp(
@@ -446,7 +798,7 @@ def kelley_terminal(
     """Terminal stage by Kelley's cutting planes on the stage LP.
 
     Tangents of the exponential terminal cost are the cuts of a stage LP
-    (`NodeSubproblem` with a cut set).  The first is taken at
+    (`LPSubproblem`).  The first is taken at
     ``seed_wealth``, by default the wealth of `max_wealth_controls`; each
     pass adds the tangent at the LP's next wealth, until the terminal cost
     there and the LP value agree within ``tol`` (relative once the cost
@@ -457,7 +809,7 @@ def kelley_terminal(
         buy, sell = max_wealth_controls(data, state)
         w = state[0] - data.ask * buy + data.bid * sell
     cuts = CutSet()
-    sub = NodeSubproblem(data, cutset=cuts)
+    sub = LPSubproblem(data, cutset=cuts)
     gaps = []
     for _ in range(max_iter):
         slope = terminal_cost_derivative(utility, w)

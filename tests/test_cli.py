@@ -177,7 +177,16 @@ THREE_STAGE = {
 
 
 @pytest.mark.parametrize(
-    "case", ["other problem", "horizon", "truncated", "missing file", "old format", "missing key"]
+    "case",
+    [
+        "other problem",
+        "horizon",
+        "truncated",
+        "missing file",
+        "old format",
+        "missing key",
+        "wealth slope",
+    ],
 )
 def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
     # each refusal is a data error (exit 3) with a message, not a traceback
@@ -200,6 +209,10 @@ def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
         ckpt.write_text(json.dumps({"horizon": doc["horizon"], "pools": doc["pools"]}))
     elif case == "missing key":
         del doc["fingerprint"]
+        ckpt.write_text(json.dumps(doc))
+    elif case == "wealth slope":
+        # a hand-edited cut off the cash-additive form
+        doc["pools"][1]["cuts"][0]["grad_wealth"] = -0.5
         ckpt.write_text(json.dumps(doc))
     config.write_text(json.dumps(run), encoding="utf-8")
     capsys.readouterr()

@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -192,6 +194,37 @@ class TestPolicyOperations:
         policy.decide(3, 0, (-2.0, 0.9))
         assert policy.decide(2, 1, state) == first
 
+    def test_decide_is_reentrant(self, trained_n8):
+        # solves only read the published envelopes: 4000 queries answered by
+        # 4 threads switching every microsecond equal the serial answers
+        policy, _ = trained_n8
+        rng = np.random.default_rng(8)
+        cap = policy.problem.battery.capacity
+        queries = []
+        for _ in range(4000):
+            t = int(rng.integers(1, policy.horizon + 1))
+            j = int(rng.integers(0, policy.chain.node_count(t)))
+            queries.append((t, j, (float(rng.uniform(-50, 50)), float(rng.uniform(0, cap)))))
+        serial = [policy.decide(*q) for q in queries]
+        answers = [None] * len(queries)
+
+        def work(part):
+            for i in range(part, len(queries), 4):
+                answers[i] = policy.decide(*queries[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert answers == serial
+
     def test_decide_matches_oracle_argmin(self, toy_problem, toy_chain, toy_trained):
         from oracles import grid_stage_minimum
 
@@ -274,6 +307,7 @@ class TestCheckpoints:
             ("old version", "format version 1"),
             ("missing pools", "lacks the key 'pools'"),
             ("missing cut key", "malformed checkpoint cuts"),
+            ("wealth slope", "stage 1, node 0 has a wealth slope other than -1"),
             ("truncated", "not valid JSON"),
             ("missing file", "cannot read checkpoint"),
         ],
@@ -299,7 +333,10 @@ class TestCheckpoints:
             del doc["pools"]
         elif change == "missing cut key":
             del doc["pools"][0]["cuts"][0]["grad_energy"]
-        if change.startswith(("absent", "old", "missing ")):
+        elif change == "wealth slope":
+            # a hand-edited cut: every stored cut must keep wealth slope -1
+            doc["pools"][1]["cuts"][-1]["grad_wealth"] = -1.0 + 2.0**-52
+        if change.startswith(("absent", "old", "missing ", "wealth")):
             saved.write_text(json.dumps(doc))
         if change == "truncated":
             saved.write_text(saved.read_text()[:200])

@@ -69,7 +69,7 @@ class TestMatchesScenarioMajorOracle:
     def test_bit_equal(self, fixture, n, small_blocks, request, monkeypatch):
         policy = request.getfixturevalue(fixture)[0]
         if small_blocks:
-            monkeypatch.setattr(simulation, "_LANE_ELEMENTS", 4000)
+            monkeypatch.setattr(simulation, "_LANE_ELEMENTS", 200)
             assert 1 < simulation._lane_block(policy) < n // 3
         else:
             assert simulation._lane_block(policy) >= n
@@ -81,9 +81,10 @@ class TestMatchesScenarioMajorOracle:
 
 
 def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
-    # a fresh policy's node subproblems have synced no cuts and hold no solve
-    # scratch yet (terminal ones hold none at all); evaluation must leave
-    # every attribute exactly so
+    # a fresh policy's node subproblems hold their prices and cut sets, and
+    # every non-terminal cut set holds the envelope it was built with (the
+    # terminal ones solve on the zero envelope); evaluation must leave every
+    # attribute and every envelope exactly so
     policy = s.Policy(toy_problem, toy_chain, toy_trained[0].pools)
     subs = [
         policy.subproblem(t, j)
@@ -92,15 +93,20 @@ def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trai
     ]
 
     def state(sub):
-        return {
+        out = {
             k: v.tobytes() if isinstance(v, np.ndarray) else list(v) if isinstance(v, list) else v
             for k, v in vars(sub).items()
         }
+        if sub.cutset is not None:
+            out["cutset._env"] = sub.cutset._env
+        return out
 
     before = [state(sub) for sub in subs]
-    assert all("_m" in b for b in before[: -toy_chain.node_count(policy.horizon)])
+    assert all(b["cutset._env"] is not None for b in before[: -toy_chain.node_count(policy.horizon)])
     s.evaluate_out_of_sample(policy, 60, rng_seed=2)
-    assert [state(sub) for sub in subs] == before
+    after = [state(sub) for sub in subs]
+    assert after == before
+    assert all(a.get("cutset._env") is b.get("cutset._env") for a, b in zip(after, before))
 
 
 class TestKernelDensity:

@@ -8,15 +8,12 @@ from scipy.optimize import linprog
 
 import storagesddp as s
 from storagesddp.errors import InfeasibleError, StorageError
-from storagesddp.stage_solver import (
+from storagesddp.stage_solver import cost_floor
+from oracles import (
     _OBJECTIVE,
     _TIE_BUY,
     _TIE_SELL,
-    cost_floor,
-    solve_lanes,
-    solve_terminal_lanes,
-)
-from oracles import (
+    LPSubproblem,
     grid_stage_minimum,
     kelley_terminal,
     max_wealth_controls,
@@ -42,12 +39,12 @@ def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0, wealth_
 
 
 def random_cuts(rng, n):
+    # cuts on the cash-additive cost-to-go: wealth slope -1
     cuts = []
     for _ in range(n):
-        gw = -rng.uniform(0.0, 3.0)
         ge = rng.normal(0.0, 30.0)
         a = rng.normal(0.0, 15.0)
-        cuts.append(s.Cut(a, gw, ge))
+        cuts.append(s.Cut(a, -1.0, ge))
     return cuts
 
 
@@ -89,7 +86,13 @@ class TestAgainstScipy:
         rng = np.random.default_rng(7)
         for trial in range(120):
             mid = rng.uniform(-5, 90)
-            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
+            data = stage(
+                mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0),
+                leak=(0.0, 0.05)[trial % 2],
+            )
+            # unequal charge and discharge speeds
+            speed = data.u_max_discharge * (1.0, 0.5, 1.5)[trial % 3]
+            data = dataclasses.replace(data, u_max_discharge=speed)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
             sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
@@ -127,8 +130,9 @@ class TestAgainstScipy:
 
 class TestSolveStage:
     def test_zero_value_to_go(self):
+        # the cost-to-go -w' of the last stage: an empty battery holds
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(0.0, 0.0, 0.0)]))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(0.0, -1.0, 0.0)]))
         value, _ = s.solve_stage(
             state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0]),
             risk_aversion=0.03,
@@ -431,7 +435,8 @@ class TestTerminalKelley:
             bid, ask = mids - 1.0, mids + 1.0
         else:
             bid = ask = None
-        sol = solve_terminal_lanes(data, wealth, energy, ask=ask, bid=bid)
+        sub = s.NodeSubproblem(data, cutset=None, terminal=True)
+        sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
         for k in range(K):
             lane_data = data
             if own_prices:
@@ -442,9 +447,10 @@ class TestTerminalKelley:
 
 
 def test_tie_break_prefers_smallest_controls():
-    # a constant cost-to-go makes every control optimal: expect (0, 0)
+    # the LP oracle: a constant cost-to-go makes every control optimal, and
+    # its objective perturbation picks (0, 0)
     data = stage(49.0, 51.0)
-    sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(-5.0, 0.0, 0.0)]))
+    sub = LPSubproblem(data, cutset=s.CutSet([s.Cut(-5.0, 0.0, 0.0)]))
     sol = sub.solve((0.0, 0.5))
     assert sol.controls == (0.0, 0.0)
     assert sol.value == pytest.approx(-5.0, abs=1e-9)
@@ -455,7 +461,7 @@ def test_objective_perturbation_is_negligible():
 
 
 class TestLaneKernel:
-    """`solve_lanes` against one scalar `NodeSubproblem.solve` per lane."""
+    """`NodeSubproblem.solve_lanes` against one scalar `NodeSubproblem.solve` per lane."""
 
     @staticmethod
     def lane_results(sol, k):
@@ -481,7 +487,8 @@ class TestLaneKernel:
                 bid, ask = mids - 1.0, mids + 1.0
             else:
                 bid = ask = None
-            sol = solve_lanes(data, s.CutSet(cuts), wealth, energy, ask=ask, bid=bid)
+            sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
+            sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
             for k in range(K):
                 lane_data = data
                 if own_prices:
@@ -494,26 +501,27 @@ class TestLaneKernel:
 
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
-        cutset = s.CutSet([s.Cut(-5.0, -0.5, 1.0)])
+        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(-5.0, -1.0, 1.0)]))
+        last = s.NodeSubproblem(data, cutset=None, terminal=True)
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
-                s.NodeSubproblem(data, cutset=cutset).solve((0.0, bad))
+                sub.solve((0.0, bad))
             with pytest.raises(InfeasibleError):
-                solve_lanes(data, cutset, np.zeros(3), np.array([0.2, bad, 0.4]))
+                sub.solve_lanes(np.zeros(3), np.array([0.2, bad, 0.4]))
             with pytest.raises(InfeasibleError):
                 terminal((0.0, bad), data)
             with pytest.raises(InfeasibleError):
-                solve_terminal_lanes(data, np.zeros(3), np.array([0.2, bad, 0.4]))
+                last.solve_lanes(np.zeros(3), np.array([0.2, bad, 0.4]))
 
     def test_binding_wealth_box(self):
         # a steep reward on wealth drives sales past a tiny wealth box
         data = stage(49.0, 51.0, wealth_cap=1.0)
-        cutset = s.CutSet([s.Cut(0.0, -1.0, 0.0)])
+        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(0.0, -1.0, 0.0)]))
         with pytest.raises(StorageError, match="wealth box is binding"):
-            s.NodeSubproblem(data, cutset=cutset).solve((0.9, 0.5))
+            sub.solve((0.9, 0.5))
         with pytest.raises(StorageError, match="wealth box is binding") as err:
-            solve_lanes(
-                data, cutset, np.array([0.0, 0.9]), np.array([0.0, 0.5]),
+            sub.solve_lanes(
+                np.array([0.0, 0.9]), np.array([0.0, 0.5]),
                 ask=np.array([51.0, 51.0]), bid=np.array([49.0, 49.0]),
             )
         assert type(err.value) is StorageError
@@ -529,3 +537,224 @@ def test_cut_rejects_non_finite_coefficients(field, bad):
     coefs = {"intercept": 1.0, "grad_wealth": -0.5, "grad_energy": 2.0, field: bad}
     with pytest.raises(ValueError, match="cut coefficients must be finite"):
         s.Cut(**coefs)
+
+
+def brute_force(a, g, grid):
+    """Max of all lines ``a + g * e`` at each grid point."""
+    return (np.asarray(a)[:, None] + np.asarray(g)[:, None] * grid[None, :]).max(axis=0)
+
+
+def envelope_at(env, grid):
+    """The envelope evaluated piece by piece, as the solve reads it."""
+    piece = np.clip(np.searchsorted(env.breaks, grid, side="right") - 1, 0, len(env.slopes) - 1)
+    return np.array(env.intercepts)[piece] + np.array(env.slopes)[piece] * grid
+
+
+def assert_exact_envelope(env, a, g, capacity):
+    assert env.breaks[0] == 0.0 and env.breaks[-1] == capacity
+    assert len(env.breaks) == len(env.slopes) + 1 == len(env.heights)
+    assert np.all(np.diff(env.slopes) > 0.0), env.slopes
+    assert np.all(np.diff(env.breaks) > 0.0), env.breaks
+    grid = np.linspace(0.0, capacity, 2001)
+    want = brute_force(a, g, grid)
+    got = envelope_at(env, grid)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    heights = brute_force(a, g, np.array(env.breaks))
+    np.testing.assert_allclose(env.heights, heights, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def spliced(a, g, capacity):
+    """The envelope a cut set keeps when the lines arrive one by one."""
+    cuts = s.CutSet([s.Cut(a[0], -1.0, g[0])])
+    cuts.envelope(capacity)
+    for ai, gi in zip(a[1:], g[1:]):
+        cuts.add(s.Cut(ai, -1.0, gi))
+    return cuts.envelope(capacity)
+
+
+def awkward_lines(rng, capacity):
+    """Random lines plus parallel, near-parallel, duplicate and tangent ones."""
+    n = int(rng.integers(2, 12))
+    g = list(rng.normal(0.0, 30.0, n))
+    a = list(rng.normal(0.0, 15.0, n))
+    i, j = rng.integers(0, n, 2)
+    a.append(a[i] + rng.uniform(-1.0, 1.0))  # parallel to line i
+    g.append(g[i])
+    a.append(a[j] + 1e-12)  # near-parallel, near-duplicate
+    g.append(g[j] * (1.0 + 1e-13))
+    a.append(a[j])  # duplicate
+    g.append(g[j])
+    env = s.stage_solver.build_envelope(np.array(a), np.array(g), capacity)
+    if len(env.slopes) > 1:
+        k = int(rng.integers(1, len(env.slopes)))
+        b, y = env.breaks[k], env.heights[k]
+        lo, hi = env.slopes[k - 1], env.slopes[k]
+        # through a break: tangent with a slope in between, and slightly
+        # steeper than the right-hand piece, which leaves a residue that is
+        # rounding-sized near the break and positive far to the right
+        for slope in (0.5 * (lo + hi), hi + 1e-9 * max(1.0, abs(hi)), hi * (1.0 + 2e-16)):
+            g.append(slope)
+            a.append(y - slope * b)
+    order = rng.permutation(len(a))
+    return np.array(a)[order], np.array(g)[order]
+
+
+class TestEnvelope:
+    def test_exact_on_awkward_line_sets(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            capacity = float(rng.uniform(0.5, 3.0))
+            a, g = awkward_lines(rng, capacity)
+            built = s.stage_solver.build_envelope(a, g, capacity)
+            assert_exact_envelope(built, a, g, capacity)
+            assert_exact_envelope(spliced(a, g, capacity), a, g, capacity)
+
+    def test_exact_on_every_node_of_a_trained_pool(self, trained_n8):
+        # the envelopes training kept by splicing, and the ones a checkpoint
+        # load builds in one pass, both equal the max of the full pool
+        policy, _ = trained_n8
+        capacity = policy.problem.battery.capacity
+        sizes = []
+        for t in range(1, policy.horizon):
+            for j in range(policy.chain.node_count(t)):
+                cuts = policy.pools.get(t, j)
+                a, _, g = cuts.arrays()
+                assert_exact_envelope(cuts.envelope(capacity), a, g, capacity)
+                assert_exact_envelope(
+                    s.stage_solver.build_envelope(a, g, capacity), a, g, capacity
+                )
+                sizes.append(len(cuts.envelope(capacity).slopes))
+        assert len(sizes) == 184 and max(sizes) <= 12
+
+    def test_extend_rebuilds_and_dominated_lines_leave_it_unchanged(self):
+        cuts = s.CutSet([s.Cut(0.0, -1.0, -10.0), s.Cut(-8.0, -1.0, 5.0)])
+        env = cuts.envelope(1.0)
+        assert env.slopes == [-10.0, 5.0] and env.breaks[1] == pytest.approx(8.0 / 15.0)
+        cuts.add(s.Cut(-20.0, -1.0, 0.0))  # below everywhere on [0, 1]
+        assert cuts.envelope(1.0) is env
+        cuts.extend([[1.0, -1.0, 0.0]])  # above everywhere on [0, 1]
+        assert cuts.envelope(1.0).slopes == [0.0]
+        assert len(cuts) == 4
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet([s.Cut(0.0, -0.5, 1.0)])),
+        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet()).cutset.add(
+            s.Cut(0.0, 0.0, 1.0)
+        ),
+        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet()).cutset.extend(
+            [[0.0, -1.0, 1.0], [0.0, -2.0, 1.0]]
+        ),
+    ],
+    ids=["build", "add", "extend"],
+)
+def test_closed_form_refuses_other_wealth_slopes(make):
+    with pytest.raises(ValueError, match="grad_wealth == -1"):
+        make()
+
+
+class TestSpreadConditionViolated:
+    """Out-of-sample prices may break bid/c- <= ask/c+: buying and selling at once pays."""
+
+    def test_values_match_scipy(self):
+        rng = np.random.default_rng(17)
+        for _ in range(120):
+            mid = rng.uniform(-90.0, -21.0)
+            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
+            assert not s.check_spread_condition(data)
+            cuts = random_cuts(rng, int(rng.integers(1, 25)))
+            state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
+            sol = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve(state)
+            ref = lp_reference(data, cuts, cost_floor(data.wealth_cap), state)
+            assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
+            at_controls = stage_objective(data, cuts, cost_floor(data.wealth_cap), state, *sol.controls)
+            assert at_controls == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
+
+    def test_terminal_matches_vertex_enumeration(self):
+        rng = np.random.default_rng(18)
+        for _ in range(200):
+            mid = rng.uniform(-90.0, -21.0)
+            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
+            state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
+            sol = terminal(state, data)
+            assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-9)
+
+
+class TestClosedFormOnTrainedPool:
+    """The closed form on the default pool against the LP oracle, state by state."""
+
+    @staticmethod
+    def states(rng, capacity, n=20):
+        energy = rng.uniform(0.0, capacity, n)
+        energy[:3] = 0.0, capacity, 0.38
+        return list(zip(rng.uniform(-60.0, 60.0, n).tolist(), energy.tolist()))
+
+    def test_values_match_lp_oracle(self, trained_n8):
+        policy, _ = trained_n8
+        capacity = policy.problem.battery.capacity
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        count = 0
+        for t in range(1, policy.horizon):
+            for j in range(policy.chain.node_count(t)):
+                sub = policy.subproblem(t, j)
+                lp = LPSubproblem(sub.data, cutset=sub.cutset)
+                for state in self.states(rng, capacity):
+                    got, want = sub.solve(state), lp.solve(state)
+                    worst = max(worst, abs(got.value - want.value) / max(1.0, abs(want.value)))
+                    count += 1
+        assert count == 3680
+        assert worst <= 1e-9
+
+    def test_subgradients_satisfy_the_tangent_inequality(self, trained_n8):
+        # every node solve, and every cut solve_stage makes, lies below the
+        # value it bounds on an energy grid (wealth enters with slope -1)
+        policy, _ = trained_n8
+        capacity = policy.problem.battery.capacity
+        rho = policy.problem.utility.risk_aversion
+        grid = np.linspace(0.0, capacity, 41).tolist()
+        rng = np.random.default_rng(32)
+        for t in range(1, policy.horizon, 3):
+            for j in range(policy.chain.node_count(t)):
+                sub = policy.subproblem(t, j)
+                row = policy.chain.transitions[t][j]
+                for w, e in self.states(rng, capacity, n=6):
+                    sol = sub.solve((w, e))
+                    assert sol.subgradient[0] == -1.0
+                    value, (vm, ve) = s.solve_stage((w, e), policy.subproblems(t + 1), row, rho)
+                    assert vm == -1.0
+                    w2 = w + 3.0
+                    for e2 in grid:
+                        tol = 1e-9 * max(1.0, abs(sol.value))
+                        cut = sol.value - (w2 - w) + sol.subgradient[1] * (e2 - e)
+                        assert sub.solve((w2, e2)).value >= cut - tol, (t, j, e, e2)
+                        stage = s.solve_stage((w2, e2), policy.subproblems(t + 1), row, rho)[0]
+                        assert stage >= value - (w2 - w) + ve * (e2 - e) - tol, (t, j, e, e2)
+
+    @pytest.mark.parametrize("own_prices", [False, True])
+    def test_lanes_equal_scalar_solves(self, trained_n8, own_prices):
+        policy, _ = trained_n8
+        capacity = policy.problem.battery.capacity
+        rng = np.random.default_rng(33)
+        for t in (1, 9, 17, policy.horizon - 1, policy.horizon):
+            for j in range(policy.chain.node_count(t)):
+                sub = policy.subproblem(t, j)
+                states = self.states(rng, capacity, n=12)
+                wealth, energy = (np.array(v) for v in zip(*states))
+                if own_prices:
+                    # some lanes below the spread condition's -20 EUR limit
+                    mids = rng.uniform(-60.0, 120.0, len(states))
+                    bid, ask = mids - 1.0, mids + 1.0
+                else:
+                    bid = ask = None
+                sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
+                for k, state in enumerate(states):
+                    lane = sub
+                    if own_prices:
+                        data = dataclasses.replace(sub.data, bid=float(bid[k]), ask=float(ask[k]))
+                        lane = s.NodeSubproblem(data, sub.cutset, terminal=sub.terminal)
+                    ref = lane.solve(state)
+                    want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
+                    assert TestLaneKernel.lane_results(sol, k) == want, (t, j, k)
