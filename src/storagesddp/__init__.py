@@ -46,7 +46,6 @@ from .storage import (
     recover_complementary,
     stage_data_for,
     terminal_cost,
-    wealth_box,
 )
 from .valuation import (
     ValuationResult,
@@ -107,5 +106,4 @@ __all__ = [
     "tail_comparison",
     "terminal_cost",
     "train",
-    "wealth_box",
 ]

@@ -66,7 +66,7 @@ class MaxIterationsError(StorageError):
 
 
 class NotTrainedError(StorageError):
-    """A policy operation was requested before any training iteration ran."""
+    """A policy operation was requested before training: no iteration, or a node without cuts."""
 
 
 class DomainError(StorageError):

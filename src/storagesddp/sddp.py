@@ -15,8 +15,8 @@ gives a deterministic optimistic bound on the certainty equivalent;
 orientation), where it is non-increasing.
 
 Checkpoints are versioned JSON that carry a fingerprint of the problem and
-chain the cuts were trained on; `load_checkpoint` refuses any other, and any
-cut whose wealth slope is not -1, with `CheckpointError`.
+chain the cuts were trained on; `load_checkpoint` refuses any other, any
+cut whose wealth slope is not -1 and any empty pool with `CheckpointError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from numpy.random import default_rng
 from .discretization import MarkovChain
 from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import Cut, CutSet, NodeSubproblem, _stage_value, cost_floor
+from .stage_solver import Cut, CutSet, NodeSubproblem, _stage_value
 from .storage import (
     BatterySpec,
     StageData,
@@ -43,11 +43,11 @@ from .storage import (
     check_spread_condition,
     stage_data_for,
     terminal_cost,
-    wealth_box,
 )
 
-# version 1 (unversioned) checkpoints held cuts on the expected-utility cost
-CHECKPOINT_VERSION = 2
+# version 1 (unversioned) checkpoints held cuts on the expected-utility cost;
+# version 2 wrote each cut as an object with named coefficients
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class StorageProblem:
 class CutPool:
     """Per (stage, node) cut collections for stages 0..T-1.
 
-    Every stage value is also at least the floor `stage_solver.cost_floor`,
-    which lies below every seed cut.
+    A node without cuts has no value, so training seeds every pool with one
+    cut and `from_json` refuses a checkpoint with an empty pool.
     """
 
     def __init__(self, chain: MarkovChain) -> None:
@@ -82,36 +82,32 @@ class CutPool:
         return sum(len(s) for level in self._sets for s in level)
 
     def to_json(self, fingerprint: str) -> str:
-        """Versioned JSON of every pool, tagged with `checkpoint_fingerprint`."""
-        records = []
-        for t, level in enumerate(self._sets):
-            for j, cs in enumerate(level):
-                records.append(
-                    {
-                        "stage": t,
-                        "node": j,
-                        "cuts": [
-                            {"intercept": a, "grad_wealth": gw, "grad_energy": ge}
-                            for a, gw, ge in zip(*(x.tolist() for x in cs.arrays()))
-                        ],
-                    }
-                )
+        """Versioned JSON of every pool, tagged with `checkpoint_fingerprint`.
+
+        Each pool's cuts are rows ``[intercept, grad_wealth, grad_energy]``.
+        """
+        records = [
+            {"stage": t, "node": j, "cuts": np.column_stack(cs.arrays()).tolist()}
+            for t, level in enumerate(self._sets)
+            for j, cs in enumerate(level)
+        ]
         doc = {
             "format_version": CHECKPOINT_VERSION,
             "fingerprint": fingerprint,
             "horizon": self.horizon,
             "pools": records,
         }
-        return json.dumps(doc, indent=1)
+        return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str, chain: MarkovChain, fingerprint: str) -> "CutPool":
         """Parse `to_json` output for ``chain`` and the expected ``fingerprint``.
 
         Raises `CheckpointError` for text that is not JSON, a format version
-        other than `CHECKPOINT_VERSION`, missing keys, malformed or
-        non-finite cuts, cuts with a wealth slope other than -1, and a
-        horizon or fingerprint that differs from the expected one.
+        other than `CHECKPOINT_VERSION`, missing keys, cuts that are not
+        rows of three finite numbers, cuts with a wealth slope other than
+        -1, a pool without cuts, and a horizon or fingerprint that differs
+        from the expected one.
         """
         try:
             doc = json.loads(text)
@@ -139,13 +135,16 @@ class CutPool:
         pool = cls(chain)
         try:
             for rec in records:
-                pool.get(rec["stage"], rec["node"]).extend(
-                    [[c["intercept"], c["grad_wealth"], c["grad_energy"]] for c in rec["cuts"]]
-                )
+                rows = np.array(rec["cuts"] or np.empty((0, 3)))
+                if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != 3:
+                    raise ValueError("cuts are not rows of three numbers")
+                pool.get(rec["stage"], rec["node"]).extend(rows)
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
         for t, level in enumerate(pool._sets):
             for j, cuts in enumerate(level):
+                if not len(cuts):
+                    raise CheckpointError(f"checkpoint pool at stage {t}, node {j} has no cuts")
                 if (cuts.arrays()[1] != -1.0).any():
                     raise CheckpointError(
                         f"checkpoint cut at stage {t}, node {j} has a wealth slope other than -1"
@@ -191,7 +190,6 @@ class Policy:
         self.problem = problem
         self.chain = chain
         self.pools = pools
-        self.wealth_cap = wealth_box(problem.price_model, problem.battery)
         T = chain.horizon
         self._subs: list[list[NodeSubproblem] | None] = [None]
         for t in range(1, T + 1):
@@ -202,7 +200,6 @@ class Policy:
                     t,
                     float(chain.nodes[t][i]),
                     node=i,
-                    wealth_cap=self.wealth_cap,
                 )
                 for i in range(chain.node_count(t))
             ]
@@ -254,7 +251,7 @@ class Policy:
         zero initial wealth it is the indifference price of the storage.
         """
         w0 = self.problem.utility.initial_wealth
-        return -self.pools.get(0, 0).value(w0, 0.0, cost_floor(self.wealth_cap))
+        return -self.pools.get(0, 0).value(w0, 0.0)
 
     def root_bound(self) -> float:
         """Deterministic bound at the root as expected utility (maximization orientation)."""
@@ -358,7 +355,10 @@ def train(
     """Run forward/backward passes and return the trained policy with its log.
 
     The node path of iteration k is a pure function of (rng_seed, k), so runs
-    are reproducible and iterations could be re-sampled independently.
+    are reproducible and iterations could be re-sampled independently.  Wealth
+    only shifts a cost-to-go, so the forward pass starts from zero wealth and
+    the pools do not depend on the initial wealth, which enters the bounds
+    and path objectives alone.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -373,8 +373,9 @@ def train(
     policy.check_spread_condition()
     log = TrainingLog()
     T = chain.horizon
-    x0 = (problem.utility.initial_wealth, 0.0)
+    x0 = (0.0, 0.0)
     utility = problem.utility
+    w0 = utility.initial_wealth
     rho = utility.risk_aversion
     draws = [default_rng([rng_seed, k]).random(T) for k in range(iterations)]
     paths = chain.node_paths(np.array(draws)).tolist()
@@ -395,7 +396,7 @@ def train(
         for t in range(1, T + 1):
             state = subs[t][nodes[t]].next_state(state)
             states.append(state)
-        path_objective = -terminal_cost(utility, state[0])
+        path_objective = -terminal_cost(utility, w0 + state[0])
 
         # backward pass: one cut per visited (stage, node), using the
         # successor pools updated earlier in this same pass

@@ -17,7 +17,7 @@ bid/c-)`` and ``s2 = max(ask/c+, bid/c-)`` and its kink at 0 when the spread
 condition ``bid/c- <= ask/c+`` holds (otherwise at ``c+ B - c- S``, buying
 and selling at full speed).  With ``E = leak * e`` the stage value is
 
-    max(floor, -w + min over e' in [lo, hi] of G(e' - E) + H(e'))
+    -w + min over e' in [lo, hi] of G(e' - E) + H(e')
 
 with ``lo = max(0, E - c- S)`` and ``hi = min(capacity, E + c+ B)``.  Its
 minimizer is ``clip(median(x2, E + kink, x1), lo, hi)``, where x1 and x2 are
@@ -26,7 +26,10 @@ the envelope breakpoints at which H's slope crosses ``-s1`` and ``-s2``
 lambda in ``d(H + box)(e*)`` and in ``-d(G + box)(e* - E)`` (the rule for
 an infimal convolution); where that set is an interval, the largest lambda
 is taken if the battery ends empty (``e* = 0``) and the smallest otherwise.
-The wealth subgradient is -1, or 0 where the floor binds.
+The wealth subgradient is -1.  Wealth is not bounded: it only shifts the
+value, so a solve at any wealth has the controls and next energy of a solve
+at zero wealth.  A node without cuts has no value, and its solves raise
+`NotTrainedError`.
 
 The terminal stage is the case ``H = 0``: its cost is minus the terminal
 wealth.  `NodeSubproblem` solves one state per call on Python floats;
@@ -56,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, StorageError
+from .errors import InfeasibleError, NotTrainedError
 from .storage import StageData
 
 _STATE_TOL = 1e-9
@@ -81,18 +84,6 @@ class Cut:
 
     def value(self, wealth: float, energy: float) -> float:
         return self.intercept + self.grad_wealth * wealth + self.grad_energy * energy
-
-
-def cost_floor(wealth_cap: float) -> float:
-    """Lower bound on every cost-to-go over the wealth box ``|w| <= wealth_cap``.
-
-    A cost-to-go is at least its seed cut: minus the wealth, the best-case
-    profit of the remaining trading and the value of the stored energy.
-    `storage.wealth_box` makes the cap far larger than that profit and
-    value, so twice the cap lies below every seed cut on the state box.  The
-    floor keeps a stage value finite before any cut is added.
-    """
-    return -2.0 * wealth_cap
 
 
 class Envelope(NamedTuple):
@@ -231,6 +222,7 @@ def splice(env: Envelope, a_new: float, g_new: float) -> Envelope:
 
 
 _WEALTH_SLOPE = "the closed-form stage solve needs cuts with grad_wealth == -1"
+_NO_CUTS = "the cut set is empty: a node has no value before its first cut"
 
 
 def _check_wealth_slopes(gw: np.ndarray) -> None:
@@ -316,12 +308,12 @@ class CutSet:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self._a[: self.n], self._gw[: self.n], self._ge[: self.n]
 
-    def value(self, wealth: float, energy: float, floor: float) -> float:
-        """Pointwise max of the cuts and the floor."""
+    def value(self, wealth: float, energy: float) -> float:
+        """Pointwise max of the cuts; `NotTrainedError` without cuts."""
         if self.n == 0:
-            return floor
+            raise NotTrainedError(_NO_CUTS)
         a, gw, ge = self.arrays()
-        return max(floor, float(np.max(a + gw * wealth + ge * energy)))
+        return float(np.max(a + gw * wealth + ge * energy))
 
     def __len__(self) -> int:
         return self.n
@@ -380,11 +372,6 @@ def _price_slopes(data: StageData, ask, bid, cp_b: float, cm_s: float):
     )
 
 
-_WEALTH_BOX = (
-    "wealth box is binding; raise wealth_cap (state far outside the expected operating range)"
-)
-
-
 class NodeSubproblem:
     """One (stage, node) subproblem: the node's prices, boxes and cut envelope.
 
@@ -405,7 +392,6 @@ class NodeSubproblem:
         self.data = data
         self.cutset = cutset
         self.terminal = terminal
-        self.floor = cost_floor(data.wealth_cap)
         d = data
         cp_b = d.charge_eff * d.u_max_charge
         cm_s = d.discharge_eff * d.u_max_discharge
@@ -425,13 +411,6 @@ class NodeSubproblem:
         if self.terminal:
             return self._zero
         return self.cutset.envelope(self.data.capacity)
-
-    def _check_state(self, xm: float, xe: float) -> None:
-        d = self.data
-        if not (-_STATE_TOL <= xe <= d.capacity + _STATE_TOL):
-            raise InfeasibleError(f"energy state {xe:.6g} outside [0, {d.capacity:.6g}]")
-        if abs(xm) > d.wealth_cap + _STATE_TOL:
-            raise InfeasibleError(f"wealth state {xm:.6g} outside +-{d.wealth_cap:.6g}")
 
     def _clamp(self, x, xe: float) -> tuple[float, float]:
         """Snap controls into their boxes and the energy band.
@@ -461,24 +440,24 @@ class NodeSubproblem:
         subgradient work.
         """
         xm, xe = state
-        self._check_state(xm, xe)
         leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
+        if not (-_STATE_TOL <= xe <= cap + _STATE_TOL):
+            raise InfeasibleError(f"energy state {xe:.6g} outside [0, {cap:.6g}]")
         g, a, x, _ = self.envelope
+        if not g:
+            raise NotTrainedError(_NO_CUTS)
         d = self.data
         big = leak * xe
         low = big - cm_s  # selling at full speed
         high = big + cp_b  # buying at full speed
         kink = big + kink
-        if not g:
-            e = big  # no cuts: the floor is the value, hold
-        else:
-            # median(x2, kink, x1), then into the reachable band
-            e = x[bisect_left(g, ns2)]
-            if e < kink:
-                e = kink
-            x1 = x[bisect_left(g, ns1)]
-            if e > x1:
-                e = x1
+        # median(x2, kink, x1), then into the reachable band
+        e = x[bisect_left(g, ns2)]
+        if e < kink:
+            e = kink
+        x1 = x[bisect_left(g, ns1)]
+        if e > x1:
+            e = x1
         if e < low:
             e = low
         if e > high:
@@ -501,18 +480,12 @@ class NodeSubproblem:
         buy, sell = controls
         w_next = xm - d.ask * buy + d.bid * sell
         e_next = leak * xe + cp * buy - cm * sell
-        if abs(w_next) > d.wealth_cap:
-            raise StorageError(_WEALTH_BOX)
         if not full:
             return w_next, e_next
-        if not g:
-            return controls, self.floor, (0.0, 0.0), (w_next, e_next)
         h = len(g)
         p = bisect_right(x, e_next) - 1
         p = 0 if p < 0 else (h - 1 if p >= h else p)
         value = a[p] + g[p] * e_next - w_next
-        if value < self.floor:
-            return controls, self.floor, (0.0, 0.0), (w_next, e_next)
         # lambda in d(H + box)(e) = [hl, hr] and in -d(G + box)(e - E) = [gl, gr]
         j = bisect_left(x, e)
         if x[j] == e:
@@ -574,22 +547,18 @@ class NodeSubproblem:
             ns1, ns2 = -s1, -s2
         if not ((-_STATE_TOL <= xe) & (xe <= cap + _STATE_TOL)).all():
             raise InfeasibleError(f"energy state outside [0, {cap:.6g}]")
-        if (np.abs(xm) > d.wealth_cap + _STATE_TOL).any():
-            raise InfeasibleError(f"wealth state outside +-{d.wealth_cap:.6g}")
         g, a, x, _ = self.envelope
-        K = xe.size
+        if not g:
+            raise NotTrainedError(_NO_CUTS)
         big = leak * xe
         low = big - cm_s
         high = big + cp_b
         kink = big + kink
-        if not g:
-            e = big
-        else:
-            g_arr, x_arr = np.array(g), np.array(x)
-            e = x_arr[np.searchsorted(g_arr, ns2)]
-            e = np.where(e < kink, kink, e)
-            x1 = x_arr[np.searchsorted(g_arr, ns1)]
-            e = np.where(e > x1, x1, e)
+        g_arr, x_arr = np.array(g), np.array(x)
+        e = x_arr[np.searchsorted(g_arr, ns2)]
+        e = np.where(e < kink, kink, e)
+        x1 = x_arr[np.searchsorted(g_arr, ns1)]
+        e = np.where(e > x1, x1, e)
         e = np.where(e < low, low, e)
         e = np.where(e > high, high, e)
         if not ((0.0 <= e) & (e <= cap)).all():
@@ -606,16 +575,10 @@ class NodeSubproblem:
         buy, sell = _clamp_lanes(d, np.array([buy, sell]), xe)
         w_next = xm - ask_l * buy + bid_l * sell
         e_next = leak * xe + cp * buy - cm * sell
-        if (np.abs(w_next) > d.wealth_cap).any():
-            raise StorageError(_WEALTH_BOX)
-        if not g:
-            zero = np.zeros(K)
-            return LaneSolution(buy, sell, np.full(K, self.floor), zero, zero, w_next, e_next)
         h = len(g)
         a_arr = np.array(a)
         p = np.clip(np.searchsorted(x_arr, e_next, side="right") - 1, 0, h - 1)
         value = a_arr[p] + g_arr[p] * e_next - w_next
-        floored = value < self.floor
         j = np.searchsorted(x_arr, e)
         at = x_arr[j] == e
         g_pad = np.concatenate(([-_INF], g_arr, [_INF]))
@@ -631,9 +594,9 @@ class NodeSubproblem:
         return LaneSolution(
             buy=buy,
             sell=sell,
-            value=np.where(floored, self.floor, value),
-            grad_wealth=np.where(floored, 0.0, -1.0),
-            grad_energy=np.where(floored, 0.0, leak * lam),
+            value=value,
+            grad_wealth=np.full(xe.size, -1.0),
+            grad_energy=leak * lam,
             next_wealth=w_next,
             next_energy=e_next,
         )

@@ -73,22 +73,17 @@ class UtilitySpec:
 
     risk_aversion: float
     initial_wealth: float = 0.0
-    wealth_floor: float | None = None  # default -1e6 / rho
 
     def __post_init__(self) -> None:
         if self.risk_aversion <= 0:
             raise ValueError("risk_aversion must be > 0")
 
-    @property
-    def floor(self) -> float:
-        if self.wealth_floor is not None:
-            return self.wealth_floor
-        return -1e6 / self.risk_aversion
-
 
 @dataclass(frozen=True)
 class StageData:
     """Everything one stage subproblem needs: prices, dynamics, boxes.
+
+    Only the controls and the energy are boxed; wealth is unbounded.
 
     Wealth update:  x_m' = x_m - ask * u_buy + bid * u_sell
     Energy update:  x_e' = leak_factor * x_e + charge_eff * u_buy
@@ -105,7 +100,6 @@ class StageData:
     capacity: float
     u_max_charge: float
     u_max_discharge: float
-    wealth_cap: float
 
     def __post_init__(self) -> None:
         if self.bid > self.ask:
@@ -130,7 +124,6 @@ def stage_data_for(
     stage: int,
     deviation: float,
     node: int = -1,
-    wealth_cap: float | None = None,
 ) -> StageData:
     """Assemble one stage's data from realized (or node) deviation."""
     from .price_model import bid_ask  # local import avoids cycle at module load
@@ -147,20 +140,7 @@ def stage_data_for(
         capacity=battery.capacity,
         u_max_charge=battery.max_charge,
         u_max_discharge=battery.max_discharge,
-        wealth_cap=wealth_cap if wealth_cap is not None else wealth_box(model, battery),
     )
-
-
-def wealth_box(model: PriceModel, battery: BatterySpec) -> float:
-    """Wide cash box |x_m| <= W used for solver stability.
-
-    Far larger than any reachable wealth; every stage solve asserts the box
-    is non-binding.
-    """
-    sigma = model.stationary_std()
-    price_scale = max(abs(p) for p in model.day_ahead) + 5.0 * sigma + model.spread
-    speed = max(battery.max_charge, battery.max_discharge)
-    return 10.0 * model.horizon * price_scale * max(speed, 1e-9)
 
 
 def check_spread_condition(stage_data: StageData) -> bool:
@@ -296,12 +276,10 @@ def terminal_cost(utility: UtilitySpec, wealth: float) -> float:
     Raises
     ------
     OverflowGuardError
-        If ``wealth`` is below the configured floor, or so negative that the
-        exponential would overflow a double.
+        If ``wealth`` is so negative that the exponential would overflow a
+        double.
     """
     rho = utility.risk_aversion
-    if wealth < utility.floor:
-        raise OverflowGuardError(f"wealth {wealth:.6g} below floor {utility.floor:.6g}")
     arg = -rho * wealth
     if arg > _EXP_ARG_MAX:
         raise OverflowGuardError(

@@ -24,16 +24,41 @@ from storagesddp.discretization import MarkovChain, nearest_node
 from storagesddp.price_model import simulate_deviation_path
 from storagesddp.sddp import Policy, StorageProblem
 from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
-from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem, cost_floor
+from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem
 from storagesddp.storage import StageData, stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
 
+# the wealth cap of hand-built stages (no problem given)
+HAND_BUILT_WEALTH_CAP = 1e5
+
+
+def lp_wealth_bounds(problem: StorageProblem | None = None) -> tuple[float, float]:
+    """The stage LP's wealth box ``|wealth'| <= cap`` and cost floor ``-2 * cap``.
+
+    The package's stage solve carried both until its closed form made them
+    unnecessary; the LP oracles keep them, so that their LPs stay bounded
+    and compute what they always computed.  For a problem's stages the cap
+    is ten times the horizon's revenue at generous prices and full speed,
+    far beyond any reachable wealth; hand-built stages use
+    `HAND_BUILT_WEALTH_CAP`.  Returns ``(cap, floor)``.
+    """
+    if problem is None:
+        cap = HAND_BUILT_WEALTH_CAP
+    else:
+        model, battery = problem.price_model, problem.battery
+        sigma = model.stationary_std()
+        price_scale = max(abs(p) for p in model.day_ahead) + 5.0 * sigma + model.spread
+        speed = max(battery.max_charge, battery.max_discharge)
+        cap = 10.0 * model.horizon * price_scale * max(speed, 1e-9)
+    return cap, -2.0 * cap
+
+
 # -- stage LP oracle: the dual-form simplex ---------------------------------
 #
 # min theta  s.t.  theta >= intercept_c + gw_c * wealth' + ge_c * energy' (cuts),
-# the control boxes, 0 <= energy' <= capacity, |wealth'| <= wealth_cap and
-# theta >= cost_floor(wealth_cap), with wealth' and energy' affine in
+# the control boxes, 0 <= energy' <= capacity, |wealth'| <= cap and
+# theta >= floor (`lp_wealth_bounds`), with wealth' and energy' affine in
 # (buy, sell).  Three variables and many rows: the primal simplex on the
 # dual, every pivot a 3x3 solve; most-violated entering row with a switch to
 # Bland's rule, ratio ties to the smallest basis position, and a two-level
@@ -126,13 +151,16 @@ class LPSubproblem:
     The constraint matrix depends only on the node's prices and cuts; the
     incoming state enters the right-hand side alone, so a template is built
     once per node and re-solved for many states.  Cuts may have any wealth
-    slope, and cuts added to the cut set later are synced lazily.
+    slope, and cuts added to the cut set later are synced lazily.  The
+    wealth box and floor are `lp_wealth_bounds` of ``problem``.
     """
 
-    def __init__(self, data: StageData, cutset: CutSet) -> None:
+    def __init__(
+        self, data: StageData, cutset: CutSet, problem: StorageProblem | None = None
+    ) -> None:
         self.data = data
         self.cutset = cutset
-        self.floor = cost_floor(data.wealth_cap)
+        self.wealth_cap, self.floor = lp_wealth_bounds(problem)
         cap0 = 32
         self._c0 = np.empty(cap0)
         self._c1 = np.empty(cap0)
@@ -215,8 +243,8 @@ class LPSubproblem:
         leak_xe = d.leak_factor * xe
         b[_R_CAP_LO] = -leak_xe
         b[_R_CAP_HI] = leak_xe - d.capacity
-        b[_R_W_LO] = -d.wealth_cap - xm
-        b[_R_W_HI] = xm - d.wealth_cap
+        b[_R_W_LO] = -self.wealth_cap - xm
+        b[_R_W_HI] = xm - self.wealth_cap
         b[:_N_STATIC] *= self._static_inv
         if m > _N_STATIC:
             sl = slice(_N_STATIC, m)
@@ -313,8 +341,8 @@ class LPSubproblem:
         d = self.data
         if not (-_STATE_TOL <= xe <= d.capacity + _STATE_TOL):
             raise InfeasibleError(f"energy state {xe:.6g} outside [0, {d.capacity:.6g}]")
-        if abs(xm) > d.wealth_cap + _STATE_TOL:
-            raise InfeasibleError(f"wealth state {xm:.6g} outside +-{d.wealth_cap:.6g}")
+        if abs(xm) > self.wealth_cap + _STATE_TOL:
+            raise InfeasibleError(f"wealth state {xm:.6g} outside +-{self.wealth_cap:.6g}")
 
     def _subgradient(
         self, basis: tuple[int, int, int], y_basis: tuple[float, float, float]
@@ -578,23 +606,28 @@ def feedback_policy_value(policy_fn, problem, chain) -> float:
     return total
 
 
-def stage_objective(data, cuts, floor: float, state, buy: float, sell: float) -> float:
-    """Polyhedral stage objective at given controls (max of cuts and floor)."""
+def stage_objective(data, cuts, state, buy: float, sell: float, problem=None) -> float:
+    """Polyhedral stage objective at given controls (max of cuts and floor).
+
+    The floor is `lp_wealth_bounds` of ``problem``.
+    """
     xm, xe = data.next_state(state, (buy, sell))
-    val = floor
+    val = lp_wealth_bounds(problem)[1]
     for c in cuts:
         val = max(val, c.intercept + c.grad_wealth * xm + c.grad_energy * xe)
     return val
 
 
-def grid_stage_minimum(data, cuts, floor: float, state, n: int = 201, zoom: int = 3):
+def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=None):
     """Brute-force minimum of the stage objective over a control grid.
 
     Vectorized evaluation with ``zoom`` rounds of local grid refinement
     around the incumbent, so the returned value is accurate to roughly
     (box width / n**zoom) times the objective slope.  Returns
     (value, (buy, sell)); grid points outside the capacity box are skipped.
+    The objective's floor is `lp_wealth_bounds` of ``problem``.
     """
+    floor = lp_wealth_bounds(problem)[1]
     xm0, xe0 = state
     leak = data.leak_factor
     a = np.array([c.intercept for c in cuts])
@@ -690,9 +723,7 @@ def _simulate_one(
         xi = float(deviations[t - 1])
         node = nearest_node(policy.chain, t, xi)
         if realized_prices:
-            data = stage_data_for(
-                model, battery, t, xi, node=node, wealth_cap=policy.wealth_cap
-            )
+            data = stage_data_for(model, battery, t, xi, node=node)
             if t == T:
                 sub = NodeSubproblem(data, cutset=None, terminal=True)
             else:
@@ -788,7 +819,7 @@ def max_wealth_controls(data, state) -> tuple[float, float]:
 
 def terminal_cost_derivative(utility, wealth: float) -> float:
     """Exact derivative -exp(-rho w) of `terminal_cost`, for the tangents of `kelley_terminal`."""
-    terminal_cost(utility, wealth)  # its floor and overflow guards
+    terminal_cost(utility, wealth)  # its overflow guard
     return -math.exp(-utility.risk_aversion * wealth)
 
 

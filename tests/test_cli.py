@@ -186,6 +186,7 @@ THREE_STAGE = {
         "old format",
         "missing key",
         "wealth slope",
+        "empty pool",
     ],
 )
 def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
@@ -212,7 +213,11 @@ def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
         ckpt.write_text(json.dumps(doc))
     elif case == "wealth slope":
         # a hand-edited cut off the cash-additive form
-        doc["pools"][1]["cuts"][0]["grad_wealth"] = -0.5
+        doc["pools"][1]["cuts"][0][1] = -0.5
+        ckpt.write_text(json.dumps(doc))
+    elif case == "empty pool":
+        # a node without cuts has no value
+        doc["pools"][1]["cuts"] = []
         ckpt.write_text(json.dumps(doc))
     config.write_text(json.dumps(run), encoding="utf-8")
     capsys.readouterr()

@@ -8,9 +8,8 @@ import pytest
 
 import storagesddp as s
 from storagesddp.errors import CheckpointError, ConditionViolatedError, NotTrainedError
-from storagesddp.sddp import CutPool, _seed_cuts, best_case_trading, checkpoint_fingerprint
-from storagesddp.stage_solver import cost_floor
-from conftest import TOY
+from storagesddp.config import train_from_config
+from storagesddp.sddp import CutPool, best_case_trading, checkpoint_fingerprint
 from oracles import chain_dp, dp_cost_to_go, feedback_policy_value, policy_chain_value
 
 
@@ -50,7 +49,6 @@ class TestTrainToy:
         policy, _ = toy_trained
         _, G = chain_dp(toy_problem, toy_chain)
         rho = toy_problem.utility.risk_aversion
-        floor = cost_floor(policy.wealth_cap)
         cap = toy_problem.battery.capacity
         rng = np.random.default_rng(99)
         for _ in range(1000):
@@ -58,7 +56,7 @@ class TestTrainToy:
             j = int(rng.integers(0, toy_chain.node_count(t)))
             xm = float(rng.uniform(-40, 40))
             xe = float(rng.uniform(0, cap))
-            approx = policy.pools.get(t, j).value(xm, xe, floor)
+            approx = policy.pools.get(t, j).value(xm, xe)
             truth = dp_cost_to_go(G, cap, rho, t, j, xm, xe)
             # grid DP overestimates the cost side, so the slack stays one-sided
             assert approx <= truth + 1e-6
@@ -88,6 +86,21 @@ def test_every_cut_has_wealth_slope_minus_one(toy_trained, trained_n8):
             for j in range(policy.chain.node_count(t)):
                 _, gw, _ = policy.pools.get(t, j).arrays()
                 assert gw.size and (gw == -1.0).all(), (t, j)
+
+
+def test_initial_wealth_only_shifts_the_certainty_equivalent():
+    # wealth is not bounded and only shifts a cost-to-go: the default
+    # config trains at 50,000 EUR of initial wealth on the pools of the
+    # zero-wealth run, and its root certainty equivalent is 50,000 EUR higher
+    cfg = s.RunConfig()
+    poor, _ = train_from_config(cfg)
+    rich, _ = train_from_config(cfg, initial_wealth=50_000.0)
+    for t in range(poor.horizon):
+        for j in range(poor.chain.node_count(t)):
+            want, got = poor.pools.get(t, j).arrays(), rich.pools.get(t, j).arrays()
+            assert all(np.array_equal(a, b) for a, b in zip(want, got)), (t, j)
+    ce = rich.root_certainty_equivalent() - 50_000.0
+    assert ce == pytest.approx(poor.root_certainty_equivalent(), rel=0.0, abs=1e-8)
 
 
 class TestSeedCuts:
@@ -149,32 +162,6 @@ class TestSeedCuts:
             truth = dp_cost_to_go(G, cap, rho, t, j, xm, xe)
             assert seed.value(xm, xe) <= truth + 1e-6
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {},
-            TOY,
-            {"sddp": {"quadrature_points": 16}},
-            {"price": {"sigma_eps": 6.0}},
-            {"battery": {"capacity_mwh": 4.0}},
-        ],
-        ids=["default", "toy", "N16", "sigma6", "capacity4"],
-    )
-    def test_floor_lies_below_every_seed_cut_on_the_box(self, overrides):
-        cfg = s.config_from_dict(overrides)
-        problem = s.build_problem(cfg)
-        chain = s.build_chain_for(cfg)
-        pools = CutPool(chain)
-        _seed_cuts(problem, chain, pools)
-        cap_w = s.wealth_box(problem.price_model, problem.battery)
-        floor = cost_floor(cap_w)
-        for t in range(chain.horizon):
-            for j in range(chain.node_count(t)):
-                (a,), (gw,), (ge,) = pools.get(t, j).arrays()
-                capacity = problem.battery.capacity
-                corners = [a + gw * w + ge * e for w in (-cap_w, cap_w) for e in (0.0, capacity)]
-                assert floor < min(corners), (t, j)
-
 
 class TestPolicyOperations:
     def test_decide_terminal_examples(self, toy_trained):
@@ -230,10 +217,9 @@ class TestPolicyOperations:
 
         policy, _ = toy_trained
         data = policy.stage_data(1, 0)
-        floor = cost_floor(data.wealth_cap)
         cuts = [s.Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
         got = policy.decide(1, 0, (0.0, 0.0))
-        _, want = grid_stage_minimum(data, cuts, floor, (0.0, 0.0), n=401)
+        _, want = grid_stage_minimum(data, cuts, (0.0, 0.0), n=401, problem=toy_problem)
         assert got[0] == pytest.approx(want[0], abs=2e-3)
         assert got[1] == pytest.approx(want[1], abs=2e-3)
 
@@ -291,7 +277,7 @@ class TestCheckpoints:
 
     def test_nan_intercept_rejected(self, toy_problem, toy_chain, saved):
         doc = json.loads(saved.read_text())
-        doc["pools"][0]["cuts"][0]["intercept"] = float("nan")
+        doc["pools"][0]["cuts"][0][0] = float("nan")
         saved.write_text(json.dumps(doc))
         assert "NaN" in saved.read_text()
         with pytest.raises(ValueError, match="cut coefficients must be finite"):
@@ -308,6 +294,8 @@ class TestCheckpoints:
             ("missing pools", "lacks the key 'pools'"),
             ("missing cut key", "malformed checkpoint cuts"),
             ("wealth slope", "stage 1, node 0 has a wealth slope other than -1"),
+            ("empty pool", "stage 1, node 0 has no cuts"),
+            ("cuts not rows", "malformed checkpoint cuts"),
             ("truncated", "not valid JSON"),
             ("missing file", "cannot read checkpoint"),
         ],
@@ -332,11 +320,18 @@ class TestCheckpoints:
         elif change == "missing pools":
             del doc["pools"]
         elif change == "missing cut key":
-            del doc["pools"][0]["cuts"][0]["grad_energy"]
+            # a row of two coefficients
+            del doc["pools"][0]["cuts"][0][2]
         elif change == "wealth slope":
             # a hand-edited cut: every stored cut must keep wealth slope -1
-            doc["pools"][1]["cuts"][-1]["grad_wealth"] = -1.0 + 2.0**-52
-        if change.startswith(("absent", "old", "missing ", "wealth")):
+            doc["pools"][1]["cuts"][-1][1] = -1.0 + 2.0**-52
+        elif change == "empty pool":
+            # a node without cuts has no value
+            doc["pools"][1]["cuts"] = []
+        elif change == "cuts not rows":
+            # the rows of a pool, flattened
+            doc["pools"][1]["cuts"] = sum(doc["pools"][1]["cuts"], [])
+        if change.startswith(("absent", "old", "missing ", "wealth", "empty", "cuts")):
             saved.write_text(json.dumps(doc))
         if change == "truncated":
             saved.write_text(saved.read_text()[:200])

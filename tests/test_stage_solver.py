@@ -7,8 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import storagesddp as s
-from storagesddp.errors import InfeasibleError, StorageError
-from storagesddp.stage_solver import cost_floor
+from storagesddp.errors import InfeasibleError, NotTrainedError
 from oracles import (
     _OBJECTIVE,
     _TIE_BUY,
@@ -16,13 +15,14 @@ from oracles import (
     LPSubproblem,
     grid_stage_minimum,
     kelley_terminal,
+    lp_wealth_bounds,
     max_wealth_controls,
     stage_objective,
     terminal_cost_derivative,
 )
 
 
-def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0, wealth_cap=1e5):
+def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
     return s.StageData(
         stage=1,
         node=0,
@@ -34,7 +34,6 @@ def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0, wealth_
         capacity=cap,
         u_max_charge=u,
         u_max_discharge=u,
-        wealth_cap=wealth_cap,
     )
 
 
@@ -48,9 +47,13 @@ def random_cuts(rng, n):
     return cuts
 
 
-def lp_reference(data, cuts, floor, state):
-    """Solve the documented stage LP with scipy (independent route)."""
+def lp_reference(data, cuts, state, problem=None):
+    """Solve the documented stage LP with scipy (independent route).
+
+    Its wealth box and floor are the oracles' `lp_wealth_bounds` of ``problem``.
+    """
     xm, xe = state
+    wealth_cap, floor = lp_wealth_bounds(problem)
     leak = data.leak_factor
     rows = [
         ([1.0, 0.0, 0.0], 0.0),
@@ -60,8 +63,8 @@ def lp_reference(data, cuts, floor, state):
         ([0.0, 0.0, 1.0], floor),
         ([data.charge_eff, -data.discharge_eff, 0.0], -leak * xe),
         ([-data.charge_eff, data.discharge_eff, 0.0], leak * xe - data.capacity),
-        ([-data.ask, data.bid, 0.0], -data.wealth_cap - xm),
-        ([data.ask, -data.bid, 0.0], xm - data.wealth_cap),
+        ([-data.ask, data.bid, 0.0], -wealth_cap - xm),
+        ([data.ask, -data.bid, 0.0], xm - wealth_cap),
     ]
     for c in cuts:
         rows.append(
@@ -97,7 +100,7 @@ class TestAgainstScipy:
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
             sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
             sol = sub.solve(state)
-            ref = lp_reference(data, cuts, cost_floor(data.wealth_cap), state)
+            ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
 
     def test_visited_states_of_high_risk_aversion_policy(self):
@@ -118,10 +121,12 @@ class TestAgainstScipy:
                 sub = policy.subproblem(t, path[t - 1])
                 cuts = [s.Cut(*c) for c in zip(*sub.cutset.arrays())]
                 sol = sub.solve(state)
-                ref = lp_reference(sub.data, cuts, sub.floor, state)
+                ref = lp_reference(sub.data, cuts, state, policy.problem)
                 tol = 1e-7 * max(1.0, abs(ref))
                 assert sol.value == pytest.approx(ref, abs=tol), (t, state)
-                at_controls = stage_objective(sub.data, cuts, sub.floor, state, *sol.controls)
+                at_controls = stage_objective(
+                    sub.data, cuts, state, *sol.controls, problem=policy.problem
+                )
                 assert at_controls == pytest.approx(ref, abs=tol), (t, state)
                 state = sol.next_state
                 visited += 1
@@ -151,10 +156,7 @@ class TestSolveStage:
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
             value, _ = s.solve_stage(state, subs, row, rho)
-            grid = [
-                grid_stage_minimum(d, c, cost_floor(d.wealth_cap), state, n=201)[0]
-                for d, c in zip(datas, cuts)
-            ]
+            grid = [grid_stage_minimum(d, c, state, n=201)[0] for d, c in zip(datas, cuts)]
             want = math.log(sum(p * math.exp(rho * v) for p, v in zip(row, grid))) / rho
             # the grid can only overshoot the true minimum
             assert value <= want + 1e-9
@@ -199,7 +201,6 @@ class TestSolveStage:
     def test_lower_bound_validity(self):
         rng = np.random.default_rng(33)
         data = stage(47.0, 49.0)
-        floor = cost_floor(data.wealth_cap)
         cuts = random_cuts(rng, 12)
         sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
         state = (3.0, 0.5)
@@ -210,7 +211,7 @@ class TestSolveStage:
             xe = data.leak_factor * state[1] + 0.95 * b - 1.05 * k
             if not 0 <= xe <= data.capacity:
                 continue
-            assert stage_objective(data, cuts, floor, state, b, k) >= sol.value - 1e-9
+            assert stage_objective(data, cuts, state, b, k) >= sol.value - 1e-9
 
     def test_subgradient_tangent_inequality(self):
         rng = np.random.default_rng(44)
@@ -478,7 +479,7 @@ class TestLaneKernel:
         for trial in range(120):
             mid = rng.uniform(-5, 90)
             data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
-            cuts = random_cuts(rng, int(rng.integers(0, 25)))
+            cuts = random_cuts(rng, int(rng.integers(1, 25)))
             K = 1 + trial % 9
             wealth = rng.uniform(-50, 50, K)
             energy = rng.uniform(0, data.capacity, K)
@@ -513,22 +514,51 @@ class TestLaneKernel:
             with pytest.raises(InfeasibleError):
                 last.solve_lanes(np.zeros(3), np.array([0.2, bad, 0.4]))
 
-    def test_binding_wealth_box(self):
-        # a steep reward on wealth drives sales past a tiny wealth box
-        data = stage(49.0, 51.0, wealth_cap=1.0)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(0.0, -1.0, 0.0)]))
-        with pytest.raises(StorageError, match="wealth box is binding"):
-            sub.solve((0.9, 0.5))
-        with pytest.raises(StorageError, match="wealth box is binding") as err:
-            sub.solve_lanes(
-                np.array([0.0, 0.9]), np.array([0.0, 0.5]),
-                ask=np.array([51.0, 51.0]), bid=np.array([49.0, 49.0]),
-            )
-        assert type(err.value) is StorageError
-        # selling 0.4 MWh at 49 leaves the optimal terminal wealth outside the box
-        with pytest.raises(StorageError, match="wealth box is binding") as err:
-            terminal((0.9, 0.5), data)
-        assert type(err.value) is StorageError
+    @pytest.mark.parametrize("wealth", [1e9, -1e9], ids=["plus", "minus"])
+    def test_wealth_only_shifts_the_value(self, wealth):
+        # wealth is unbounded: at |w| = 1e9 the controls, next energy and
+        # subgradient of a node and of a terminal subproblem are the w = 0
+        # solve's bit for bit, scalar and in lanes, and the value is shifted
+        # by -w (up to the rounding of w' at that magnitude)
+        rng = np.random.default_rng(9)
+        data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
+        tol = 4.0 * math.ulp(wealth)
+        energy = np.array([0.0, 0.3, 1.1, 2.0])
+        subs = [
+            s.NodeSubproblem(data, cutset=s.CutSet(random_cuts(rng, 8))),
+            s.NodeSubproblem(data, cutset=None, terminal=True),
+        ]
+        for sub in subs:
+            lanes0 = sub.solve_lanes(np.zeros(4), energy)
+            lanes = sub.solve_lanes(np.full(4, wealth), energy)
+            for name in ("buy", "sell", "grad_wealth", "grad_energy", "next_energy"):
+                assert np.array_equal(getattr(lanes, name), getattr(lanes0, name)), name
+            np.testing.assert_allclose(lanes.value - lanes0.value, -wealth, rtol=0.0, atol=tol)
+            for e in energy.tolist():
+                at0, at = sub.solve((0.0, e)), sub.solve((wealth, e))
+                assert at.controls == at0.controls
+                assert at.subgradient == at0.subgradient
+                assert at.next_state[1] == at0.next_state[1]
+                assert at.value - at0.value == pytest.approx(-wealth, rel=0.0, abs=tol)
+                assert at.next_state[0] - at0.next_state[0] == pytest.approx(
+                    wealth, rel=0.0, abs=tol
+                )
+
+    def test_empty_cut_set_has_no_value(self):
+        # a node without cuts has no value to solve for
+        cuts = s.CutSet()
+        sub = s.NodeSubproblem(stage(49.0, 51.0), cutset=cuts)
+        with pytest.raises(NotTrainedError):
+            sub.solve((0.0, 0.5))
+        with pytest.raises(NotTrainedError):
+            sub.next_state((0.0, 0.5))
+        with pytest.raises(NotTrainedError):
+            sub.solve_lanes(np.zeros(2), np.array([0.0, 0.5]))
+        with pytest.raises(NotTrainedError):
+            cuts.value(0.0, 0.5)
+        # the energy state is checked first
+        with pytest.raises(InfeasibleError):
+            sub.solve((0.0, 2.0))
 
 
 @pytest.mark.parametrize("field", ["intercept", "grad_wealth", "grad_energy"])
@@ -667,9 +697,9 @@ class TestSpreadConditionViolated:
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
             sol = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve(state)
-            ref = lp_reference(data, cuts, cost_floor(data.wealth_cap), state)
+            ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
-            at_controls = stage_objective(data, cuts, cost_floor(data.wealth_cap), state, *sol.controls)
+            at_controls = stage_objective(data, cuts, state, *sol.controls)
             assert at_controls == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
 
     def test_terminal_matches_vertex_enumeration(self):
@@ -700,7 +730,7 @@ class TestClosedFormOnTrainedPool:
         for t in range(1, policy.horizon):
             for j in range(policy.chain.node_count(t)):
                 sub = policy.subproblem(t, j)
-                lp = LPSubproblem(sub.data, cutset=sub.cutset)
+                lp = LPSubproblem(sub.data, cutset=sub.cutset, problem=policy.problem)
                 for state in self.states(rng, capacity):
                     got, want = sub.solve(state), lp.solve(state)
                     worst = max(worst, abs(got.value - want.value) / max(1.0, abs(want.value)))
