@@ -87,11 +87,11 @@ def cmd_train(args) -> int:
     ckpt_path = os.path.join(out, "checkpoint.json")
     save_checkpoint(policy, ckpt_path)
     tail = log.bounds[-5:]
-    print(f"iterations   {log.iterations}")
-    print(f"bound        {log.bounds[-1]:.8f}")
-    print(f"bound tail   {['%.8f' % b for b in tail]}")
-    print(f"total cuts   {log.cut_counts[-1]}")
-    print(f"train time   {sum(log.seconds):.2f} s")
+    print(f"iterations    {log.iterations}")
+    print(f"bound         {log.bounds[-1]:.8f}")
+    print(f"bound tail    {['%.8f' % b for b in tail]}")
+    print(f"envelope cuts {log.cut_counts[-1]}")
+    print(f"train time    {sum(log.seconds):.2f} s")
     print(f"wrote {log_path} and {ckpt_path}")
     return EXIT_OK
 

@@ -7,16 +7,19 @@ one node path through the chain (forward pass, recording visited states),
 then walks the stages backwards, adding at every visited (stage, node) one
 affine cut with wealth slope -1, computed as in `stage_solver.solve_stage`
 (the entropic risk of the successor subproblems, with their freshly updated
-pools).  Adding a cut to a node's `CutSet` splices it into the node's cut
-envelope, which the stage solves read; the pools themselves keep every cut.
+pools).  A node's `CutSet` holds only the upper envelope of its cuts over
+the feasible energies, which the stage solves read: each new cut is spliced
+in, and a cut that is the maximum nowhere is dropped.
 After each backward pass the root value of the polyhedral approximation
 gives a deterministic optimistic bound on the certainty equivalent;
 `TrainingLog.bounds` reports it as expected utility (maximization
 orientation), where it is non-increasing.
 
 Checkpoints are versioned JSON that carry a fingerprint of the problem and
-chain the cuts were trained on; `load_checkpoint` refuses any other, any
-cut whose wealth slope is not -1 and any empty pool with `CheckpointError`.
+chain the cuts were trained on, and hold each node's envelope lines;
+`load_checkpoint` refuses any other, any cut whose wealth slope is not -1,
+any record of a node the chain lacks or of a node already read, and any
+empty pool with `CheckpointError`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from numpy.random import default_rng
 from .discretization import MarkovChain
 from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import Cut, CutSet, NodeSubproblem, _stage_value
+from .stage_solver import CutSet, NodeSubproblem, _stage_value
 from .storage import (
     BatterySpec,
     StageData,
@@ -46,7 +49,10 @@ from .storage import (
 )
 
 # version 1 (unversioned) checkpoints held cuts on the expected-utility cost;
-# version 2 wrote each cut as an object with named coefficients
+# version 2 wrote each cut as an object with named coefficients.  Version 3
+# files written with every cut ever found, not just the envelope lines, load
+# to the same envelopes: splicing the full pool in training order repeats
+# training's splices.
 CHECKPOINT_VERSION = 3
 
 
@@ -60,31 +66,31 @@ class StorageProblem:
 
 
 class CutPool:
-    """Per (stage, node) cut collections for stages 0..T-1.
+    """Per (stage, node) cut envelopes over ``[0, capacity]`` for stages 0..T-1.
 
     A node without cuts has no value, so training seeds every pool with one
     cut and `from_json` refuses a checkpoint with an empty pool.
     """
 
-    def __init__(self, chain: MarkovChain) -> None:
+    def __init__(self, chain: MarkovChain, capacity: float) -> None:
         self.horizon = chain.horizon
         self._sets: list[list[CutSet]] = [
-            [CutSet() for _ in range(chain.node_count(t))] for t in range(chain.horizon)
+            [CutSet(capacity) for _ in range(chain.node_count(t))]
+            for t in range(chain.horizon)
         ]
 
     def get(self, stage: int, node: int) -> CutSet:
         return self._sets[stage][node]
 
-    def add(self, stage: int, node: int, cut: Cut) -> None:
-        self._sets[stage][node].add(cut)
-
     def total_cuts(self) -> int:
+        """Envelope lines over all pools."""
         return sum(len(s) for level in self._sets for s in level)
 
     def to_json(self, fingerprint: str) -> str:
         """Versioned JSON of every pool, tagged with `checkpoint_fingerprint`.
 
-        Each pool's cuts are rows ``[intercept, grad_wealth, grad_energy]``.
+        Each pool's envelope lines are rows ``[intercept, grad_wealth,
+        grad_energy]``, in increasing energy slope.
         """
         records = [
             {"stage": t, "node": j, "cuts": np.column_stack(cs.arrays()).tolist()}
@@ -100,14 +106,19 @@ class CutPool:
         return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str, chain: MarkovChain, fingerprint: str) -> "CutPool":
+    def from_json(
+        cls, text: str, chain: MarkovChain, capacity: float, fingerprint: str
+    ) -> "CutPool":
         """Parse `to_json` output for ``chain`` and the expected ``fingerprint``.
 
+        Each record's rows are appended to its node's pool in file order.
         Raises `CheckpointError` for text that is not JSON, a format version
-        other than `CHECKPOINT_VERSION`, missing keys, cuts that are not
-        rows of three finite numbers, cuts with a wealth slope other than
-        -1, a pool without cuts, and a horizon or fingerprint that differs
-        from the expected one.
+        other than `CHECKPOINT_VERSION`, missing keys, a stage or node that
+        is not an index of ``chain`` (an ``int``, not a ``bool``, in range),
+        a (stage, node) held by two records, cuts that are not rows of three
+        finite numbers, cuts with a wealth slope other than -1, a pool
+        without cuts, and a horizon or fingerprint that differs from the
+        expected one.
         """
         try:
             doc = json.loads(text)
@@ -132,24 +143,51 @@ class CutPool:
                 "checkpoint was trained on another price model, battery, risk "
                 "aversion or chain"
             )
-        pool = cls(chain)
-        try:
-            for rec in records:
-                rows = np.array(rec["cuts"] or np.empty((0, 3)))
-                if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != 3:
-                    raise ValueError("cuts are not rows of three numbers")
-                pool.get(rec["stage"], rec["node"]).extend(rows)
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
+        if not isinstance(records, list):
+            raise CheckpointError("malformed checkpoint cuts: 'pools' is not a list")
+        pool = cls(chain, capacity)
+        read = set()
+        for rec in records:
+            t, j, rows = _record(rec, chain)
+            if (t, j) in read:
+                raise CheckpointError(f"checkpoint holds stage {t}, node {j} twice")
+            read.add((t, j))
+            cuts = pool.get(t, j)
+            try:
+                for a, gw, ge in rows:
+                    cuts.append(a, gw, ge)
+            except ValueError as exc:
+                # the rows are finite: the wealth slope is refused
+                raise CheckpointError(
+                    f"checkpoint cut at stage {t}, node {j} has a wealth slope other than -1"
+                ) from exc
         for t, level in enumerate(pool._sets):
             for j, cuts in enumerate(level):
                 if not len(cuts):
                     raise CheckpointError(f"checkpoint pool at stage {t}, node {j} has no cuts")
-                if (cuts.arrays()[1] != -1.0).any():
-                    raise CheckpointError(
-                        f"checkpoint cut at stage {t}, node {j} has a wealth slope other than -1"
-                    )
         return pool
+
+
+def _is_index(value, size: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
+def _record(rec, chain: MarkovChain) -> tuple[int, int, list]:
+    """``(stage, node, rows)`` of one checkpoint record, its rows finite triples."""
+    try:
+        t, j, cuts = rec["stage"], rec["node"], rec["cuts"]
+        rows = np.array(cuts or np.empty((0, 3)))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
+    if not (_is_index(t, chain.horizon) and _is_index(j, chain.node_count(t))):
+        raise CheckpointError(
+            f"checkpoint record of stage {t!r}, node {j!r}: the chain has no such node"
+        )
+    if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != 3:
+        raise CheckpointError("malformed checkpoint cuts: cuts are not rows of three numbers")
+    if not np.isfinite(rows).all():
+        raise CheckpointError("malformed checkpoint cuts: cut coefficients must be finite")
+    return t, j, rows.astype(float).tolist()
 
 
 @dataclass
@@ -159,6 +197,7 @@ class TrainingLog:
     bounds: list[float] = field(default_factory=list)
     path_objectives: list[float] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
+    # envelope lines over all pools after each iteration
     cut_counts: list[int] = field(default_factory=list)
 
     @property
@@ -342,7 +381,7 @@ def _seed_cuts(problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> N
             battery.discharge_eff,
         )
         for j in range(chain.node_count(t)):
-            pools.add(t, j, Cut(-profit, -1.0, -marginal))
+            pools.get(t, j).append(-profit, -1.0, -marginal)
 
 
 def train(
@@ -367,7 +406,7 @@ def train(
     if warm_start is not None:
         pools = warm_start
     else:
-        pools = CutPool(chain)
+        pools = CutPool(chain, problem.battery.capacity)
         _seed_cuts(problem, chain, pools)
     policy = Policy(problem, chain, pools)
     policy.check_spread_condition()
@@ -462,4 +501,6 @@ def load_checkpoint(path: str, problem: StorageProblem, chain: MarkovChain) -> C
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    return CutPool.from_json(text, chain, checkpoint_fingerprint(problem, chain))
+    return CutPool.from_json(
+        text, chain, problem.battery.capacity, checkpoint_fingerprint(problem, chain)
+    )

@@ -40,12 +40,12 @@ bit.  `solve_stage` is the Bellman stage of training's backward pass: the
 entropic risk ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor
 solves (nested entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
 
-A `CutSet` keeps its envelope up to date as cuts arrive: a new cut is
-spliced into the envelope in O(envelope size), since
-``envelope(pool + cut) = envelope(envelope + cut)``; a cut set filled in one
-step (a checkpoint) builds it in one vectorized pass.  Each update is
-published by a single attribute assignment and solves write nothing, so
-solves on a trained policy may run concurrently.
+A `CutSet` holds nothing but its envelope: a new cut is spliced into it in
+O(envelope size), since ``envelope(pool + cut) = envelope(envelope + cut)``.
+A cut that is the maximum nowhere on [0, capacity] never binds at a feasible
+state, so it is dropped on arrival (the exact form of dominance cut
+selection).  Each update is published by a single attribute assignment and
+solves write nothing, so solves on a trained policy may run concurrently.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ class Envelope(NamedTuple):
     ``[breaks[i], breaks[i + 1]]``; slopes and breaks strictly increase,
     ``breaks`` runs from 0 to the capacity, and ``heights[k]`` is the
     envelope's value at ``breaks[k]``.  Python lists: the scalar solve reads
-    them element by element.
+    them element by element.  Without cuts there are no lines, and
+    ``breaks`` is ``[0, capacity]``.
     """
 
     slopes: list
@@ -106,62 +107,13 @@ class Envelope(NamedTuple):
 _new_envelope = partial(tuple.__new__, Envelope)
 
 
-def _heights(slopes: list, intercepts: list, breaks: list) -> list:
-    """Envelope value at each break: the larger of the two lines meeting there."""
-    h = len(slopes)
-    out = []
-    for k, x in enumerate(breaks):
-        y = intercepts[min(k, h - 1)] + slopes[min(k, h - 1)] * x
-        if 0 < k < h:
-            y = max(y, intercepts[k - 1] + slopes[k - 1] * x)
-        out.append(y)
-    return out
-
-
-def build_envelope(a: np.ndarray, g: np.ndarray, capacity: float) -> Envelope:
-    """Upper envelope over ``[0, capacity]`` of the lines ``a + g * e``, by gift wrapping.
-
-    Starts from the line that is largest at 0 (the steepest of ties) and
-    repeatedly moves to the steeper line that crosses the current one first
-    (the steepest of ties), until no crossing lies before the capacity.
-    Each step is one vectorized pass over the lines.  An empty set of lines
-    gives an envelope without lines.
-    """
-    if a.size == 0:
-        return Envelope([], [], [0.0, capacity], [])
-    top = np.flatnonzero(a == a.max())
-    i = int(top[g[top].argmax()])
-    slopes, intercepts, breaks = [g[i]], [a[i]], [0.0]
-    while True:
-        steeper = np.flatnonzero(g > g[i])
-        if not steeper.size:
-            break
-        cross = (a[i] - a[steeper]) / (g[steeper] - g[i])
-        x = cross.min()
-        if x >= capacity:
-            break
-        first = steeper[cross == x]
-        i = int(first[g[first].argmax()])
-        if x <= breaks[-1]:
-            # rounding put the crossing at or before the current break: the
-            # steeper line takes over there
-            slopes[-1], intercepts[-1] = g[i], a[i]
-        else:
-            slopes.append(g[i])
-            intercepts.append(a[i])
-            breaks.append(x)
-    slopes = [float(v) for v in slopes]
-    intercepts = [float(v) for v in intercepts]
-    breaks = [float(v) for v in breaks] + [float(capacity)]
-    return Envelope(slopes, intercepts, breaks, _heights(slopes, intercepts, breaks))
-
-
 def splice(env: Envelope, a_new: float, g_new: float) -> Envelope:
     """The envelope of ``env``'s lines plus the line ``a_new + g_new * e``.
 
     The new line minus the envelope is concave, so it is positive exactly on
     one interval, found from its values at the breaks; a line positive at
-    no break is dominated and ``env`` itself is returned.  Otherwise the new
+    no break is dominated and ``env`` itself is returned.  An envelope
+    without lines takes the new line as its only one.  Otherwise the new
     line replaces the lines inside that interval and crosses the two lines
     at its ends.  Training calls this once per cut, so it is written for
     speed on short Python lists.
@@ -225,98 +177,44 @@ _WEALTH_SLOPE = "the closed-form stage solve needs cuts with grad_wealth == -1"
 _NO_CUTS = "the cut set is empty: a node has no value before its first cut"
 
 
-def _check_wealth_slopes(gw: np.ndarray) -> None:
-    if (gw != -1.0).any():
-        raise ValueError(_WEALTH_SLOPE)
-
-
 class CutSet:
-    """Append-only cut collection: coefficient arrays plus their envelope.
+    """A node's cuts, kept as their upper envelope over ``[0, capacity]``.
 
-    The envelope over ``[0, capacity]`` is built on the first `envelope`
-    call and then kept current by every `add`/`append` (a splice) and
-    `extend` (a rebuild).  Cut sets without an envelope (the root pool)
-    take cuts of any wealth slope.
+    `append` splices each cut into `envelope`; a cut that is the maximum
+    nowhere on ``[0, capacity]`` never binds at a feasible state and leaves
+    it as it was.  Every cut must have wealth slope -1.
     """
 
-    __slots__ = ("_a", "_gw", "_ge", "n", "_env")
+    __slots__ = ("envelope",)
 
-    def __init__(self, cuts: list[Cut] | None = None) -> None:
-        self._a = np.empty(16)
-        self._gw = np.empty(16)
-        self._ge = np.empty(16)
-        self.n = 0
-        self._env: Envelope | None = None
+    def __init__(self, capacity: float, cuts: list[Cut] | None = None) -> None:
+        self.envelope = Envelope([], [], [0.0, float(capacity)], [])
         for c in cuts or []:
-            self.add(c)
-
-    def _reserve(self, n: int) -> None:
-        if n <= len(self._a):
-            return
-        grow = max(n, 2 * len(self._a))
-        for name in ("_a", "_gw", "_ge"):
-            arr = np.empty(grow)
-            arr[: self.n] = getattr(self, name)[: self.n]
-            setattr(self, name, arr)
-
-    def add(self, cut: Cut) -> None:
-        self.append(cut.intercept, cut.grad_wealth, cut.grad_energy)
+            self.append(c.intercept, c.grad_wealth, c.grad_energy)
 
     def append(self, intercept: float, grad_wealth: float, grad_energy: float) -> None:
-        """`add` without building a `Cut`: the training loop's path."""
+        """Splice the cut ``intercept + grad_wealth * w + grad_energy * e`` into the envelope."""
         if not (isfinite(intercept) and isfinite(grad_wealth) and isfinite(grad_energy)):
             raise ValueError("cut coefficients must be finite")
-        env = self._env
-        if env is not None and grad_wealth != -1.0:
+        if grad_wealth != -1.0:
             raise ValueError(_WEALTH_SLOPE)
-        n = self.n
-        if n == len(self._a):
-            self._reserve(n + 1)
-        self._a[n] = intercept
-        self._gw[n] = grad_wealth
-        self._ge[n] = grad_energy
-        self.n = n + 1
-        if env is not None:
-            self._env = splice(env, intercept, grad_energy)
-
-    def extend(self, coefs: np.ndarray) -> None:
-        """Append the cuts in the rows (intercept, grad_wealth, grad_energy) of ``coefs``."""
-        coefs = np.asarray(coefs, dtype=float).reshape(-1, 3)
-        if not np.isfinite(coefs).all():
-            raise ValueError("cut coefficients must be finite")
-        if self._env is not None:
-            _check_wealth_slopes(coefs[:, 1])
-        lo, hi = self.n, self.n + len(coefs)
-        self._reserve(hi)
-        self._a[lo:hi], self._gw[lo:hi], self._ge[lo:hi] = coefs.T
-        self.n = hi
-        if self._env is not None:
-            self._env = self._build(self._env.breaks[-1])
-
-    def _build(self, capacity: float) -> Envelope:
-        a, gw, ge = self.arrays()
-        _check_wealth_slopes(gw)
-        return build_envelope(a, ge, capacity)
-
-    def envelope(self, capacity: float) -> Envelope:
-        """The cuts' envelope over ``[0, capacity]``; built on first use."""
-        env = self._env
-        if env is None or env.breaks[-1] != capacity:
-            env = self._env = self._build(capacity)
-        return env
+        self.envelope = splice(self.envelope, intercept, grad_energy)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._a[: self.n], self._gw[: self.n], self._ge[: self.n]
+        """The envelope lines as (intercepts, wealth slopes, energy slopes)."""
+        env = self.envelope
+        slopes = np.array(env.slopes, dtype=float)
+        return np.array(env.intercepts, dtype=float), np.full(slopes.size, -1.0), slopes
 
     def value(self, wealth: float, energy: float) -> float:
         """Pointwise max of the cuts; `NotTrainedError` without cuts."""
-        if self.n == 0:
+        if not self.envelope.slopes:
             raise NotTrainedError(_NO_CUTS)
         a, gw, ge = self.arrays()
         return float(np.max(a + gw * wealth + ge * energy))
 
     def __len__(self) -> int:
-        return self.n
+        return len(self.envelope.slopes)
 
 
 @dataclass(frozen=True)
@@ -378,7 +276,8 @@ class NodeSubproblem:
     The incoming state enters only the closed form, so a subproblem is built
     once per node and solved for many states.  A subproblem holds nothing
     that a solve writes.  Terminal subproblems have no cut set; their
-    envelope is the zero line.
+    envelope is the zero line.  A cut set built for another capacity is
+    refused with `ValueError`.
     """
 
     def __init__(
@@ -402,15 +301,15 @@ class NodeSubproblem:
         )  # fmt: skip
         if terminal:
             self._zero = Envelope([0.0], [0.0], [0.0, d.capacity], [0.0, 0.0])
-        else:
-            cutset.envelope(d.capacity)
+        elif cutset.envelope.breaks[-1] != d.capacity:
+            raise ValueError("the cut set was built for another capacity")
 
     @property
     def envelope(self) -> Envelope:
         """The envelope the solves read: the cut set's, or the zero line when terminal."""
         if self.terminal:
             return self._zero
-        return self.cutset.envelope(self.data.capacity)
+        return self.cutset.envelope
 
     def _clamp(self, x, xe: float) -> tuple[float, float]:
         """Snap controls into their boxes and the energy band.

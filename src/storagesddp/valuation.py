@@ -29,7 +29,6 @@ class ValuationResult:
     price: float
     phi_with: float
     phi_without: float
-    method: str
     iterations: int
 
 
@@ -114,7 +113,6 @@ def price_storage(config: RunConfig) -> ValuationResult:
         price=policy.root_certainty_equivalent(),
         phi_with=log.final_bound(),
         phi_without=phi_without,
-        method="closed_form",
         iterations=config.sddp.iterations,
     )
 

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import storagesddp as s
+from oracles import train_recording
 
 TOY = {
     "horizon": 3,
@@ -48,8 +49,17 @@ def default_problem(default_config):
 
 
 @pytest.fixture(scope="session")
-def trained_n8(default_problem, default_config):
-    """Reference run: defaults, 8 quadrature points, 300 iterations."""
+def trained_n8_recorded(default_problem, default_config):
+    """Reference run: defaults, 8 quadrature points, 300 iterations.
+
+    Returns ``(policy, log, cuts)``, ``cuts`` every cut training appended
+    to each node (`oracles.train_recording`).
+    """
     chain = s.build_chain_for(default_config)
-    policy, log = s.train(default_problem, chain, 300, 0)
-    return policy, log
+    return train_recording(default_problem, chain, 300, 0)
+
+
+@pytest.fixture(scope="session")
+def trained_n8(trained_n8_recorded):
+    """The reference run's ``(policy, log)``."""
+    return trained_n8_recorded[:2]

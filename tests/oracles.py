@@ -9,7 +9,8 @@ the reference those batches must reproduce bit for bit; `LPSubproblem`, the
 hand-written dual simplex that solved the stage LP before the closed form on
 the cut envelope (it takes cuts of any wealth slope); and `kelley_terminal`,
 the cutting-plane loop on that LP that the terminal stage ran before its
-closed form.
+closed form.  `train_recording` trains while recording every cut, since a
+`CutSet` keeps only its envelope.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from storagesddp import bid_ask
 from storagesddp.discretization import MarkovChain, nearest_node
 from storagesddp.price_model import simulate_deviation_path
-from storagesddp.sddp import Policy, StorageProblem
+from storagesddp.sddp import Policy, StorageProblem, train
 from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
 from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem
 from storagesddp.storage import StageData, stage_data_for, terminal_cost
@@ -150,16 +151,18 @@ class LPSubproblem:
 
     The constraint matrix depends only on the node's prices and cuts; the
     incoming state enters the right-hand side alone, so a template is built
-    once per node and re-solved for many states.  Cuts may have any wealth
-    slope, and cuts added to the cut set later are synced lazily.  The
-    wealth box and floor are `lp_wealth_bounds` of ``problem``.
+    once per node and re-solved for many states.  ``cuts`` is the oracle's
+    own append-only list of `Cut` objects, independent of the package's cut
+    envelopes: cuts may have any wealth slope, and cuts appended to the list
+    later are synced lazily.  The wealth box and floor are `lp_wealth_bounds`
+    of ``problem``.
     """
 
     def __init__(
-        self, data: StageData, cutset: CutSet, problem: StorageProblem | None = None
+        self, data: StageData, cuts: list[Cut], problem: StorageProblem | None = None
     ) -> None:
         self.data = data
-        self.cutset = cutset
+        self.cuts = cuts
         self.wealth_cap, self.floor = lp_wealth_bounds(problem)
         cap0 = 32
         self._c0 = np.empty(cap0)
@@ -207,23 +210,24 @@ class LPSubproblem:
         self._rows[i] = row
 
     def _sync_cuts(self) -> None:
-        cs = self.cutset
-        if self._synced == cs.n:
+        lo, hi = self._synced, len(self.cuts)
+        if lo == hi:
             return
-        a, gw, ge = cs.arrays()
-        lo, hi = self._synced, cs.n
+        a, gw, ge = np.array(
+            [(c.intercept, c.grad_wealth, c.grad_energy) for c in self.cuts[lo:hi]]
+        ).T
         n_new = hi - lo
         d = self.data
         start = self._m
         self._ensure(start + n_new)
         sl = slice(start, start + n_new)
-        c0, c1, inv = _cut_rows(d, gw[lo:hi], ge[lo:hi], d.ask, d.bid)
+        c0, c1, inv = _cut_rows(d, gw, ge, d.ask, d.bid)
         self._c0[sl] = c0
         self._c1[sl] = c1
         self._c2[sl] = inv
-        self._cut_a[sl] = a[lo:hi] * inv
-        self._cut_gw[sl] = gw[lo:hi] * inv
-        self._cut_gel[sl] = ge[lo:hi] * d.leak_factor * inv
+        self._cut_a[sl] = a * inv
+        self._cut_gw[sl] = gw * inv
+        self._cut_gel[sl] = ge * d.leak_factor * inv
         rows = self._rows
         for k in range(n_new):
             rows[start + k] = (c0[k], c1[k], inv[k])
@@ -839,12 +843,12 @@ def kelley_terminal(
     if w is None:
         buy, sell = max_wealth_controls(data, state)
         w = state[0] - data.ask * buy + data.bid * sell
-    cuts = CutSet()
-    sub = LPSubproblem(data, cutset=cuts)
+    cuts = []
+    sub = LPSubproblem(data, cuts)
     gaps = []
     for _ in range(max_iter):
         slope = terminal_cost_derivative(utility, w)
-        cuts.add(Cut(terminal_cost(utility, w) - slope * w, slope, 0.0))
+        cuts.append(Cut(terminal_cost(utility, w) - slope * w, slope, 0.0))
         sol = sub.solve(state)
         w = sol.next_state[0]
         f = terminal_cost(utility, w)
@@ -852,3 +856,31 @@ def kelley_terminal(
         if gaps[-1] <= tol * max(1.0, abs(f)):
             return sol, gaps
     raise MaxIterationsError(f"terminal solve did not reach tol={tol:g} in {max_iter} passes")
+
+
+def train_recording(problem: StorageProblem, chain: MarkovChain, iterations: int, seed: int):
+    """`sddp.train`, recording every cut it appends to each node's `CutSet`.
+
+    A cut set keeps only its envelope; the record keeps the full pool, seed
+    cuts included, in arrival order, so that the envelopes can be checked
+    against every cut training produced.  Returns ``(policy, log, cuts)``
+    with ``cuts[(stage, node)]`` a list of `Cut`.
+    """
+    recorded: dict[CutSet, list[Cut]] = {}
+    append = CutSet.append
+
+    def recording_append(self, intercept, grad_wealth, grad_energy):
+        append(self, intercept, grad_wealth, grad_energy)
+        recorded.setdefault(self, []).append(Cut(intercept, grad_wealth, grad_energy))
+
+    CutSet.append = recording_append
+    try:
+        policy, log = train(problem, chain, iterations, seed)
+    finally:
+        CutSet.append = append
+    cuts = {
+        (t, j): recorded[policy.pools.get(t, j)]
+        for t in range(chain.horizon)
+        for j in range(chain.node_count(t))
+    }
+    return policy, log, cuts

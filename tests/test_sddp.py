@@ -9,7 +9,7 @@ import pytest
 import storagesddp as s
 from storagesddp.errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from storagesddp.config import train_from_config
-from storagesddp.sddp import CutPool, best_case_trading, checkpoint_fingerprint
+from storagesddp.sddp import CutPool, _seed_cuts, best_case_trading, checkpoint_fingerprint
 from oracles import chain_dp, dp_cost_to_go, feedback_policy_value, policy_chain_value
 
 
@@ -146,8 +146,9 @@ class TestSeedCuts:
         assert profit == pytest.approx(2.0, abs=1e-12)
 
     def test_seeds_are_valid_bounds(self, toy_problem, toy_chain):
-        # train one iteration; seed cuts must not exceed the true cost-to-go
-        policy, _ = s.train(toy_problem, toy_chain, 1, 0)
+        # seed cuts must not exceed the true cost-to-go
+        pools = CutPool(toy_chain, toy_problem.battery.capacity)
+        _seed_cuts(toy_problem, toy_chain, pools)
         _, G = chain_dp(toy_problem, toy_chain)
         rho = toy_problem.utility.risk_aversion
         cap = toy_problem.battery.capacity
@@ -157,8 +158,9 @@ class TestSeedCuts:
             j = int(rng.integers(0, toy_chain.node_count(t)))
             xm = float(rng.uniform(-30, 30))
             xe = float(rng.uniform(0, cap))
-            a, gw, ge = policy.pools.get(t, j).arrays()
-            seed = s.Cut(a[0], gw[0], ge[0])  # the seed cut is row 0
+            a, gw, ge = pools.get(t, j).arrays()
+            assert a.size == 1
+            seed = s.Cut(a[0], gw[0], ge[0])
             truth = dp_cost_to_go(G, cap, rho, t, j, xm, xe)
             assert seed.value(xm, xe) <= truth + 1e-6
 
@@ -262,6 +264,41 @@ class TestCheckpoints:
         assert pools.to_json(fingerprint) == saved.read_text()
         assert json.loads(saved.read_text())["format_version"] == s.sddp.CHECKPOINT_VERSION
 
+    def test_roundtrip_keeps_the_trained_lines(self, trained_n8, tmp_path):
+        # the checkpoint holds each node's envelope lines; reloading them
+        # gives the trained lines bit for bit and the same root bound
+        policy, _ = trained_n8
+        path = tmp_path / "ckpt.json"
+        s.sddp.save_checkpoint(policy, str(path))
+        pools = s.sddp.load_checkpoint(str(path), policy.problem, policy.chain)
+        records = json.loads(path.read_text())["pools"]
+        assert len(records) == 185
+        for rec in records:
+            trained = policy.pools.get(rec["stage"], rec["node"]).envelope
+            loaded = pools.get(rec["stage"], rec["node"]).envelope
+            assert len(rec["cuts"]) == len(trained.slopes)
+            lines = [v.hex() for v in loaded.slopes + loaded.intercepts]
+            assert lines == [v.hex() for v in trained.slopes + trained.intercepts]
+        restored = s.Policy(policy.problem, policy.chain, pools)
+        assert restored.root_bound() == policy.root_bound()
+
+    def test_full_pool_file_loads_to_the_trained_lines(self, trained_n8_recorded, tmp_path):
+        # a checkpoint holding every cut training produced, in training
+        # order (the content older writers stored), splices to the same lines
+        policy, _, recorded = trained_n8_recorded
+        path = tmp_path / "ckpt.json"
+        s.sddp.save_checkpoint(policy, str(path))
+        doc = json.loads(path.read_text())
+        for rec in doc["pools"]:
+            cuts = recorded[(rec["stage"], rec["node"])]
+            rec["cuts"] = [[c.intercept, c.grad_wealth, c.grad_energy] for c in cuts]
+        assert sum(len(rec["cuts"]) for rec in doc["pools"]) > 10 * policy.pools.total_cuts()
+        path.write_text(json.dumps(doc))
+        pools = s.sddp.load_checkpoint(str(path), policy.problem, policy.chain)
+        for t in range(policy.horizon):
+            for j in range(policy.chain.node_count(t)):
+                assert pools.get(t, j).envelope == policy.pools.get(t, j).envelope, (t, j)
+
     def test_warm_restart_monotone(self, toy_problem, toy_chain, toy_trained, saved):
         policy, log = toy_trained
         pools = s.sddp.load_checkpoint(str(saved), toy_problem, toy_chain)
@@ -296,6 +333,9 @@ class TestCheckpoints:
             ("wealth slope", "stage 1, node 0 has a wealth slope other than -1"),
             ("empty pool", "stage 1, node 0 has no cuts"),
             ("cuts not rows", "malformed checkpoint cuts"),
+            ("negative node", "stage 2, node -2: the chain has no such node"),
+            ("bool stage", "stage True, node 0: the chain has no such node"),
+            ("repeated record", "holds stage 1, node 0 twice"),
             ("truncated", "not valid JSON"),
             ("missing file", "cannot read checkpoint"),
         ],
@@ -331,7 +371,16 @@ class TestCheckpoints:
         elif change == "cuts not rows":
             # the rows of a pool, flattened
             doc["pools"][1]["cuts"] = sum(doc["pools"][1]["cuts"], [])
-        if change.startswith(("absent", "old", "missing ", "wealth", "empty", "cuts")):
+        elif change == "negative node":
+            # stage 2 node 1's cuts would bound node 0 as a Python index
+            doc["pools"][-1]["node"] = -2
+        elif change == "bool stage":
+            doc["pools"][1]["stage"] = True
+        elif change == "repeated record":
+            doc["pools"].append(doc["pools"][1])
+        if change.startswith(
+            ("absent", "old", "missing ", "wealth", "empty", "cuts", "negative", "bool", "repeated")
+        ):
             saved.write_text(json.dumps(doc))
         if change == "truncated":
             saved.write_text(saved.read_text()[:200])
@@ -357,10 +406,10 @@ class TestCheckpoints:
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
-def test_cutset_extend_rejects_infinite_coefficients(bad):
-    cuts = s.CutSet()
+def test_cutset_append_rejects_infinite_coefficients(bad):
+    cuts = s.CutSet(1.0)
     with pytest.raises(ValueError, match="cut coefficients must be finite"):
-        cuts.extend([[1.0, -0.5, 2.0], [0.0, -1.0, bad]])
+        cuts.append(0.0, -1.0, bad)
     assert len(cuts) == 0
 
 

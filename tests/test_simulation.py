@@ -82,7 +82,7 @@ class TestMatchesScenarioMajorOracle:
 
 def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
     # a fresh policy's node subproblems hold their prices and cut sets, and
-    # every non-terminal cut set holds the envelope it was built with (the
+    # every non-terminal cut set holds a non-empty envelope (the
     # terminal ones solve on the zero envelope); evaluation must leave every
     # attribute and every envelope exactly so
     policy = s.Policy(toy_problem, toy_chain, toy_trained[0].pools)
@@ -98,15 +98,15 @@ def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trai
             for k, v in vars(sub).items()
         }
         if sub.cutset is not None:
-            out["cutset._env"] = sub.cutset._env
+            out["cutset.envelope"] = sub.cutset.envelope
         return out
 
     before = [state(sub) for sub in subs]
-    assert all(b["cutset._env"] is not None for b in before[: -toy_chain.node_count(policy.horizon)])
+    assert all(b["cutset.envelope"].slopes for b in before[: -toy_chain.node_count(policy.horizon)])
     s.evaluate_out_of_sample(policy, 60, rng_seed=2)
     after = [state(sub) for sub in subs]
     assert after == before
-    assert all(a.get("cutset._env") is b.get("cutset._env") for a, b in zip(after, before))
+    assert all(a.get("cutset.envelope") is b.get("cutset.envelope") for a, b in zip(after, before))
 
 
 class TestKernelDensity:

@@ -19,6 +19,7 @@ from oracles import (
     max_wealth_controls,
     stage_objective,
     terminal_cost_derivative,
+    train_recording,
 )
 
 
@@ -98,7 +99,7 @@ class TestAgainstScipy:
             data = dataclasses.replace(data, u_max_discharge=speed)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
+            sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
             sol = sub.solve(state)
             ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
@@ -106,12 +107,12 @@ class TestAgainstScipy:
     def test_visited_states_of_high_risk_aversion_policy(self):
         # capacity 2 at rho 0.3: the stage LPs of a trained policy, at 200
         # states its forward passes visit, reach scipy's optimum, and their
-        # controls attain it
+        # controls attain it; the LP holds every cut training produced
         cfg = s.config_from_dict(
             {"battery": {"capacity_mwh": 2.0}, "utility": {"rho": 0.3}, "sddp": {"seed": 2}}
         )
         chain = s.build_chain_for(cfg)
-        policy, _ = s.train(s.build_problem(cfg), chain, 150, 2)
+        policy, _, recorded = train_recording(s.build_problem(cfg), chain, 150, 2)
         T = chain.horizon
         draws = np.random.default_rng(5).random((10, T))
         visited = 0
@@ -119,7 +120,7 @@ class TestAgainstScipy:
             state = (0.0, 0.0)
             for t in range(1, T):
                 sub = policy.subproblem(t, path[t - 1])
-                cuts = [s.Cut(*c) for c in zip(*sub.cutset.arrays())]
+                cuts = recorded[(t, path[t - 1])]
                 sol = sub.solve(state)
                 ref = lp_reference(sub.data, cuts, state, policy.problem)
                 tol = 1e-7 * max(1.0, abs(ref))
@@ -137,7 +138,7 @@ class TestSolveStage:
     def test_zero_value_to_go(self):
         # the cost-to-go -w' of the last stage: an empty battery holds
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(0.0, -1.0, 0.0)]))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, [s.Cut(0.0, -1.0, 0.0)]))
         value, _ = s.solve_stage(
             state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0]),
             risk_aversion=0.03,
@@ -152,7 +153,9 @@ class TestSolveStage:
             mids = rng.uniform(10, 80, 2)
             datas = [stage(m - 1.0, m + 1.0) for m in mids]
             cuts = [random_cuts(rng, 4) for _ in range(2)]
-            subs = [s.NodeSubproblem(d, cutset=s.CutSet(c)) for d, c in zip(datas, cuts)]
+            subs = [
+                s.NodeSubproblem(d, cutset=s.CutSet(d.capacity, c)) for d, c in zip(datas, cuts)
+            ]
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
             value, _ = s.solve_stage(state, subs, row, rho)
@@ -163,7 +166,7 @@ class TestSolveStage:
             assert want - value <= 1e-3
 
     def test_transition_row_must_be_stochastic(self):
-        sub = s.NodeSubproblem(stage(49, 51), cutset=s.CutSet([]))
+        sub = s.NodeSubproblem(stage(49, 51), cutset=s.CutSet(1.0))
         with pytest.raises(ValueError):
             s.solve_stage((0.0, 0.0), [sub], np.array([0.7]), 0.03)
         # a stochastic row still needs one subproblem per entry
@@ -202,7 +205,7 @@ class TestSolveStage:
         rng = np.random.default_rng(33)
         data = stage(47.0, 49.0)
         cuts = random_cuts(rng, 12)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
         state = (3.0, 0.5)
         sol = sub.solve(state)
         for _ in range(100):
@@ -217,7 +220,7 @@ class TestSolveStage:
         rng = np.random.default_rng(44)
         data = stage(40.0, 42.0)
         cuts = random_cuts(rng, 10)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
         for _ in range(20):
             state = (rng.uniform(-20, 20), rng.uniform(0.1, 0.9))
             base = sub.solve(state)
@@ -232,12 +235,12 @@ class TestSolveStage:
         rng = np.random.default_rng(5)
         data = stage(49.0, 51.0)
         cuts = random_cuts(rng, 6)
-        a = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve((1.0, 0.4))
-        b = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve((1.0, 0.4))
+        a = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts)).solve((1.0, 0.4))
+        b = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts)).solve((1.0, 0.4))
         assert a == b
 
     def test_infeasible_state(self):
-        sub = s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet([]))
+        sub = s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet(1.0))
         with pytest.raises(InfeasibleError):
             sub.solve((0.0, 2.0))
         with pytest.raises(InfeasibleError):
@@ -451,7 +454,7 @@ def test_tie_break_prefers_smallest_controls():
     # the LP oracle: a constant cost-to-go makes every control optimal, and
     # its objective perturbation picks (0, 0)
     data = stage(49.0, 51.0)
-    sub = LPSubproblem(data, cutset=s.CutSet([s.Cut(-5.0, 0.0, 0.0)]))
+    sub = LPSubproblem(data, [s.Cut(-5.0, 0.0, 0.0)])
     sol = sub.solve((0.0, 0.5))
     assert sol.controls == (0.0, 0.0)
     assert sol.value == pytest.approx(-5.0, abs=1e-9)
@@ -488,13 +491,13 @@ class TestLaneKernel:
                 bid, ask = mids - 1.0, mids + 1.0
             else:
                 bid = ask = None
-            sub = s.NodeSubproblem(data, cutset=s.CutSet(cuts))
+            sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
             sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
             for k in range(K):
                 lane_data = data
                 if own_prices:
                     lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
-                ref = s.NodeSubproblem(lane_data, cutset=s.CutSet(cuts)).solve(
+                ref = s.NodeSubproblem(lane_data, cutset=sub.cutset).solve(
                     (float(wealth[k]), float(energy[k]))
                 )
                 want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
@@ -502,7 +505,7 @@ class TestLaneKernel:
 
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet([s.Cut(-5.0, -1.0, 1.0)]))
+        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, [s.Cut(-5.0, -1.0, 1.0)]))
         last = s.NodeSubproblem(data, cutset=None, terminal=True)
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
@@ -525,7 +528,7 @@ class TestLaneKernel:
         tol = 4.0 * math.ulp(wealth)
         energy = np.array([0.0, 0.3, 1.1, 2.0])
         subs = [
-            s.NodeSubproblem(data, cutset=s.CutSet(random_cuts(rng, 8))),
+            s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, random_cuts(rng, 8))),
             s.NodeSubproblem(data, cutset=None, terminal=True),
         ]
         for sub in subs:
@@ -546,7 +549,7 @@ class TestLaneKernel:
 
     def test_empty_cut_set_has_no_value(self):
         # a node without cuts has no value to solve for
-        cuts = s.CutSet()
+        cuts = s.CutSet(1.0)
         sub = s.NodeSubproblem(stage(49.0, 51.0), cutset=cuts)
         with pytest.raises(NotTrainedError):
             sub.solve((0.0, 0.5))
@@ -595,11 +598,10 @@ def assert_exact_envelope(env, a, g, capacity):
 
 def spliced(a, g, capacity):
     """The envelope a cut set keeps when the lines arrive one by one."""
-    cuts = s.CutSet([s.Cut(a[0], -1.0, g[0])])
-    cuts.envelope(capacity)
-    for ai, gi in zip(a[1:], g[1:]):
-        cuts.add(s.Cut(ai, -1.0, gi))
-    return cuts.envelope(capacity)
+    cuts = s.CutSet(capacity)
+    for ai, gi in zip(a, g):
+        cuts.append(float(ai), -1.0, float(gi))
+    return cuts.envelope
 
 
 def awkward_lines(rng, capacity):
@@ -614,7 +616,7 @@ def awkward_lines(rng, capacity):
     g.append(g[j] * (1.0 + 1e-13))
     a.append(a[j])  # duplicate
     g.append(g[j])
-    env = s.stage_solver.build_envelope(np.array(a), np.array(g), capacity)
+    env = spliced(a, g, capacity)
     if len(env.slopes) > 1:
         k = int(rng.integers(1, len(env.slopes)))
         b, y = env.breaks[k], env.heights[k]
@@ -635,50 +637,49 @@ class TestEnvelope:
         for _ in range(300):
             capacity = float(rng.uniform(0.5, 3.0))
             a, g = awkward_lines(rng, capacity)
-            built = s.stage_solver.build_envelope(a, g, capacity)
-            assert_exact_envelope(built, a, g, capacity)
             assert_exact_envelope(spliced(a, g, capacity), a, g, capacity)
 
-    def test_exact_on_every_node_of_a_trained_pool(self, trained_n8):
-        # the envelopes training kept by splicing, and the ones a checkpoint
-        # load builds in one pass, both equal the max of the full pool
-        policy, _ = trained_n8
+    def test_exact_on_every_node_of_a_trained_pool(self, trained_n8_recorded):
+        # the envelopes training kept by splicing equal the max of every cut
+        # training produced
+        policy, _, recorded = trained_n8_recorded
         capacity = policy.problem.battery.capacity
         sizes = []
         for t in range(1, policy.horizon):
             for j in range(policy.chain.node_count(t)):
-                cuts = policy.pools.get(t, j)
-                a, _, g = cuts.arrays()
-                assert_exact_envelope(cuts.envelope(capacity), a, g, capacity)
-                assert_exact_envelope(
-                    s.stage_solver.build_envelope(a, g, capacity), a, g, capacity
-                )
-                sizes.append(len(cuts.envelope(capacity).slopes))
+                a = np.array([c.intercept for c in recorded[(t, j)]])
+                g = np.array([c.grad_energy for c in recorded[(t, j)]])
+                env = policy.pools.get(t, j).envelope
+                assert_exact_envelope(env, a, g, capacity)
+                sizes.append(len(env.slopes))
         assert len(sizes) == 184 and max(sizes) <= 12
 
-    def test_extend_rebuilds_and_dominated_lines_leave_it_unchanged(self):
-        cuts = s.CutSet([s.Cut(0.0, -1.0, -10.0), s.Cut(-8.0, -1.0, 5.0)])
-        env = cuts.envelope(1.0)
+    def test_dominated_lines_leave_it_unchanged(self):
+        cuts = s.CutSet(1.0, [s.Cut(0.0, -1.0, -10.0), s.Cut(-8.0, -1.0, 5.0)])
+        env = cuts.envelope
         assert env.slopes == [-10.0, 5.0] and env.breaks[1] == pytest.approx(8.0 / 15.0)
-        cuts.add(s.Cut(-20.0, -1.0, 0.0))  # below everywhere on [0, 1]
-        assert cuts.envelope(1.0) is env
-        cuts.extend([[1.0, -1.0, 0.0]])  # above everywhere on [0, 1]
-        assert cuts.envelope(1.0).slopes == [0.0]
-        assert len(cuts) == 4
+        assert len(cuts) == 2
+        cuts.append(-20.0, -1.0, 0.0)  # below everywhere on [0, 1]
+        assert cuts.envelope is env and len(cuts) == 2
+        cuts.append(1.0, -1.0, 0.0)  # above everywhere on [0, 1]
+        assert cuts.envelope.slopes == [0.0] and len(cuts) == 1
+
+    def test_subproblem_refuses_another_capacity(self):
+        with pytest.raises(ValueError, match="another capacity"):
+            s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet(2.0, [s.Cut(0.0, -1.0, 0.0)]))
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet([s.Cut(0.0, -0.5, 1.0)])),
-        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet()).cutset.add(
-            s.Cut(0.0, 0.0, 1.0)
+        lambda: s.NodeSubproblem(
+            stage(49.0, 51.0), cutset=s.CutSet(1.0, [s.Cut(0.0, -0.5, 1.0)])
         ),
-        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet()).cutset.extend(
-            [[0.0, -1.0, 1.0], [0.0, -2.0, 1.0]]
+        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet(1.0)).cutset.append(
+            0.0, 0.0, 1.0
         ),
     ],
-    ids=["build", "add", "extend"],
+    ids=["build", "add"],
 )
 def test_closed_form_refuses_other_wealth_slopes(make):
     with pytest.raises(ValueError, match="grad_wealth == -1"):
@@ -696,7 +697,7 @@ class TestSpreadConditionViolated:
             assert not s.check_spread_condition(data)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sol = s.NodeSubproblem(data, cutset=s.CutSet(cuts)).solve(state)
+            sol = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts)).solve(state)
             ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
             at_controls = stage_objective(data, cuts, state, *sol.controls)
@@ -721,8 +722,10 @@ class TestClosedFormOnTrainedPool:
         energy[:3] = 0.0, capacity, 0.38
         return list(zip(rng.uniform(-60.0, 60.0, n).tolist(), energy.tolist()))
 
-    def test_values_match_lp_oracle(self, trained_n8):
-        policy, _ = trained_n8
+    def test_values_match_lp_oracle(self, trained_n8_recorded):
+        # the LP holds every cut training produced, the closed form only
+        # the envelope lines
+        policy, _, recorded = trained_n8_recorded
         capacity = policy.problem.battery.capacity
         rng = np.random.default_rng(31)
         worst = 0.0
@@ -730,7 +733,7 @@ class TestClosedFormOnTrainedPool:
         for t in range(1, policy.horizon):
             for j in range(policy.chain.node_count(t)):
                 sub = policy.subproblem(t, j)
-                lp = LPSubproblem(sub.data, cutset=sub.cutset, problem=policy.problem)
+                lp = LPSubproblem(sub.data, recorded[(t, j)], problem=policy.problem)
                 for state in self.states(rng, capacity):
                     got, want = sub.solve(state), lp.solve(state)
                     worst = max(worst, abs(got.value - want.value) / max(1.0, abs(want.value)))

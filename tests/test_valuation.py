@@ -79,7 +79,6 @@ class TestBisection:
 class TestStorageValuation:
     def test_price_positive_on_toy(self, toy_config):
         result = s.price_storage(toy_config)
-        assert result.method == "closed_form"
         assert result.price > 0.0
         assert result.phi_without == pytest.approx(0.0, abs=1e-12)
 
