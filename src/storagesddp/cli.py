@@ -23,7 +23,7 @@ from .config import (
     load_config,
     train_from_config,
 )
-from .errors import ConfigError, DataError, StorageError
+from .errors import ConfigError, DataError, DegenerateSampleError, StorageError
 from .price_model import fit_ar, deviations_from_series, read_price_csv
 from .sddp import Policy, load_checkpoint, save_checkpoint
 from .simulation import evaluate_out_of_sample, kernel_density
@@ -115,17 +115,23 @@ def cmd_simulate(args) -> int:
         f.write("scenario,terminal_wealth,utility\n")
         for i, (w, u) in enumerate(zip(report.terminal_wealths, report.utilities)):
             f.write(f"{i},{float(w)!r},{float(u)!r}\n")
-    dens = kernel_density(report.terminal_wealths)
-    dens_path = os.path.join(out, "density.csv")
-    with open(dens_path, "w", encoding="utf-8") as f:
-        f.write("x,density\n")
-        for x, d in zip(dens.grid, dens.density):
-            f.write(f"{float(x)!r},{float(d)!r}\n")
     print(f"scenarios          {report.n_scenarios}")
     print(f"mean wealth        {report.mean_objective:.4f} EUR")
     print(f"mean utility       {report.mean_utility:.6f} +- {report.std_error:.6f}")
     print(f"in-sample utility  {report.in_sample_mean:.6f}")
     print(f"trained bound      {trained_bound:.6f}")
+    try:
+        dens = kernel_density(report.terminal_wealths)
+    except DegenerateSampleError as exc:
+        # one scenario, or a battery that never trades: a report without a density
+        print(f"density skipped: {exc}")
+        print(f"wrote {rep_path}")
+        return EXIT_OK
+    dens_path = os.path.join(out, "density.csv")
+    with open(dens_path, "w", encoding="utf-8") as f:
+        f.write("x,density\n")
+        for x, d in zip(dens.grid, dens.density):
+            f.write(f"{float(x)!r},{float(d)!r}\n")
     print(f"wrote {rep_path} and {dens_path}")
     return EXIT_OK
 

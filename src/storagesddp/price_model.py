@@ -151,19 +151,28 @@ def simulate_deviation_path(model: PriceModel, horizon: int, rng_seed: int) -> n
     """Simulate ``xi_1 .. xi_horizon`` from a seeded generator.
 
     Pure function of ``(model, horizon, rng_seed)``: the same seed always
-    yields the same path.
+    yields the same path.  The one row of `simulate_deviation_paths`.
+    """
+    return simulate_deviation_paths(model, horizon, [rng_seed])[0]
+
+
+def simulate_deviation_paths(model: PriceModel, horizon: int, seeds) -> np.ndarray:
+    """One path per seed as a ``(len(seeds), horizon)`` array.
+
+    Row k draws its innovations from ``default_rng(seeds[k])``; the AR
+    recursion then runs once per stage across all rows.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    eps = rng.normal(0.0, model.innovation_std, size=horizon)
-    path = np.empty(horizon)
+    paths = np.empty((len(seeds), horizon))
+    for k, seed in enumerate(seeds):
+        paths[k] = np.random.default_rng(seed).normal(0.0, model.innovation_std, size=horizon)
     xi = model.initial_deviation
     a = model.ar_coefficient
     for t in range(horizon):
-        xi = a * xi + eps[t]
-        path[t] = xi
-    return path
+        xi = a * xi + paths[:, t]
+        paths[:, t] = xi
+    return paths
 
 
 def bid_ask(model: PriceModel, stage: int, deviation: float) -> tuple[float, float]:

@@ -5,14 +5,15 @@ At each stage the realized deviation is mapped to the nearest chain node;
 the stage problem is re-solved with that node's trained cuts but with the
 realized bid/ask in the immediate dynamics and accounting.  An in-sample
 analogue (scenarios drawn from the chain itself) is computed alongside for
-the discretization-gap comparison.
+the discretization-gap comparison; its deviations are node values, so its
+lanes trade at their nodes' prices.
 
 Evaluation runs stage-major over blocks of scenarios, one lane per
-scenario.  At each stage every lane is mapped to its nearest node, and the
-lanes at one node are solved by a single `NodeSubproblem.solve_lanes` call
-on the node's cut envelope (out of sample, each lane keeps its own bid/ask);
-the terminal stage is the same closed form on the zero envelope.
-Evaluation only reads the policy: it writes nothing to the policy's
+scenario.  At each stage every lane is mapped to its nearest node, and all
+lanes go through one `StageLanes.next_states` call on the stage's padded
+envelope tables, each at its own node and bid/ask; the terminal stage is
+the same closed form on the zero envelope.  The tables are built once per
+evaluation and not kept: evaluation writes nothing to the policy's
 subproblems or envelopes.  The block size follows an element budget, so
 memory does not grow with the number of scenarios, and the results equal a
 scenario-by-scenario loop of scalar solves bit for bit.
@@ -26,16 +27,19 @@ import numpy as np
 
 from .discretization import nearest_node
 from .errors import DegenerateSampleError
-from .price_model import bid_ask, simulate_deviation_path
+from .price_model import bid_ask, simulate_deviation_paths
 from .sddp import Policy
+from .stage_solver import StageLanes
 from .storage import terminal_cost
 
 _FEAS_TOL = 1e-9
 # element budgets (doubles per working array) that keep peak memory
 # independent of the sample size: lanes x envelope lines for one block of
-# scenarios, and grid points x samples for one density chunk
+# scenarios, and grid points x samples for one density chunk (256 kB: a
+# chunk holds about three such arrays at once, and each row's sum does not
+# depend on the chunk size)
 _LANE_ELEMENTS = 1 << 18
-_KDE_ELEMENTS = 1 << 18
+_KDE_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -77,36 +81,27 @@ def _lane_block(policy: Policy) -> int:
 
 
 def _simulate_lanes(
-    policy: Policy, deviations: np.ndarray, realized_prices: bool
+    policy: Policy, stages: list[StageLanes], deviations: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run a block of scenarios stage by stage; returns (terminal wealths, utilities).
 
-    ``deviations`` holds one scenario per row.  With ``realized_prices`` the
-    stage dynamics use each scenario's own bid/ask and the nearest node's
-    cuts; otherwise the deviations are node values and the lanes at a node
-    share its prices.
+    ``deviations`` holds one scenario per row.  At each stage every lane
+    trades at its own deviation's bid/ask on its nearest node's envelope, in
+    one `StageLanes.next_states` call.
     """
     problem = policy.problem
     model = problem.price_model
     battery = problem.battery
     utility = problem.utility
-    T = policy.horizon
     K = len(deviations)
     xm = np.full(K, float(utility.initial_wealth))
     xe = np.zeros(K)
     traded = np.zeros(K)
-    buy, sell = np.empty(K), np.empty(K)
-    for t in range(1, T + 1):
+    for t, lanes in enumerate(stages, 1):
         xi = deviations[:, t - 1]
-        nodes = nearest_node(policy.chain, t, xi)
         bid, ask = bid_ask(model, t, xi)
-        next_m, next_e = np.empty(K), np.empty(K)
-        for node in np.unique(nodes).tolist():
-            lanes = np.flatnonzero(nodes == node)
-            own = (ask[lanes], bid[lanes]) if realized_prices else (None, None)
-            sol = policy.subproblem(t, node).solve_lanes(xm[lanes], xe[lanes], *own)
-            buy[lanes], sell[lanes] = sol.buy, sol.sell
-            next_m[lanes], next_e[lanes] = sol.next_wealth, sol.next_energy
+        nodes = nearest_node(policy.chain, t, xi)
+        buy, sell, next_m, next_e = lanes.next_states(nodes, xm, xe, ask, bid)
         if not np.all(
             (-_FEAS_TOL <= buy)
             & (buy <= battery.max_charge + _FEAS_TOL)
@@ -139,18 +134,19 @@ def evaluate_out_of_sample(
     wealths = np.empty(n_scenarios)
     utils = np.empty(n_scenarios)
     in_sample = np.empty(n_scenarios)
+    stages = [StageLanes(policy.subproblems(t)) for t in range(1, T + 1)]
     block = _lane_block(policy)
     for lo in range(0, n_scenarios, block):
         ks = range(lo, min(lo + block, n_scenarios))
         sl = slice(lo, lo + len(ks))
-        xi = np.array([simulate_deviation_path(model, T, rng_seed ^ k) for k in ks])
-        wealths[sl], utils[sl] = _simulate_lanes(policy, xi, realized_prices=True)
+        xi = simulate_deviation_paths(model, T, [rng_seed ^ k for k in ks])
+        wealths[sl], utils[sl] = _simulate_lanes(policy, stages, xi)
         draws = np.array(
             [np.random.default_rng((rng_seed + 1_000_003) ^ k).random(T) for k in ks]
         )
         paths = chain.node_paths(draws)
         xi = np.column_stack([chain.nodes[t + 1][paths[:, t]] for t in range(T)])
-        _, in_sample[sl] = _simulate_lanes(policy, xi, realized_prices=False)
+        _, in_sample[sl] = _simulate_lanes(policy, stages, xi)
 
     se = float(np.std(utils, ddof=1) / np.sqrt(n_scenarios)) if n_scenarios > 1 else 0.0
     return SimulationReport(

@@ -32,13 +32,14 @@ at zero wealth.  A node without cuts has no value, and its solves raise
 `NotTrainedError`.
 
 The terminal stage is the case ``H = 0``: its cost is minus the terminal
-wealth.  `NodeSubproblem` solves one state per call on Python floats;
-`NodeSubproblem.solve_lanes` solves K states of one node at once on numpy
-arrays, each lane optionally at its own bid/ask, with every floating-point
-operation in the scalar order, so each lane equals the scalar solve bit for
-bit.  `solve_stage` is the Bellman stage of training's backward pass: the
-entropic risk ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor
-solves (nested entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
+wealth.  `NodeSubproblem` solves one state per call on Python floats.
+`StageLanes` gives the controls and next states of K lanes of one stage in
+one call on numpy arrays, each lane at its own node and bid/ask, with every
+floating-point operation in the scalar order, so each lane equals the scalar
+solve bit for bit; it computes no value or subgradient.  `solve_stage` is
+the Bellman stage of training's backward pass: the entropic risk
+``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor solves (nested
+entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
 
 A `CutSet` holds nothing but its envelope: a new cut is spliced into it in
 O(envelope size), since ``envelope(pool + cut) = envelope(envelope + cut)``.
@@ -237,19 +238,6 @@ class TerminalSolution(NodeSolution):
     gaps: tuple[float, ...] = (0.0,)
 
 
-@dataclass(frozen=True)
-class LaneSolution:
-    """Per-lane optima of `NodeSubproblem.solve_lanes`; one entry per lane in every field."""
-
-    buy: np.ndarray
-    sell: np.ndarray
-    value: np.ndarray
-    grad_wealth: np.ndarray
-    grad_energy: np.ndarray
-    next_wealth: np.ndarray
-    next_energy: np.ndarray
-
-
 def _price_slopes(data: StageData, ask, bid, cp_b: float, cm_s: float):
     """(s1, s2, kink, spread condition holds) of the trading cost G at ``ask``/``bid``.
 
@@ -417,46 +405,60 @@ class NodeSubproblem:
             raise ValueError("not a terminal subproblem")
         return TerminalSolution(*self._optimum(state))
 
-    def solve_lanes(
-        self,
-        wealth: np.ndarray,
-        energy: np.ndarray,
-        ask: np.ndarray | None = None,
-        bid: np.ndarray | None = None,
-    ) -> LaneSolution:
-        """Solve K states of this node at once; lane k starts from ``(wealth[k], energy[k])``.
 
-        With ``ask``/``bid`` given, lane k trades at ``ask[k]``/``bid[k]``
-        instead of the node's prices (out-of-sample scenarios), which
-        changes only the slopes and kink of the trading cost.  Every
-        operation is the scalar solve's, elementwise and in its order, so
-        lane k equals ``solve`` on a subproblem with lane k's prices bit for
-        bit.  Raises the scalar solve's errors.
+class StageLanes:
+    """The next states of many lanes of one stage, each at its own node and prices.
+
+    Built from the stage's node subproblems, which must share the battery.
+    Row i of two padded tables holds node i's envelope: its slopes padded
+    with ``+inf`` and its breaks padded with the capacity, so counting a
+    row's slopes below a threshold is the scalar solve's ``bisect_left``.
+    The tables are a copy: a later envelope update does not reach them.
+    """
+
+    def __init__(self, subproblems: list[NodeSubproblem]) -> None:
+        if len({sub._const[:8] for sub in subproblems}) != 1:
+            raise ValueError("the subproblems of one stage must share the battery")
+        self.data = subproblems[0].data
+        self._const = subproblems[0]._const[:8]
+        lines = [len(sub.envelope.slopes) for sub in subproblems]
+        h, cap = max(lines), self._const[1]
+        self._slopes = np.array(
+            [sub.envelope.slopes + [_INF] * (h - n) for sub, n in zip(subproblems, lines)]
+        )
+        self._breaks = np.array(
+            [sub.envelope.breaks[:n] + [cap] * (h + 1 - n) for sub, n in zip(subproblems, lines)]
+        )
+        self._trained = np.array(lines) > 0
+
+    def next_states(self, nodes, wealth, energy, ask, bid):
+        """``(buy, sell, next_wealth, next_energy)`` per lane, as arrays.
+
+        Lane k solves node ``nodes[k]`` from ``(wealth[k], energy[k])`` at
+        the prices ``ask[k]``/``bid[k]``, which set only the slopes and kink
+        of the trading cost.  Every operation is the scalar solve's,
+        elementwise and in its order, so lane k equals `next_state` and
+        ``solve(...).controls`` of that node's subproblem at lane k's prices
+        bit for bit.  Raises the scalar solve's errors.
         """
-        d = self.data
         xm = np.asarray(wealth, dtype=float)
         xe = np.asarray(energy, dtype=float)
-        leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
-        if ask is None:
-            ask_l, bid_l = d.ask, d.bid
-        else:
-            ask_l = np.asarray(ask, dtype=float)
-            bid_l = np.asarray(bid, dtype=float)
-            s1, s2, kink, spread = _price_slopes(d, ask_l, bid_l, cp_b, cm_s)
-            ns1, ns2 = -s1, -s2
+        ask = np.asarray(ask, dtype=float)
+        bid = np.asarray(bid, dtype=float)
+        leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s = self._const
+        s1, s2, kink, spread = _price_slopes(self.data, ask, bid, cp_b, cm_s)
         if not ((-_STATE_TOL <= xe) & (xe <= cap + _STATE_TOL)).all():
             raise InfeasibleError(f"energy state outside [0, {cap:.6g}]")
-        g, a, x, _ = self.envelope
-        if not g:
+        if not self._trained[nodes].all():
             raise NotTrainedError(_NO_CUTS)
+        g = self._slopes[nodes]
         big = leak * xe
         low = big - cm_s
         high = big + cp_b
         kink = big + kink
-        g_arr, x_arr = np.array(g), np.array(x)
-        e = x_arr[np.searchsorted(g_arr, ns2)]
+        e = self._breaks[nodes, np.count_nonzero(g < (-s2)[:, None], axis=1)]
         e = np.where(e < kink, kink, e)
-        x1 = x_arr[np.searchsorted(g_arr, ns1)]
+        x1 = self._breaks[nodes, np.count_nonzero(g < (-s1)[:, None], axis=1)]
         e = np.where(e > x1, x1, e)
         e = np.where(e < low, low, e)
         e = np.where(e > high, high, e)
@@ -471,34 +473,8 @@ class NodeSubproblem:
                 sell_v = np.where(e > kink, (high - e) / cm, u_sell)
                 buy = np.where(spread, buy, buy_v)
                 sell = np.where(spread, sell, sell_v)
-        buy, sell = _clamp_lanes(d, np.array([buy, sell]), xe)
-        w_next = xm - ask_l * buy + bid_l * sell
-        e_next = leak * xe + cp * buy - cm * sell
-        h = len(g)
-        a_arr = np.array(a)
-        p = np.clip(np.searchsorted(x_arr, e_next, side="right") - 1, 0, h - 1)
-        value = a_arr[p] + g_arr[p] * e_next - w_next
-        j = np.searchsorted(x_arr, e)
-        at = x_arr[j] == e
-        g_pad = np.concatenate(([-_INF], g_arr, [_INF]))
-        hl = g_pad[j]  # g[j - 1], or -inf at j = 0
-        hr = np.where(at, g_pad[j + 1], hl)
-        gr = np.where(e <= low, _INF, np.where(e <= kink, ns1, ns2))
-        gl = np.where(e >= high, -_INF, np.where(e < kink, ns1, ns2))
-        lam = np.where(
-            hl == hr,
-            hl,
-            np.where(e == 0.0, np.minimum(hr, gr), np.maximum(hl, gl)),
-        )
-        return LaneSolution(
-            buy=buy,
-            sell=sell,
-            value=value,
-            grad_wealth=np.full(xe.size, -1.0),
-            grad_energy=leak * lam,
-            next_wealth=w_next,
-            next_energy=e_next,
-        )
+        buy, sell = _clamp_lanes(self.data, np.array([buy, sell]), xe)
+        return buy, sell, xm - ask * buy + bid * sell, leak * xe + cp * buy - cm * sell
 
 
 def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):

@@ -22,7 +22,6 @@ import numpy as np
 
 from storagesddp import bid_ask
 from storagesddp.discretization import MarkovChain, nearest_node
-from storagesddp.price_model import simulate_deviation_path
 from storagesddp.sddp import Policy, StorageProblem, train
 from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
 from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem
@@ -766,6 +765,17 @@ def _node_path_deviations(policy: Policy, seed: int) -> np.ndarray:
     return out
 
 
+def _deviation_path(model, horizon: int, seed: int) -> np.ndarray:
+    """One AR(1) deviation path, a scalar recursion on ``default_rng(seed)``'s innovations."""
+    eps = np.random.default_rng(seed).normal(0.0, model.innovation_std, size=horizon)
+    path = np.empty(horizon)
+    xi = model.initial_deviation
+    for t in range(horizon):
+        xi = model.ar_coefficient * xi + eps[t]
+        path[t] = xi
+    return path
+
+
 def scenario_major_evaluation(policy: Policy, n_scenarios: int, rng_seed: int):
     """Scalar reference for `evaluate_out_of_sample`, one scenario at a time.
 
@@ -779,7 +789,7 @@ def scenario_major_evaluation(policy: Policy, n_scenarios: int, rng_seed: int):
     utils = np.empty(n_scenarios)
     in_sample = np.empty(n_scenarios)
     for k in range(n_scenarios):
-        xi = simulate_deviation_path(model, T, rng_seed ^ k)
+        xi = _deviation_path(model, T, rng_seed ^ k)
         wealths[k], utils[k] = _simulate_one(policy, xi, realized_prices=True)
     for k in range(n_scenarios):
         xi = _node_path_deviations(policy, (rng_seed + 1_000_003) ^ k)

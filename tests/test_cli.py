@@ -119,6 +119,25 @@ class TestCommands:
         )
         assert abs(np.trapezoid(d, x) - 1.0) < 1e-3
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"simulate": {"scenarios": 1, "seed": 1}},
+            {"market": {**SMALL["market"], "spread_eur": 40.0}},
+        ],
+        ids=["one scenario", "never trades"],
+    )
+    def test_simulate_without_density(self, tmp_path, capsys, change):
+        # equal terminal wealths have no density: the report stands without one
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL, **change}), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "density skipped: need >= 2 samples with nonzero variance" in out
+        assert "mean utility" in out
+        assert (tmp_path / "simulation.csv").exists()
+        assert not (tmp_path / "density.csv").exists()
+
     def test_price(self, small_config, tmp_path, capsys):
         assert main(["price", "--config", small_config, "--out", str(tmp_path)]) == 0
         assert "indifference price" in capsys.readouterr().out

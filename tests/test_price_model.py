@@ -108,6 +108,25 @@ class TestSimulatePath:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             s.simulate_deviation_path(make_model(), 0, rng_seed=0)
+        with pytest.raises(ValueError):
+            s.simulate_deviation_paths(make_model(), 0, [0, 1])
+
+    def test_batch_rows_are_scalar_recursions(self):
+        # row k: seed k's innovations through the AR recursion one stage at
+        # a time, as a scalar loop computes it
+        model = make_model(ar_coefficient=0.48, innovation_std=3.2, initial_deviation=1.5)
+        seeds = [7, 0, 7 ^ 5, 123456789]
+        paths = s.simulate_deviation_paths(model, 24, seeds)
+        assert paths.shape == (4, 24)
+        for row, seed in zip(paths, seeds):
+            eps = np.random.default_rng(seed).normal(0.0, 3.2, size=24)
+            xi, want = 1.5, []
+            for e in eps.tolist():
+                xi = 0.48 * xi + e
+                want.append(xi)
+            assert row.tolist() == want
+            assert np.array_equal(s.simulate_deviation_path(model, 24, seed), row)
+        assert s.simulate_deviation_paths(model, 24, []).shape == (0, 24)
 
 
 class TestBidAsk:

@@ -80,6 +80,18 @@ class TestMatchesScenarioMajorOracle:
         assert rep.in_sample_mean == float(in_sample.mean())
 
 
+def test_node_prices_are_bid_ask_at_node_values(trained_n8):
+    # in-sample lanes trade at bid_ask of their node values, which must be
+    # each node's subproblem prices bit for bit
+    policy, _ = trained_n8
+    model, chain = policy.problem.price_model, policy.chain
+    for t in range(1, policy.horizon + 1):
+        bid, ask = s.bid_ask(model, t, chain.nodes[t])
+        for j in range(chain.node_count(t)):
+            data = policy.stage_data(t, j)
+            assert (bid[j], ask[j]) == (data.bid, data.ask), (t, j)
+
+
 def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
     # a fresh policy's node subproblems hold their prices and cut sets, and
     # every non-terminal cut set holds a non-empty envelope (the

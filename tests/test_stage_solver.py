@@ -440,14 +440,13 @@ class TestTerminalKelley:
         else:
             bid = ask = None
         sub = s.NodeSubproblem(data, cutset=None, terminal=True)
-        sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
+        out = TestLaneKernel.one_node(sub, wealth, energy, ask=ask, bid=bid)
         for k in range(K):
             lane_data = data
             if own_prices:
                 lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
             ref = terminal((float(wealth[k]), float(energy[k])), lane_data)
-            want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
-            assert TestLaneKernel.lane_results(sol, k) == want, k
+            assert TestLaneKernel.lane_results(out, k) == (ref.controls, ref.next_state), k
 
 
 def test_tie_break_prefers_smallest_controls():
@@ -465,16 +464,30 @@ def test_objective_perturbation_is_negligible():
 
 
 class TestLaneKernel:
-    """`NodeSubproblem.solve_lanes` against one scalar `NodeSubproblem.solve` per lane."""
+    """`StageLanes.next_states` against one scalar `NodeSubproblem.solve` per lane.
+
+    The lanes compute no value or subgradient; the scalar solve's are
+    checked against the LP oracle.
+    """
 
     @staticmethod
-    def lane_results(sol, k):
-        return (
-            (sol.buy[k], sol.sell[k]),
-            sol.value[k],
-            (sol.grad_wealth[k], sol.grad_energy[k]),
-            (sol.next_wealth[k], sol.next_energy[k]),
-        )
+    def lane_results(out, k):
+        buy, sell, next_wealth, next_energy = out
+        return (buy[k], sell[k]), (next_wealth[k], next_energy[k])
+
+    @staticmethod
+    def scalar_results(sub, state):
+        sol = sub.solve(state)
+        assert sub.next_state(state) == sol.next_state
+        return sol.controls, sol.next_state
+
+    @staticmethod
+    def one_node(sub, wealth, energy, ask=None, bid=None):
+        """Lanes of the one subproblem ``sub``, at its own prices without ``ask``/``bid``."""
+        K = len(energy)
+        if ask is None:
+            ask, bid = np.full(K, sub.data.ask), np.full(K, sub.data.bid)
+        return s.StageLanes([sub]).next_states(np.zeros(K, dtype=int), wealth, energy, ask, bid)
 
     @pytest.mark.parametrize("own_prices", [True, False])
     def test_random_instances_match_scalar(self, own_prices):
@@ -492,16 +505,61 @@ class TestLaneKernel:
             else:
                 bid = ask = None
             sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
-            sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
+            out = self.one_node(sub, wealth, energy, ask=ask, bid=bid)
             for k in range(K):
                 lane_data = data
                 if own_prices:
                     lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
-                ref = s.NodeSubproblem(lane_data, cutset=sub.cutset).solve(
-                    (float(wealth[k]), float(energy[k]))
-                )
-                want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
-                assert self.lane_results(sol, k) == want, (trial, k)
+                lane = s.NodeSubproblem(lane_data, cutset=sub.cutset)
+                want = self.scalar_results(lane, (float(wealth[k]), float(energy[k])))
+                assert self.lane_results(out, k) == want, (trial, k)
+
+    def test_lanes_at_different_nodes(self):
+        # one call whose lanes sit at five nodes with envelopes of 1 to many
+        # lines, each lane at its own prices (some below the spread
+        # condition's -20 EUR limit); at the last node the lanes' price
+        # slopes -ask/c+ and -bid/c- equal envelope slopes exactly, where
+        # bisect_left's tie rule decides the break
+        rng = np.random.default_rng(17)
+        data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
+        tie_bid, tie_ask = 39.0, 41.0
+        # tangents of the convex 30 (e - 1)^2 with slopes g: n envelope lines
+        slopes = [rng.uniform(-60.0, 60.0, n).tolist() for n in (1, 2, 5, 11)]
+        slopes.append([-tie_ask / data.charge_eff, -tie_bid / data.discharge_eff, 0.0, 20.0])
+        cutsets = [
+            s.CutSet(data.capacity, [s.Cut(30.0 - 30.0 * (1 + g / 60) ** 2, -1.0, g) for g in gs])
+            for gs in slopes
+        ]
+        assert [len(c) for c in cutsets] == [1, 2, 5, 11, 4]
+        subs = [
+            s.NodeSubproblem(dataclasses.replace(data, node=j), cutset=c)
+            for j, c in enumerate(cutsets)
+        ]
+        K = 250
+        nodes = rng.integers(0, len(subs), K)
+        wealth = rng.uniform(-50.0, 50.0, K)
+        energy = rng.uniform(0.0, data.capacity, K)
+        energy[::5], energy[1::5] = 0.0, data.capacity
+        mids = rng.uniform(-60.0, 120.0, K)
+        bid, ask = mids - 1.0, mids + 1.0
+        bid[nodes == 4], ask[nodes == 4] = tie_bid, tie_ask
+        out = s.StageLanes(subs).next_states(nodes, wealth, energy, ask, bid)
+        for k in range(K):
+            lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
+            lane = s.NodeSubproblem(lane_data, cutset=cutsets[nodes[k]])
+            want = self.scalar_results(lane, (float(wealth[k]), float(energy[k])))
+            assert self.lane_results(out, k) == want, k
+        assert set(nodes.tolist()) == {0, 1, 2, 3, 4}
+        assert (mids[nodes < 4] < -20.0).any()
+
+    def test_stage_must_share_the_battery(self):
+        data = stage(30.0, 32.0)
+        subs = [
+            s.NodeSubproblem(data, cutset=None, terminal=True),
+            s.NodeSubproblem(dataclasses.replace(data, u_max_charge=0.3), None, terminal=True),
+        ]
+        with pytest.raises(ValueError):
+            s.StageLanes(subs)
 
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
@@ -511,18 +569,18 @@ class TestLaneKernel:
             with pytest.raises(InfeasibleError):
                 sub.solve((0.0, bad))
             with pytest.raises(InfeasibleError):
-                sub.solve_lanes(np.zeros(3), np.array([0.2, bad, 0.4]))
+                self.one_node(sub, np.zeros(3), np.array([0.2, bad, 0.4]))
             with pytest.raises(InfeasibleError):
                 terminal((0.0, bad), data)
             with pytest.raises(InfeasibleError):
-                last.solve_lanes(np.zeros(3), np.array([0.2, bad, 0.4]))
+                self.one_node(last, np.zeros(3), np.array([0.2, bad, 0.4]))
 
     @pytest.mark.parametrize("wealth", [1e9, -1e9], ids=["plus", "minus"])
     def test_wealth_only_shifts_the_value(self, wealth):
         # wealth is unbounded: at |w| = 1e9 the controls, next energy and
         # subgradient of a node and of a terminal subproblem are the w = 0
-        # solve's bit for bit, scalar and in lanes, and the value is shifted
-        # by -w (up to the rounding of w' at that magnitude)
+        # solve's bit for bit, scalar and in lanes, and the value and next
+        # wealth are shifted by -w and w (up to the rounding at that magnitude)
         rng = np.random.default_rng(9)
         data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
         tol = 4.0 * math.ulp(wealth)
@@ -532,11 +590,12 @@ class TestLaneKernel:
             s.NodeSubproblem(data, cutset=None, terminal=True),
         ]
         for sub in subs:
-            lanes0 = sub.solve_lanes(np.zeros(4), energy)
-            lanes = sub.solve_lanes(np.full(4, wealth), energy)
-            for name in ("buy", "sell", "grad_wealth", "grad_energy", "next_energy"):
-                assert np.array_equal(getattr(lanes, name), getattr(lanes0, name)), name
-            np.testing.assert_allclose(lanes.value - lanes0.value, -wealth, rtol=0.0, atol=tol)
+            buy0, sell0, wealth0, energy0 = self.one_node(sub, np.zeros(4), energy)
+            buy, sell, next_wealth, next_energy = self.one_node(sub, np.full(4, wealth), energy)
+            assert np.array_equal(buy, buy0)
+            assert np.array_equal(sell, sell0)
+            assert np.array_equal(next_energy, energy0)
+            np.testing.assert_allclose(next_wealth - wealth0, wealth, rtol=0.0, atol=tol)
             for e in energy.tolist():
                 at0, at = sub.solve((0.0, e)), sub.solve((wealth, e))
                 assert at.controls == at0.controls
@@ -550,18 +609,28 @@ class TestLaneKernel:
     def test_empty_cut_set_has_no_value(self):
         # a node without cuts has no value to solve for
         cuts = s.CutSet(1.0)
-        sub = s.NodeSubproblem(stage(49.0, 51.0), cutset=cuts)
+        data = stage(49.0, 51.0)
+        sub = s.NodeSubproblem(data, cutset=cuts)
         with pytest.raises(NotTrainedError):
             sub.solve((0.0, 0.5))
         with pytest.raises(NotTrainedError):
             sub.next_state((0.0, 0.5))
         with pytest.raises(NotTrainedError):
-            sub.solve_lanes(np.zeros(2), np.array([0.0, 0.5]))
+            self.one_node(sub, np.zeros(2), np.array([0.0, 0.5]))
         with pytest.raises(NotTrainedError):
             cuts.value(0.0, 0.5)
         # the energy state is checked first
         with pytest.raises(InfeasibleError):
             sub.solve((0.0, 2.0))
+        with pytest.raises(InfeasibleError):
+            self.one_node(sub, np.zeros(2), np.array([0.0, 2.0]))
+        # beside a trained node, only the lanes that visit the empty one fail
+        trained = s.NodeSubproblem(data, cutset=s.CutSet(1.0, [s.Cut(-5.0, -1.0, 1.0)]))
+        lanes = s.StageLanes([trained, sub])
+        args = np.zeros(2), np.array([0.0, 0.5]), np.full(2, data.ask), np.full(2, data.bid)
+        lanes.next_states(np.array([0, 0]), *args)
+        with pytest.raises(NotTrainedError):
+            lanes.next_states(np.array([0, 1]), *args)
 
 
 @pytest.mark.parametrize("field", ["intercept", "grad_wealth", "grad_energy"])
@@ -768,26 +837,29 @@ class TestClosedFormOnTrainedPool:
 
     @pytest.mark.parametrize("own_prices", [False, True])
     def test_lanes_equal_scalar_solves(self, trained_n8, own_prices):
+        # one call per stage, with 12 lanes at every node of the stage
         policy, _ = trained_n8
         capacity = policy.problem.battery.capacity
         rng = np.random.default_rng(33)
         for t in (1, 9, 17, policy.horizon - 1, policy.horizon):
-            for j in range(policy.chain.node_count(t)):
-                sub = policy.subproblem(t, j)
-                states = self.states(rng, capacity, n=12)
-                wealth, energy = (np.array(v) for v in zip(*states))
+            subs = policy.subproblems(t)
+            states, nodes = [], []
+            for j in range(len(subs)):
+                states += self.states(rng, capacity, n=12)
+                nodes += [j] * 12
+            wealth, energy = (np.array(v) for v in zip(*states))
+            if own_prices:
+                # some lanes below the spread condition's -20 EUR limit
+                mids = rng.uniform(-60.0, 120.0, len(states))
+                bid, ask = mids - 1.0, mids + 1.0
+            else:
+                bid = np.array([subs[j].data.bid for j in nodes])
+                ask = np.array([subs[j].data.ask for j in nodes])
+            out = s.StageLanes(subs).next_states(np.array(nodes), wealth, energy, ask, bid)
+            for k, (state, j) in enumerate(zip(states, nodes)):
+                lane = subs[j]
                 if own_prices:
-                    # some lanes below the spread condition's -20 EUR limit
-                    mids = rng.uniform(-60.0, 120.0, len(states))
-                    bid, ask = mids - 1.0, mids + 1.0
-                else:
-                    bid = ask = None
-                sol = sub.solve_lanes(wealth, energy, ask=ask, bid=bid)
-                for k, state in enumerate(states):
-                    lane = sub
-                    if own_prices:
-                        data = dataclasses.replace(sub.data, bid=float(bid[k]), ask=float(ask[k]))
-                        lane = s.NodeSubproblem(data, sub.cutset, terminal=sub.terminal)
-                    ref = lane.solve(state)
-                    want = (ref.controls, ref.value, ref.subgradient, ref.next_state)
-                    assert TestLaneKernel.lane_results(sol, k) == want, (t, j, k)
+                    data = dataclasses.replace(lane.data, bid=float(bid[k]), ask=float(ask[k]))
+                    lane = s.NodeSubproblem(data, lane.cutset, terminal=lane.terminal)
+                want = TestLaneKernel.scalar_results(lane, state)
+                assert TestLaneKernel.lane_results(out, k) == want, (t, j, k)
