@@ -49,14 +49,7 @@ from .storage import (
     stage_data_for,
     terminal_cost,
 )
-from .valuation import (
-    ValuationResult,
-    indifference_price_bisection,
-    indifference_price_exponential,
-    price_storage,
-    price_sweep,
-    storage_value,
-)
+from .valuation import ValuationResult, price_storage, price_sweep
 
 __all__ = [
     "BatterySpec",
@@ -93,8 +86,6 @@ __all__ = [
     "evaluate_out_of_sample",
     "fit_ar",
     "gauss_hermite",
-    "indifference_price_bisection",
-    "indifference_price_exponential",
     "kernel_density",
     "load_config",
     "nearest_node",
@@ -106,7 +97,6 @@ __all__ = [
     "simulate_deviation_paths",
     "solve_stage",
     "stage_data_for",
-    "storage_value",
     "tail_comparison",
     "terminal_cost",
     "train",

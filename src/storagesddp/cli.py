@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import (
@@ -153,12 +154,21 @@ def cmd_price(args) -> int:
     return EXIT_OK
 
 
+def _numbers(text: str, option: str) -> list[float]:
+    """The comma-separated numbers of an option; `ConfigError` if one does not parse."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} must be comma-separated numbers, not {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    grid = [float(v) for v in args.grid.split(",")]
-    rhos = [float(v) for v in args.rhos.split(",")] if args.rhos else None
-    iterations = args.iterations or cfg.sddp.iterations
-    rows = price_sweep(args.axis, grid, cfg, iterations=iterations, rhos=rhos)
+    grid = _numbers(args.grid, "--grid")
+    rhos = _numbers(args.rhos, "--rhos") if args.rhos is not None else None
+    if args.iterations is not None:
+        cfg = replace(cfg, sddp=replace(cfg.sddp, iterations=args.iterations))
+    rows = price_sweep(args.axis, grid, cfg, rhos=rhos)
 
     out = _out_dir(args)
     path = os.path.join(out, "sweep.csv")

@@ -117,6 +117,28 @@ _SECTIONS = {
 }
 
 
+# integer fields; every other field but the day-ahead curve and an absent
+# sampling std is a real number
+_COUNTS = (
+    "horizon",
+    "sddp.quadrature_points",
+    "sddp.iterations",
+    "sddp.seed",
+    "simulate.scenarios",
+    "simulate.seed",
+)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float; a bool is not a number here, nor an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _build_section(cls, data: dict, path: str):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
@@ -125,8 +147,8 @@ def _build_section(cls, data: dict, path: str):
     kwargs = {}
     for key, value in data.items():
         if key == "day_ahead":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError("market.day_ahead must be a list of numbers")
+            if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
+                raise ConfigError("market.day_ahead must be a list of finite numbers")
             kwargs[key] = tuple(float(v) for v in value)
         else:
             kwargs[key] = value
@@ -145,7 +167,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)}")
     kwargs = {}
     if "horizon" in data:
-        kwargs["horizon"] = int(data["horizon"])
+        kwargs["horizon"] = data["horizon"]
     for name, cls in _SECTIONS.items():
         if name in data:
             if not isinstance(data[name], dict):
@@ -167,7 +189,31 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(data)
 
 
+def _scalar_fields(cfg: RunConfig):
+    """``(dotted name, value)`` of every field but the day-ahead curve."""
+    yield "horizon", cfg.horizon
+    for section in _SECTIONS:
+        values = getattr(cfg, section)
+        for f in dataclasses.fields(values):
+            if f.name != "day_ahead":
+                yield f"{section}.{f.name}", getattr(values, f.name)
+
+
 def validate_config(cfg: RunConfig) -> None:
+    """Raise `ConfigError` unless every field has its type and range.
+
+    Counts must be ``int`` (not ``bool``); every other number must be a
+    finite ``int`` or ``float``, so NaN and infinities, which JSON admits,
+    are refused.
+    """
+    for name, value in _scalar_fields(cfg):
+        if name in _COUNTS:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
+        elif not (value is None and name == "price.sampling_std") and not _is_real(value):
+            raise ConfigError(f"{name} must be a finite number, not {value!r}")
+    if cfg.market.day_ahead is not None and not all(map(_is_real, cfg.market.day_ahead)):
+        raise ConfigError("market.day_ahead must be a list of finite numbers")
     if cfg.horizon < 1:
         raise ConfigError("horizon must be >= 1")
     da = cfg.resolved_day_ahead()
@@ -181,6 +227,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("battery.alpha must be in (0, 1]")
     if not 0 < cfg.battery.c_plus <= cfg.battery.c_minus:
         raise ConfigError("need 0 < battery.c_plus <= battery.c_minus")
+    if not 0 <= cfg.battery.leakage <= 1:
+        raise ConfigError("battery.leakage must be in [0, 1]")
     if cfg.market.spread_eur < 0:
         raise ConfigError("market.spread_eur must be >= 0")
     if cfg.price.sigma_eps < 0:
@@ -242,15 +290,8 @@ def build_chain_for(cfg: RunConfig) -> MarkovChain:
     )
 
 
-def train_from_config(
-    cfg: RunConfig, initial_wealth: float | None = None
-) -> tuple[Policy, TrainingLog]:
-    """Train on the config's problem and chain with its iterations and seed.
-
-    ``initial_wealth`` overrides the config's utility.initial_wealth.
-    """
-    if initial_wealth is not None:
-        cfg = replace(cfg, utility=replace(cfg.utility, initial_wealth=initial_wealth))
+def train_from_config(cfg: RunConfig) -> tuple[Policy, TrainingLog]:
+    """Train on the config's problem and chain with its iterations and seed."""
     return train(
         build_problem(cfg), build_chain_for(cfg), cfg.sddp.iterations, cfg.sddp.seed
     )

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every failure mode raised by the library derives from :class:`StorageError`,
-so callers (and the CLI exit-code mapping) can catch one base class.
+so callers (and the CLI exit-code mapping) can catch one base class.  Each
+class here is raised or caught by package code; errors that only the test
+oracles raise live with them in ``tests/oracles.py``.
 """
 
 
@@ -9,8 +11,8 @@ class StorageError(Exception):
     """Base class for all errors raised by storagesddp."""
 
 
-class ConfigError(StorageError):
-    """Invalid or inconsistent run configuration."""
+class ConfigError(StorageError, ValueError):
+    """Invalid or inconsistent run configuration or command-line argument."""
 
 
 class DataError(StorageError):
@@ -61,30 +63,8 @@ class InfeasibleError(StorageError):
     """Stage problem has no feasible point (state outside its box)."""
 
 
-class MaxIterationsError(StorageError):
-    """An iterative solve exceeded its iteration budget."""
-
-
 class NotTrainedError(StorageError):
     """A policy operation was requested before training: no iteration, or a node without cuts."""
-
-
-class DomainError(StorageError):
-    """Closed-form price undefined: log argument is not positive.
-
-    Raised by `valuation.indifference_price_exponential` for an expected
-    utility at or above the ceiling ``1/rho``, which no storage value
-    reaches.  `valuation.price_storage` reads the certainty equivalent from
-    training directly and never raises it.
-    """
-
-
-class BracketInvalidError(StorageError):
-    """Bisection bracket does not enclose a root."""
-
-
-class MaxEvaluationsError(StorageError):
-    """Bisection exceeded its evaluation budget."""
 
 
 class DegenerateSampleError(StorageError):

@@ -15,11 +15,14 @@ gives a deterministic optimistic bound on the certainty equivalent;
 `TrainingLog.bounds` reports it as expected utility (maximization
 orientation), where it is non-increasing.
 
-Checkpoints are versioned JSON that carry a fingerprint of the problem and
-chain the cuts were trained on, and hold each node's envelope lines;
-`load_checkpoint` refuses any other, any cut whose wealth slope is not -1,
-any record of a node the chain lacks or of a node already read, and any
-empty pool with `CheckpointError`.
+Checkpoints (format 4) are versioned JSON that carry a fingerprint of the
+problem and chain the cuts were trained on, and hold each node's envelope:
+its lines as ``[intercept, energy slope]`` rows (the wealth slope is -1)
+and its breaks.  `load_checkpoint` uses them as the envelope as they are,
+so a reloaded policy is the trained one bit for bit.  It refuses another
+format version, fingerprint or horizon, any record of a node the chain
+lacks or of a node already read, any empty pool, and lines and breaks that
+do not form an envelope with `CheckpointError`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from numpy.random import default_rng
 from .discretization import MarkovChain
 from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import CutSet, NodeSubproblem, _stage_value
+from .stage_solver import CutSet, Envelope, NodeSubproblem, _stage_value, envelope_from_lines
 from .storage import (
     BatterySpec,
     StageData,
@@ -49,11 +52,10 @@ from .storage import (
 )
 
 # version 1 (unversioned) checkpoints held cuts on the expected-utility cost;
-# version 2 wrote each cut as an object with named coefficients.  Version 3
-# files written with every cut ever found, not just the envelope lines, load
-# to the same envelopes: splicing the full pool in training order repeats
-# training's splices.
-CHECKPOINT_VERSION = 3
+# version 2 wrote each cut as an object with named coefficients; version 3
+# held [intercept, grad_wealth, grad_energy] rows that the loader spliced in
+# again, which can move a break by rounding.
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -89,11 +91,16 @@ class CutPool:
     def to_json(self, fingerprint: str) -> str:
         """Versioned JSON of every pool, tagged with `checkpoint_fingerprint`.
 
-        Each pool's envelope lines are rows ``[intercept, grad_wealth,
-        grad_energy]``, in increasing energy slope.
+        Each pool's envelope is its lines as rows ``[intercept,
+        grad_energy]``, in increasing energy slope, and its breaks.
         """
         records = [
-            {"stage": t, "node": j, "cuts": np.column_stack(cs.arrays()).tolist()}
+            {
+                "stage": t,
+                "node": j,
+                "cuts": [[a, g] for a, g in zip(cs.envelope.intercepts, cs.envelope.slopes)],
+                "breaks": cs.envelope.breaks,
+            }
             for t, level in enumerate(self._sets)
             for j, cs in enumerate(level)
         ]
@@ -111,14 +118,15 @@ class CutPool:
     ) -> "CutPool":
         """Parse `to_json` output for ``chain`` and the expected ``fingerprint``.
 
-        Each record's rows are appended to its node's pool in file order.
-        Raises `CheckpointError` for text that is not JSON, a format version
-        other than `CHECKPOINT_VERSION`, missing keys, a stage or node that
-        is not an index of ``chain`` (an ``int``, not a ``bool``, in range),
-        a (stage, node) held by two records, cuts that are not rows of three
-        finite numbers, cuts with a wealth slope other than -1, a pool
-        without cuts, and a horizon or fingerprint that differs from the
-        expected one.
+        Each record's lines and breaks become its node's envelope as they
+        are (`stage_solver.envelope_from_lines`).  Raises `CheckpointError`
+        for text that is not JSON, a format version other than
+        `CHECKPOINT_VERSION`, missing keys, a stage or node that is not an
+        index of ``chain`` (an ``int``, not a ``bool``, in range), a (stage,
+        node) held by two records, cuts that are not rows of two finite
+        numbers, a pool without cuts, lines and breaks that do not form an
+        envelope on ``[0, capacity]``, and a horizon or fingerprint that
+        differs from the expected one.
         """
         try:
             doc = json.loads(text)
@@ -148,19 +156,12 @@ class CutPool:
         pool = cls(chain, capacity)
         read = set()
         for rec in records:
-            t, j, rows = _record(rec, chain)
+            t, j, envelope = _record(rec, chain, capacity)
             if (t, j) in read:
                 raise CheckpointError(f"checkpoint holds stage {t}, node {j} twice")
             read.add((t, j))
-            cuts = pool.get(t, j)
-            try:
-                for a, gw, ge in rows:
-                    cuts.append(a, gw, ge)
-            except ValueError as exc:
-                # the rows are finite: the wealth slope is refused
-                raise CheckpointError(
-                    f"checkpoint cut at stage {t}, node {j} has a wealth slope other than -1"
-                ) from exc
+            if envelope is not None:
+                pool.get(t, j).envelope = envelope
         for t, level in enumerate(pool._sets):
             for j, cuts in enumerate(level):
                 if not len(cuts):
@@ -172,22 +173,48 @@ def _is_index(value, size: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
 
 
-def _record(rec, chain: MarkovChain) -> tuple[int, int, list]:
-    """``(stage, node, rows)`` of one checkpoint record, its rows finite triples."""
+def _record(rec, chain: MarkovChain, capacity: float) -> tuple[int, int, Envelope | None]:
+    """``(stage, node, envelope)`` of one checkpoint record; ``None`` for a record without cuts.
+
+    The envelope's slopes and breaks must strictly increase, and its breaks,
+    one more than its lines, must run from 0 to ``capacity``; that refuses
+    non-finite breaks too.
+    """
     try:
-        t, j, cuts = rec["stage"], rec["node"], rec["cuts"]
-        rows = np.array(cuts or np.empty((0, 3)))
+        t, j = rec["stage"], rec["node"]
+        rows = np.array(rec["cuts"] or np.empty((0, 2)))
+        breaks = np.array(rec["breaks"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
     if not (_is_index(t, chain.horizon) and _is_index(j, chain.node_count(t))):
         raise CheckpointError(
             f"checkpoint record of stage {t!r}, node {j!r}: the chain has no such node"
         )
-    if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != 3:
-        raise CheckpointError("malformed checkpoint cuts: cuts are not rows of three numbers")
+    if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != 2:
+        raise CheckpointError("malformed checkpoint cuts: cuts are not rows of two numbers")
     if not np.isfinite(rows).all():
         raise CheckpointError("malformed checkpoint cuts: cut coefficients must be finite")
-    return t, j, rows.astype(float).tolist()
+    if not len(rows):
+        return t, j, None
+    intercepts, slopes = rows.astype(float).T.tolist()
+    x = breaks.astype(float).tolist() if breaks.dtype.kind in "fi" and breaks.ndim == 1 else []
+    if not (
+        len(x) == len(slopes) + 1
+        and x[0] == 0.0
+        and x[-1] == capacity
+        and _increasing(x)
+        and _increasing(slopes)
+    ):
+        raise CheckpointError(
+            f"checkpoint pool at stage {t}, node {j} is not an envelope: its slopes and "
+            f"breaks must increase, with breaks from 0 to {capacity} and one more than cuts"
+        )
+    return t, j, envelope_from_lines(intercepts, slopes, x)
+
+
+def _increasing(values: list) -> bool:
+    """Strictly increasing; a NaN breaks it."""
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
 @dataclass

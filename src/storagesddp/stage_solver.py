@@ -174,6 +174,22 @@ def splice(env: Envelope, a_new: float, g_new: float) -> Envelope:
     return _new_envelope((slopes, intercepts, breaks, heights))
 
 
+def envelope_from_lines(intercepts: list, slopes: list, breaks: list) -> Envelope:
+    """The `Envelope` of these lines and breaks, its heights computed as `splice` does.
+
+    The height at a break is the larger value of the two lines meeting
+    there, and at either end the value of the one line; so an envelope
+    rebuilt from its lines and breaks equals the spliced one.  The caller
+    checks that the lines and breaks form an envelope.
+    """
+    heights = [intercepts[0] + slopes[0] * breaks[0]]
+    for k in range(1, len(slopes)):
+        x = breaks[k]
+        heights.append(max(intercepts[k - 1] + slopes[k - 1] * x, intercepts[k] + slopes[k] * x))
+    heights.append(intercepts[-1] + slopes[-1] * breaks[-1])
+    return Envelope(slopes, intercepts, breaks, heights)
+
+
 _WEALTH_SLOPE = "the closed-form stage solve needs cuts with grad_wealth == -1"
 _NO_CUTS = "the cut set is empty: a node has no value before its first cut"
 

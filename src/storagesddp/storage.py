@@ -45,7 +45,7 @@ class BatterySpec:
     u_max_discharge: float | None = None
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
+        if not self.capacity > 0:
             raise ValueError("capacity must be > 0")
         if not 0 < self.speed_fraction <= 1:
             raise ValueError("speed_fraction must be in (0, 1]")
@@ -75,7 +75,7 @@ class UtilitySpec:
     initial_wealth: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.risk_aversion <= 0:
+        if not self.risk_aversion > 0:
             raise ValueError("risk_aversion must be > 0")
 
 

@@ -11,23 +11,53 @@ the cut envelope (it takes cuts of any wealth slope); and `kelley_terminal`,
 the cutting-plane loop on that LP that the terminal stage ran before its
 closed form.  `train_recording` trains while recording every cut, since a
 `CutSet` keeps only its envelope.
+
+The valuation oracles price storage by routes other than the package's
+`price_storage`: `indifference_price_exponential`, the closed form on the
+zero-wealth expected utility, and `indifference_price_bisection`, a
+bisection on the indifference equation whose every step retrains at the
+shifted initial wealth (`storage_value`).  The errors that only these
+oracles raise are defined here.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
+from typing import Callable
 
 import numpy as np
 
 from storagesddp import bid_ask
 from storagesddp.discretization import MarkovChain, nearest_node
+from storagesddp.config import RunConfig, train_from_config
 from storagesddp.sddp import Policy, StorageProblem, train
-from storagesddp.errors import InfeasibleError, MaxIterationsError, StorageError
+from storagesddp.errors import InfeasibleError, StorageError
 from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem
 from storagesddp.storage import StageData, stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
+
+
+class MaxIterationsError(StorageError):
+    """An iterative oracle solve exceeded its iteration budget."""
+
+
+class DomainError(StorageError):
+    """Closed-form price undefined: the log argument is not positive.
+
+    Raised by `indifference_price_exponential` for an expected utility at or
+    above the ceiling ``1/rho``, which no storage value reaches.
+    """
+
+
+class BracketInvalidError(StorageError):
+    """Bisection bracket does not enclose a root."""
+
+
+class MaxEvaluationsError(StorageError):
+    """Bisection exceeded its evaluation budget."""
 
 # the wealth cap of hand-built stages (no problem given)
 HAND_BUILT_WEALTH_CAP = 1e5
@@ -894,3 +924,73 @@ def train_recording(problem: StorageProblem, chain: MarkovChain, iterations: int
         for j in range(chain.node_count(t))
     }
     return policy, log, cuts
+
+
+# -- valuation oracles -------------------------------------------------------
+
+
+def indifference_price_exponential(phi_zero_capacity: float, rho: float) -> float:
+    """Closed-form price from the zero-wealth storage value.
+
+    Raises
+    ------
+    DomainError
+        If ``1 - rho * phi <= 0``: no storage value reaches the utility
+        ceiling ``1/rho``.
+    """
+    if rho <= 0:
+        raise ValueError("rho must be > 0")
+    arg = 1.0 - rho * phi_zero_capacity
+    if arg <= 0.0:
+        raise DomainError(
+            f"log argument {arg:.6g} <= 0: the value is at or above the utility ceiling 1/rho"
+        )
+    return -math.log(arg) / rho
+
+
+def indifference_price_bisection(
+    value_fn: Callable[[float], float],
+    baseline: float,
+    bracket: tuple[float, float],
+    tol: float,
+    initial_wealth: float = 0.0,
+    max_evaluations: int = 100,
+) -> tuple[float, int]:
+    """Solve ``value_fn(x0 - pi) = baseline`` for the price by bisection.
+
+    ``value_fn(w)`` must be the with-storage value as a function of initial
+    wealth (non-decreasing in ``w``).  Returns (price, evaluations).
+    """
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    lo, hi = bracket
+    if not lo < hi:
+        raise BracketInvalidError(f"bracket ({lo}, {hi}) is empty")
+    f_lo = value_fn(initial_wealth - lo) - baseline
+    f_hi = value_fn(initial_wealth - hi) - baseline
+    evals = 2
+    if f_lo < 0 or f_hi > 0:
+        raise BracketInvalidError(
+            f"bracket does not enclose the price: f(lo)={f_lo:.6g}, f(hi)={f_hi:.6g}"
+        )
+    while hi - lo > tol:
+        if evals >= max_evaluations:
+            raise MaxEvaluationsError(f"no convergence in {max_evaluations} evaluations")
+        mid = 0.5 * (lo + hi)
+        evals += 1
+        if value_fn(initial_wealth - mid) - baseline >= 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), evals
+
+
+def storage_value(config: RunConfig, initial_wealth: float | None = None) -> float:
+    """Train on the config and return the deterministic value bound.
+
+    ``initial_wealth`` overrides the config's utility.initial_wealth.
+    """
+    if initial_wealth is not None:
+        config = replace(config, utility=replace(config.utility, initial_wealth=initial_wealth))
+    _, log = train_from_config(config)
+    return log.final_bound()

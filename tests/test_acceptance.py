@@ -14,7 +14,12 @@ import pytest
 
 import storagesddp as s
 from storagesddp.config import with_axis_value
-from oracles import chain_dp, random_relaxed_trajectory
+from oracles import (
+    chain_dp,
+    indifference_price_bisection,
+    random_relaxed_trajectory,
+    storage_value,
+)
 
 RHOS = (0.003, 0.03, 0.3)
 
@@ -86,9 +91,9 @@ def test_criterion_4_closed_form_vs_bisection(toy_config):
     baseline = 0.0  # phi(0, 0) under exponential utility
 
     def value_fn(initial_wealth: float) -> float:
-        return s.storage_value(toy_config, initial_wealth=initial_wealth)
+        return storage_value(toy_config, initial_wealth=initial_wealth)
 
-    pi, evals = s.indifference_price_bisection(
+    pi, evals = indifference_price_bisection(
         value_fn, baseline, bracket=(0.0, 2.0 * closed + 1.0), tol=1e-3
     )
     elapsed = time.perf_counter() - t0
@@ -168,7 +173,8 @@ def test_criterion_7_monotone_valuations():
             # the rho=0.3 certainty equivalent converges more slowly; give
             # it a larger per-run budget
             iters = 400 if rho == 0.3 else 150
-            rows = s.price_sweep(axis, grid, base, iterations=iters, seed=0, rhos=[rho])
+            cfg = replace(base, sddp=replace(base.sddp, iterations=iters, seed=0))
+            rows = s.price_sweep(axis, grid, cfg, rhos=[rho])
             results[(axis, rho)] = [r[2] for r in rows]
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800.0

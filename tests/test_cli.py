@@ -60,6 +60,13 @@ class TestConfigHandling:
         p.write_text("{not json")
         assert main(["discretize", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    def test_nan_capacity_is_config_error(self, tmp_path, capsys):
+        # a NaN capacity passed every "<= 0" check and made training spin
+        p = tmp_path / "nan.json"
+        p.write_text('{"battery": {"capacity_mwh": NaN}}')
+        assert main(["train", "--config", str(p), "--out", str(tmp_path)]) == 2
+        assert "battery.capacity_mwh must be a finite number" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         cfg = dict(SMALL)
         cfg["market"] = {"day_ahead": [-40.0] * 6}
@@ -119,6 +126,22 @@ class TestCommands:
         )
         assert abs(np.trapezoid(d, x) - 1.0) < 1e-3
 
+    @pytest.mark.parametrize("seed", [0, 100])
+    def test_checkpoint_simulation_equals_trained_simulation(self, tmp_path, seed):
+        # the default config: a reloaded checkpoint is the trained policy, so
+        # its out-of-sample wealths are those of the policy in memory, byte
+        # for byte
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sddp": {"seed": seed}}), encoding="utf-8")
+        trained, loaded = tmp_path / "trained", tmp_path / "loaded"
+        assert main(["train", "--config", str(config), "--out", str(loaded)]) == 0
+        ckpt = str(loaded / "checkpoint.json")
+        argv = ["simulate", "--config", str(config)]
+        assert main(argv + ["--checkpoint", ckpt, "--out", str(loaded)]) == 0
+        assert main(argv + ["--out", str(trained)]) == 0
+        want = (trained / "simulation.csv").read_bytes()
+        assert (loaded / "simulation.csv").read_bytes() == want
+
     @pytest.mark.parametrize(
         "change",
         [
@@ -172,6 +195,43 @@ class TestCommands:
         assert "rho=0.03" in out
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--grid", "1.0,0.5"],
+        ["--grid", "0.5,0.5"],
+        ["--grid", "0.5,x"],
+        ["--grid", ""],
+        ["--grid=-1,0.5"],
+        ["--grid", "nan"],
+        ["--grid", "0.5", "--rhos", "0"],
+        ["--grid", "0", "--rhos", "nan"],
+        ["--grid", "0.5", "--rhos", "0.03,y"],
+        ["--grid", "0.5", "--iterations=-3"],
+        ["--grid", "0.5", "--iterations", "0"],
+    ],
+    ids=[
+        "decreasing grid",
+        "repeated grid point",
+        "unparsable grid",
+        "empty grid",
+        "negative capacity",
+        "nan capacity",
+        "zero rho",
+        "nan rho at zero capacity",
+        "unparsable rhos",
+        "negative iterations",
+        "zero iterations",
+    ],
+)
+def test_sweep_refuses_bad_arguments(small_config, tmp_path, capsys, options):
+    # each refusal is a configuration error (exit 2) before any training
+    argv = ["sweep", "--config", small_config, "--axis", "capacity", "--out", str(tmp_path)]
+    assert main(argv + options) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -204,7 +264,7 @@ THREE_STAGE = {
         "missing file",
         "old format",
         "missing key",
-        "wealth slope",
+        "not an envelope",
         "empty pool",
     ],
 )
@@ -230,9 +290,9 @@ def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
     elif case == "missing key":
         del doc["fingerprint"]
         ckpt.write_text(json.dumps(doc))
-    elif case == "wealth slope":
-        # a hand-edited cut off the cash-additive form
-        doc["pools"][1]["cuts"][0][1] = -0.5
+    elif case == "not an envelope":
+        # a hand-edited break beyond the capacity
+        doc["pools"][1]["breaks"][-1] = 2.0
         ckpt.write_text(json.dumps(doc))
     elif case == "empty pool":
         # a node without cuts has no value

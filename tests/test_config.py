@@ -76,6 +76,56 @@ class TestParsing:
         with pytest.raises(ConfigError):
             s.config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"battery": {"capacity_mwh": NaN}}', "battery.capacity_mwh must be a finite"),
+            ('{"battery": {"alpha": NaN}}', "battery.alpha must be a finite"),
+            ('{"market": {"spread_eur": Infinity}}', "market.spread_eur must be a finite"),
+            ('{"price": {"xi0": -Infinity}}', "price.xi0 must be a finite"),
+            ('{"price": {"sampling_std": NaN}}', "price.sampling_std must be a finite"),
+            ('{"utility": {"rho": NaN}}', "utility.rho must be a finite"),
+            ('{"utility": {"initial_wealth": Infinity}}', "utility.initial_wealth must be"),
+            ('{"battery": {"capacity_mwh": "1"}}', "battery.capacity_mwh must be a finite"),
+            ('{"battery": {"capacity_mwh": 1' + "0" * 400 + "}}", "capacity_mwh must be a finite"),
+            ('{"battery": {"c_plus": true}}', "battery.c_plus must be a finite"),
+            ('{"battery": {"leakage": 2}}', "battery.leakage must be in"),
+            ('{"battery": {"leakage": -0.1}}', "battery.leakage must be in"),
+            ('{"sddp": {"iterations": 2.5}}', "sddp.iterations must be an integer"),
+            ('{"sddp": {"quadrature_points": 2.5}}', "sddp.quadrature_points must be an int"),
+            ('{"sddp": {"seed": 1.5}}', "sddp.seed must be an integer"),
+            ('{"sddp": {"iterations": true}}', "sddp.iterations must be an integer"),
+            ('{"simulate": {"scenarios": 3.5}}', "simulate.scenarios must be an integer"),
+            ('{"simulate": {"seed": "0"}}', "simulate.seed must be an integer"),
+            ('{"horizon": 2.5}', "horizon must be an integer"),
+            ('{"horizon": true}', "horizon must be an integer"),
+            ('{"market": {"day_ahead": ["a"]}}', "day_ahead must be a list of finite"),
+            ('{"horizon": 1, "market": {"day_ahead": [NaN]}}', "day_ahead must be a list"),
+        ],
+    )
+    def test_non_finite_and_mistyped_values_rejected(self, tmp_path, text, match):
+        # Python's json reads NaN and Infinity; a NaN passes every "<= 0" check
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            s.load_config(str(p))
+
+    def test_integral_floats_accepted_for_reals(self):
+        cfg = s.config_from_dict({"battery": {"capacity_mwh": 2, "leakage": 1}})
+        assert cfg.battery.capacity_mwh == 2 and cfg.battery.leakage == 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: s.BatterySpec(capacity=float("nan")),
+            lambda: s.UtilitySpec(risk_aversion=float("nan")),
+        ],
+        ids=["battery capacity", "risk aversion"],
+    )
+    def test_specs_refuse_nan(self, build):
+        with pytest.raises(ValueError, match="must be > 0"):
+            build()
+
 
 class TestAssembly:
     def test_build_problem(self):

@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,7 +95,8 @@ def test_initial_wealth_only_shifts_the_certainty_equivalent():
     # zero-wealth run, and its root certainty equivalent is 50,000 EUR higher
     cfg = s.RunConfig()
     poor, _ = train_from_config(cfg)
-    rich, _ = train_from_config(cfg, initial_wealth=50_000.0)
+    rich_cfg = replace(cfg, utility=replace(cfg.utility, initial_wealth=50_000.0))
+    rich, _ = train_from_config(rich_cfg)
     for t in range(poor.horizon):
         for j in range(poor.chain.node_count(t)):
             want, got = poor.pools.get(t, j).arrays(), rich.pools.get(t, j).arrays()
@@ -265,8 +267,9 @@ class TestCheckpoints:
         assert json.loads(saved.read_text())["format_version"] == s.sddp.CHECKPOINT_VERSION
 
     def test_roundtrip_keeps_the_trained_lines(self, trained_n8, tmp_path):
-        # the checkpoint holds each node's envelope lines; reloading them
-        # gives the trained lines bit for bit and the same root bound
+        # the checkpoint holds each node's envelope lines and breaks; reloading
+        # them gives the trained envelope bit for bit, heights included, and
+        # the same root bound
         policy, _ = trained_n8
         path = tmp_path / "ckpt.json"
         s.sddp.save_checkpoint(policy, str(path))
@@ -277,27 +280,10 @@ class TestCheckpoints:
             trained = policy.pools.get(rec["stage"], rec["node"]).envelope
             loaded = pools.get(rec["stage"], rec["node"]).envelope
             assert len(rec["cuts"]) == len(trained.slopes)
-            lines = [v.hex() for v in loaded.slopes + loaded.intercepts]
-            assert lines == [v.hex() for v in trained.slopes + trained.intercepts]
+            assert len(rec["breaks"]) == len(trained.breaks)
+            assert [[v.hex() for v in f] for f in loaded] == [[v.hex() for v in f] for f in trained]
         restored = s.Policy(policy.problem, policy.chain, pools)
         assert restored.root_bound() == policy.root_bound()
-
-    def test_full_pool_file_loads_to_the_trained_lines(self, trained_n8_recorded, tmp_path):
-        # a checkpoint holding every cut training produced, in training
-        # order (the content older writers stored), splices to the same lines
-        policy, _, recorded = trained_n8_recorded
-        path = tmp_path / "ckpt.json"
-        s.sddp.save_checkpoint(policy, str(path))
-        doc = json.loads(path.read_text())
-        for rec in doc["pools"]:
-            cuts = recorded[(rec["stage"], rec["node"])]
-            rec["cuts"] = [[c.intercept, c.grad_wealth, c.grad_energy] for c in cuts]
-        assert sum(len(rec["cuts"]) for rec in doc["pools"]) > 10 * policy.pools.total_cuts()
-        path.write_text(json.dumps(doc))
-        pools = s.sddp.load_checkpoint(str(path), policy.problem, policy.chain)
-        for t in range(policy.horizon):
-            for j in range(policy.chain.node_count(t)):
-                assert pools.get(t, j).envelope == policy.pools.get(t, j).envelope, (t, j)
 
     def test_warm_restart_monotone(self, toy_problem, toy_chain, toy_trained, saved):
         policy, log = toy_trained
@@ -329,9 +315,16 @@ class TestCheckpoints:
             ("absent version", "format version None"),
             ("old version", "format version 1"),
             ("missing pools", "lacks the key 'pools'"),
+            ("format 3", "format version 3"),
             ("missing cut key", "malformed checkpoint cuts"),
-            ("wealth slope", "stage 1, node 0 has a wealth slope other than -1"),
+            ("missing breaks", "malformed checkpoint cuts: 'breaks'"),
             ("empty pool", "stage 1, node 0 has no cuts"),
+            ("slope order", "stage 0, node 0 is not an envelope"),
+            ("break order", "stage 0, node 0 is not an envelope"),
+            ("nan break", "stage 0, node 0 is not an envelope"),
+            ("break count", "stage 1, node 0 is not an envelope"),
+            ("first break", "stage 1, node 0 is not an envelope"),
+            ("last break", "stage 1, node 0 is not an envelope"),
             ("cuts not rows", "malformed checkpoint cuts"),
             ("negative node", "stage 2, node -2: the chain has no such node"),
             ("bool stage", "stage True, node 0: the chain has no such node"),
@@ -359,18 +352,36 @@ class TestCheckpoints:
             doc["format_version"] = 1
         elif change == "missing pools":
             del doc["pools"]
+        elif change == "format 3":
+            # rows of three coefficients that the loader spliced in again
+            doc["format_version"] = 3
+            for rec in doc["pools"]:
+                rec["cuts"] = [[a, -1.0, g] for a, g in rec.pop("cuts")]
+                del rec["breaks"]
         elif change == "missing cut key":
-            # a row of two coefficients
-            del doc["pools"][0]["cuts"][0][2]
-        elif change == "wealth slope":
-            # a hand-edited cut: every stored cut must keep wealth slope -1
-            doc["pools"][1]["cuts"][-1][1] = -1.0 + 2.0**-52
+            # a row of one coefficient
+            del doc["pools"][0]["cuts"][0][1]
+        elif change == "missing breaks":
+            del doc["pools"][1]["breaks"]
         elif change == "empty pool":
             # a node without cuts has no value
             doc["pools"][1]["cuts"] = []
         elif change == "cuts not rows":
             # the rows of a pool, flattened
             doc["pools"][1]["cuts"] = sum(doc["pools"][1]["cuts"], [])
+        elif change == "slope order":
+            # stage 0 holds two lines: in decreasing slope they are no envelope
+            doc["pools"][0]["cuts"].reverse()
+        elif change == "break order":
+            doc["pools"][0]["breaks"][1] = doc["pools"][0]["breaks"][2]
+        elif change == "nan break":
+            doc["pools"][0]["breaks"][1] = float("nan")
+        elif change == "break count":
+            doc["pools"][1]["breaks"].insert(1, 0.5 * doc["pools"][1]["breaks"][1])
+        elif change == "first break":
+            doc["pools"][1]["breaks"][0] = 1e-9
+        elif change == "last break":
+            doc["pools"][1]["breaks"][-1] *= 0.5
         elif change == "negative node":
             # stage 2 node 1's cuts would bound node 0 as a Python index
             doc["pools"][-1]["node"] = -2
@@ -378,9 +389,7 @@ class TestCheckpoints:
             doc["pools"][1]["stage"] = True
         elif change == "repeated record":
             doc["pools"].append(doc["pools"][1])
-        if change.startswith(
-            ("absent", "old", "missing ", "wealth", "empty", "cuts", "negative", "bool", "repeated")
-        ):
+        if change not in ("rho", "capacity", "chain", "truncated", "missing file"):
             saved.write_text(json.dumps(doc))
         if change == "truncated":
             saved.write_text(saved.read_text()[:200])

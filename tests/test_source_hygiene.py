@@ -1,6 +1,7 @@
 """Static checks of the package source.
 
-No unused imports, no unreferenced private names, and a resolvable ``__all__``.
+No unused imports, no unreferenced private names, no error class that package
+code never raises, catches or subclasses, and a resolvable ``__all__``.
 """
 
 import ast
@@ -88,6 +89,62 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
             if name not in read and (module, name) not in imported and name not in attributes
         ]
     return sorted(unused)
+
+
+def _named(expr: ast.AST) -> set[str]:
+    """Names and attribute names in an expression: ``X`` and ``errors.X`` give ``X``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(expr)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def error_uses(source: str) -> set[str]:
+    """Names a module raises, catches or subclasses.
+
+    A raise counts the raised class (or the callable that builds it), not
+    its arguments; an ``except`` counts every class it names.
+    """
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            used |= _named(exc)
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            used |= _named(node.type)
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                used |= _named(base)
+    return used
+
+
+def test_error_use_detector_on_synthetic_module():
+    source = (
+        "from . import errors\n"
+        "from .errors import AError, BError, CError, DError\n"
+        "class Local(DError):\n"
+        "    pass\n"
+        "def f(x):\n"
+        "    try:\n"
+        "        g(BError)\n"
+        "    except (errors.CError, KeyError):\n"
+        "        raise AError(f'{x}')\n"
+    )
+    assert error_uses(source) >= {"AError", "CError", "DError", "KeyError"}
+    assert "BError" not in error_uses(source)
+
+
+def test_every_error_class_is_used_by_package_code():
+    # an error class nothing outside errors.py raises, catches or subclasses
+    # is dead: the oracles define the errors only they raise
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "errors.py":
+            used |= error_uses(path.read_text(encoding="utf-8"))
+    assert sorted(classes - used) == []
 
 
 def test_detector_finds_unused_and_ignores_used():

@@ -8,32 +8,40 @@ import pytest
 
 import storagesddp as s
 from storagesddp.cli import main
-from storagesddp.errors import BracketInvalidError, DomainError, MaxEvaluationsError
 from storagesddp.sddp import best_case_prices, best_case_trading
 from storagesddp.valuation import second_differences
 from conftest import TOY
-from oracles import chain_dp, chain_dp_ce
+from oracles import (
+    BracketInvalidError,
+    DomainError,
+    MaxEvaluationsError,
+    chain_dp,
+    chain_dp_ce,
+    indifference_price_bisection,
+    indifference_price_exponential,
+    storage_value,
+)
 
 
 class TestClosedForm:
     def test_zero_value_zero_price(self):
-        assert s.indifference_price_exponential(0.0, 0.03) == 0.0
+        assert indifference_price_exponential(0.0, 0.03) == 0.0
 
     def test_reference_value(self):
-        got = s.indifference_price_exponential(10.0, 0.03)
+        got = indifference_price_exponential(10.0, 0.03)
         assert got == pytest.approx(-math.log(0.7) / 0.03, abs=1e-12)
         assert got == pytest.approx(11.88916, abs=1e-5)
 
     def test_risk_neutral_limit(self):
         phi = 7.3
-        got = s.indifference_price_exponential(phi, 1e-6)
+        got = indifference_price_exponential(phi, 1e-6)
         assert abs(got - phi) / phi < 1e-4
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            s.indifference_price_exponential(40.0, 0.03)
+            indifference_price_exponential(40.0, 0.03)
         with pytest.raises(ValueError):
-            s.indifference_price_exponential(1.0, 0.0)
+            indifference_price_exponential(1.0, 0.0)
 
 
 class TestBisection:
@@ -48,7 +56,7 @@ class TestBisection:
             return value_fn(w)
 
         tol = 1e-6
-        price, evals = s.indifference_price_bisection(
+        price, evals = indifference_price_bisection(
             counting, baseline, (0.0, 8.0), tol, initial_wealth=0.0
         )
         assert abs(price - 3.25) <= tol
@@ -56,7 +64,7 @@ class TestBisection:
 
     def test_zero_price_when_baseline_is_current_value(self):
         value_fn = lambda w: 1.0 + w
-        price, _ = s.indifference_price_bisection(
+        price, _ = indifference_price_bisection(
             value_fn, value_fn(0.0), (0.0, 4.0), 1e-9
         )
         assert price == pytest.approx(0.0, abs=1e-8)
@@ -64,14 +72,14 @@ class TestBisection:
     def test_invalid_bracket(self):
         value_fn = lambda w: w
         with pytest.raises(BracketInvalidError):
-            s.indifference_price_bisection(value_fn, 100.0, (0.0, 1.0), 1e-6)
+            indifference_price_bisection(value_fn, 100.0, (0.0, 1.0), 1e-6)
         with pytest.raises(BracketInvalidError):
-            s.indifference_price_bisection(value_fn, 0.0, (2.0, 1.0), 1e-6)
+            indifference_price_bisection(value_fn, 0.0, (2.0, 1.0), 1e-6)
 
     def test_max_evaluations(self):
         value_fn = lambda w: w
         with pytest.raises(MaxEvaluationsError):
-            s.indifference_price_bisection(
+            indifference_price_bisection(
                 value_fn, -5.0, (0.0, 10.0), 1e-12, max_evaluations=6
             )
 
@@ -86,9 +94,9 @@ class TestStorageValuation:
         # training at shifted initial wealth matches the exponential-utility
         # shift of the zero-wealth value
         rho = toy_config.utility.rho
-        phi0 = s.storage_value(toy_config, initial_wealth=0.0)
+        phi0 = storage_value(toy_config, initial_wealth=0.0)
         x = 25.0
-        phix = s.storage_value(toy_config, initial_wealth=x)
+        phix = storage_value(toy_config, initial_wealth=x)
         want = math.exp(-rho * x) * phi0 + (1.0 - math.exp(-rho * x)) / rho
         assert phix == pytest.approx(want, abs=1e-4)
 
@@ -155,30 +163,32 @@ class TestStorageValuation:
 
 class TestPriceSweep:
     def test_capacity_zero_is_free(self, toy_config):
-        rows = s.price_sweep("capacity", [0.0, 0.5], toy_config, iterations=40, seed=3)
+        cfg = replace(toy_config, sddp=replace(toy_config.sddp, iterations=40, seed=3))
+        rows = s.price_sweep("capacity", [0.0, 0.5], cfg)
         assert rows[0][2] == 0.0 and rows[0][3] == 0.0
         assert rows[1][2] > 0.0
 
     def test_rows_layout_and_rhos(self, toy_config):
-        rows = s.price_sweep(
-            "capacity", [0.5, 1.0], toy_config, iterations=30, seed=3, rhos=[0.01, 0.1]
-        )
+        cfg = replace(toy_config, sddp=replace(toy_config.sddp, iterations=30, seed=3))
+        rows = s.price_sweep("capacity", [0.5, 1.0], cfg, rhos=[0.01, 0.1])
         assert len(rows) == 4
         assert [r[0] for r in rows] == [0.5, 0.5, 1.0, 1.0]
         assert [r[1] for r in rows] == [0.01, 0.1, 0.01, 0.1]
         assert all(r[2] >= 0.0 for r in rows)
 
     def test_grid_must_increase(self, toy_config):
+        cfg = replace(toy_config, sddp=replace(toy_config.sddp, iterations=5))
         with pytest.raises(ValueError):
-            s.price_sweep("capacity", [1.0, 0.5], toy_config, iterations=5)
+            s.price_sweep("capacity", [1.0, 0.5], cfg)
         with pytest.raises(ValueError):
-            s.price_sweep("capacity", [], toy_config, iterations=5)
+            s.price_sweep("capacity", [], cfg)
 
     def test_unknown_axis(self, toy_config):
         from storagesddp.errors import ConfigError
 
+        cfg = replace(toy_config, sddp=replace(toy_config.sddp, iterations=5))
         with pytest.raises(ConfigError):
-            s.price_sweep("leakage", [0.1, 0.2], toy_config, iterations=5)
+            s.price_sweep("leakage", [0.1, 0.2], cfg)
 
 
 def test_second_differences():
