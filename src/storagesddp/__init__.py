@@ -31,7 +31,6 @@ from .simulation import (
     tail_comparison,
 )
 from .stage_solver import (
-    Cut,
     CutSet,
     NodeSolution,
     NodeSubproblem,
@@ -54,7 +53,6 @@ from .valuation import ValuationResult, price_storage, price_sweep
 __all__ = [
     "BatterySpec",
     "ComplementaryTrajectory",
-    "Cut",
     "CutPool",
     "CutSet",
     "DensityEstimate",

@@ -180,7 +180,9 @@ def build_chain(
 
     transitions: list[np.ndarray] = []
     raw_mass: list[np.ndarray] = []
-    for t in range(T):
+    # stages 1..T share one node set, so transitions[1:] are one matrix:
+    # the root's and stage 1's are built, and stage 1's is repeated
+    for t in range(min(T, 2)):
         sources = nodes[t]
         mat = np.empty((len(sources), n))
         mass = np.empty(len(sources))
@@ -202,6 +204,8 @@ def build_chain(
             mat[j] = row
         transitions.append(mat)
         raw_mass.append(mass)
+    transitions += transitions[1:] * (T - 2)
+    raw_mass += raw_mass[1:] * (T - 2)
 
     return MarkovChain(T, nodes, transitions, raw_mass)
 

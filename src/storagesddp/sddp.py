@@ -5,11 +5,12 @@ The costs-to-go are in the cash-additive entropic form of `stage_solver`,
 of the remaining trading under exponential utility.  Each iteration samples
 one node path through the chain (forward pass, recording visited states),
 then walks the stages backwards, adding at every visited (stage, node) one
-affine cut with wealth slope -1, computed as in `stage_solver.solve_stage`
-(the entropic risk of the successor subproblems, with their freshly updated
-pools).  A node's `CutSet` holds only the upper envelope of its cuts over
-the feasible energies, which the stage solves read: each new cut is spliced
-in, and a cut that is the maximum nowhere is dropped.
+affine cut with wealth slope -1, stored as its line in energy and computed
+as in `stage_solver.solve_stage` (the entropic risk of the successor
+subproblems, with their freshly updated pools).  A node's `CutSet` holds
+only the upper envelope of its cuts over the feasible energies, which the
+stage solves read: each new cut is spliced in, and a cut that is the
+maximum nowhere is dropped.
 After each backward pass the root value of the polyhedral approximation
 gives a deterministic optimistic bound on the certainty equivalent;
 `TrainingLog.bounds` reports it as expected utility (maximization
@@ -237,10 +238,12 @@ class TrainingLog:
         return self.bounds[-1]
 
     def write_csv(self, path: str) -> None:
+        """One row per iteration: the bound, the path objective, the envelope lines, the seconds."""
+        rows = zip(self.bounds, self.path_objectives, self.cut_counts, self.seconds)
         with open(path, "w", encoding="utf-8") as f:
-            f.write("iteration,bound,seconds\n")
-            for i, (b, s) in enumerate(zip(self.bounds, self.seconds), start=1):
-                f.write(f"{i},{float(b)!r},{s:.6f}\n")
+            f.write("iteration,bound,path_objective,envelope_lines,seconds\n")
+            for i, (b, p, n, s) in enumerate(rows, start=1):
+                f.write(f"{i},{float(b)!r},{float(p)!r},{n},{s:.6f}\n")
 
 
 class Policy:
@@ -408,7 +411,7 @@ def _seed_cuts(problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> N
             battery.discharge_eff,
         )
         for j in range(chain.node_count(t)):
-            pools.get(t, j).append(-profit, -1.0, -marginal)
+            pools.get(t, j).append(-profit, -marginal)
 
 
 def train(
@@ -469,8 +472,8 @@ def train(
         for t in range(T - 1, -1, -1):
             xm, xe = states[t]
             j = nodes[t]
-            value, (vm, ve) = _stage_value((xm, xe), subs[t + 1], rows[t][j], rho)
-            sets[t][j].append(value - vm * xm - ve * xe, vm, ve)
+            value, ve = _stage_value((xm, xe), subs[t + 1], rows[t][j], rho)
+            sets[t][j].append(value + xm - ve * xe, ve)
 
         log.bounds.append(policy.root_bound())
         log.path_objectives.append(path_objective)

@@ -3,7 +3,8 @@
 Costs-to-go are in the cash-additive entropic form ``J(w, e) = -(w + CE(e))``:
 minus the wealth plus the certainty equivalent of the remaining trading.
 Exponential utility makes the certainty equivalent independent of wealth, so
-every cut has wealth slope exactly -1 and a node's cuts define the convex
+every cut has wealth slope exactly -1.  A cut is therefore stored as its
+line in energy, ``a + g * e``, and a node's cuts define the convex
 piecewise-linear function of the next energy
 
     H(e') = max_c (a_c + g_c * e')      over [0, capacity],
@@ -26,9 +27,10 @@ the envelope breakpoints at which H's slope crosses ``-s1`` and ``-s2``
 lambda in ``d(H + box)(e*)`` and in ``-d(G + box)(e* - E)`` (the rule for
 an infimal convolution); where that set is an interval, the largest lambda
 is taken if the battery ends empty (``e* = 0``) and the smallest otherwise.
-The wealth subgradient is -1.  Wealth is not bounded: it only shifts the
-value, so a solve at any wealth has the controls and next energy of a solve
-at zero wealth.  A node without cuts has no value, and its solves raise
+The wealth subgradient is -1 at every state, so solves return only the
+energy subgradient.  Wealth is not bounded: it only shifts the value, so a
+solve at any wealth has the controls and next energy of a solve at zero
+wealth.  A node without cuts has no value, and its solves raise
 `NotTrainedError`.
 
 The terminal stage is the case ``H = 0``: its cost is minus the terminal
@@ -65,26 +67,6 @@ from .storage import StageData
 
 _STATE_TOL = 1e-9
 _INF = math.inf
-
-
-@dataclass(frozen=True)
-class Cut:
-    """Affine lower bound intercept + gw*x_m + ge*x_e on a cost-to-go."""
-
-    intercept: float
-    grad_wealth: float
-    grad_energy: float
-
-    def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.intercept)
-            and math.isfinite(self.grad_wealth)
-            and math.isfinite(self.grad_energy)
-        ):
-            raise ValueError("cut coefficients must be finite")
-
-    def value(self, wealth: float, energy: float) -> float:
-        return self.intercept + self.grad_wealth * wealth + self.grad_energy * energy
 
 
 class Envelope(NamedTuple):
@@ -190,45 +172,45 @@ def envelope_from_lines(intercepts: list, slopes: list, breaks: list) -> Envelop
     return Envelope(slopes, intercepts, breaks, heights)
 
 
-_WEALTH_SLOPE = "the closed-form stage solve needs cuts with grad_wealth == -1"
 _NO_CUTS = "the cut set is empty: a node has no value before its first cut"
 
 
 class CutSet:
     """A node's cuts, kept as their upper envelope over ``[0, capacity]``.
 
-    `append` splices each cut into `envelope`; a cut that is the maximum
-    nowhere on ``[0, capacity]`` never binds at a feasible state and leaves
-    it as it was.  Every cut must have wealth slope -1.
+    Every cut on the cash-additive cost-to-go is ``a - w + g * e``, so a cut
+    is the line ``a + g * e`` in energy.  `append` splices each cut into
+    `envelope`; a cut that is the maximum nowhere on ``[0, capacity]`` never
+    binds at a feasible state and leaves it as it was.
     """
 
     __slots__ = ("envelope",)
 
-    def __init__(self, capacity: float, cuts: list[Cut] | None = None) -> None:
+    def __init__(self, capacity: float) -> None:
         self.envelope = Envelope([], [], [0.0, float(capacity)], [])
-        for c in cuts or []:
-            self.append(c.intercept, c.grad_wealth, c.grad_energy)
 
-    def append(self, intercept: float, grad_wealth: float, grad_energy: float) -> None:
-        """Splice the cut ``intercept + grad_wealth * w + grad_energy * e`` into the envelope."""
-        if not (isfinite(intercept) and isfinite(grad_wealth) and isfinite(grad_energy)):
+    def append(self, intercept: float, grad_energy: float) -> None:
+        """Splice the cut ``intercept - w + grad_energy * e`` into the envelope."""
+        if not (isfinite(intercept) and isfinite(grad_energy)):
             raise ValueError("cut coefficients must be finite")
-        if grad_wealth != -1.0:
-            raise ValueError(_WEALTH_SLOPE)
         self.envelope = splice(self.envelope, intercept, grad_energy)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The envelope lines as (intercepts, wealth slopes, energy slopes)."""
+        """The envelope lines as (intercepts, wealth slopes, energy slopes).
+
+        The wealth slopes are all -1; the triple stays because the
+        benchmark's `bench/spans.py` reads it.
+        """
         env = self.envelope
         slopes = np.array(env.slopes, dtype=float)
         return np.array(env.intercepts, dtype=float), np.full(slopes.size, -1.0), slopes
 
     def value(self, wealth: float, energy: float) -> float:
         """Pointwise max of the cuts; `NotTrainedError` without cuts."""
-        if not self.envelope.slopes:
+        env = self.envelope
+        if not env.slopes:
             raise NotTrainedError(_NO_CUTS)
-        a, gw, ge = self.arrays()
-        return float(np.max(a + gw * wealth + ge * energy))
+        return max([a - wealth + g * energy for a, g in zip(env.intercepts, env.slopes)])
 
     def __len__(self) -> int:
         return len(self.envelope.slopes)
@@ -236,11 +218,11 @@ class CutSet:
 
 @dataclass(frozen=True)
 class NodeSolution:
-    """Optimum of one successor subproblem."""
+    """Optimum of one successor subproblem; `subgradient` is in energy (in wealth it is -1)."""
 
     controls: tuple[float, float]
     value: float
-    subgradient: tuple[float, float]
+    subgradient: float
     next_state: tuple[float, float]
 
 
@@ -248,7 +230,8 @@ class NodeSolution:
 class TerminalSolution(NodeSolution):
     """Terminal-stage optimum; `gaps` is the objective/bound gap per pass.
 
-    The closed form is exact in one pass, so `gaps` is always ``(0.0,)``.
+    The closed form is exact in one pass, so `gaps` is always ``(0.0,)``;
+    it is kept because the benchmark's `bench/spans.py` reads it.
     """
 
     gaps: tuple[float, ...] = (0.0,)
@@ -337,7 +320,7 @@ class NodeSubproblem:
         return buy, sell
 
     def _optimum(self, state: tuple[float, float], full: bool = True):
-        """``(controls, value, subgradient, next_state)`` at ``state``, as plain tuples.
+        """``(controls, value, energy subgradient, next_state)`` at ``state``, as plain tuples.
 
         With ``full`` false, only the next state, without the value and
         subgradient work.
@@ -403,14 +386,18 @@ class NodeSubproblem:
             gl = -_INF if e >= high else (ns1 if e < kink else ns2)
             # the largest where the battery ends empty, else the smallest
             lam = min(hr, gr) if e == 0.0 else max(hl, gl)
-        return controls, value, (-1.0, leak * lam), (w_next, e_next)
+        return controls, value, leak * lam, (w_next, e_next)
 
     def next_state(self, state: tuple[float, float]) -> tuple[float, float]:
         """The optimal next state alone: `solve` without its record (the forward pass)."""
         return self._optimum(state, False)
 
     def solve(self, state: tuple[float, float]) -> NodeSolution:
-        """Solve the subproblem at the incoming ``state``."""
+        """Solve the subproblem at the incoming ``state``.
+
+        The state keeps its wealth, which only shifts the value, because the
+        benchmark's `bench/spans.py` passes ``(wealth, energy)``.
+        """
         if self.terminal:
             return self.solve_terminal(state)
         return NodeSolution(*self._optimum(state))
@@ -519,7 +506,7 @@ def solve_stage(
     subproblems: list[NodeSubproblem],
     transition_row,
     risk_aversion: float,
-) -> tuple[float, tuple[float, float]]:
+) -> tuple[float, float]:
     """Solve one Bellman stage: entropic risk over the successor subproblems.
 
     Prices are observed before the stage control is chosen, so successor
@@ -528,9 +515,9 @@ def solve_stage(
     the largest successor value ``m`` as
     ``m + log(sum_i p_i exp(rho (J_i - m))) / rho``.  Its energy subgradient
     is the successors' energy subgradients averaged with the weights
-    ``q_i ∝ p_i exp(rho J_i)``; its wealth subgradient is -1 exactly, as
-    for every cost-to-go.  Successors with probability 0 are not solved.
-    Returns ``(value, (-1.0, grad_energy))``.
+    ``q_i ∝ p_i exp(rho J_i)``; its wealth subgradient is -1, as for every
+    cost-to-go.  Successors with probability 0 are not solved.  Returns
+    ``(value, grad_energy)``.
     """
     # Python floats: scalar arithmetic on them is faster than on numpy
     # scalars and rounds identically
@@ -546,12 +533,12 @@ def solve_stage(
 
 def _stage_value(
     state: tuple[float, float], subproblems: list[NodeSubproblem], probs: list, rho: float
-) -> tuple[float, tuple[float, float]]:
+) -> tuple[float, float]:
     """`solve_stage` on a checked row of Python floats (training's rows are checked once)."""
     sols = [(p, sub.solve(state)) for p, sub in zip(probs, subproblems) if p > 0.0]
     top = max([sol.value for _, sol in sols])
     weights = [p * math.exp(rho * (sol.value - top)) for p, sol in sols]
     total = sum(weights)
     value = top + math.log(total) / rho
-    ve = sum([q * sol.subgradient[1] for q, (_, sol) in zip(weights, sols)]) / total
-    return value, (-1.0, ve)
+    ve = sum([q * sol.subgradient for q, (_, sol) in zip(weights, sols)]) / total
+    return value, ve

@@ -10,7 +10,9 @@ hand-written dual simplex that solved the stage LP before the closed form on
 the cut envelope (it takes cuts of any wealth slope); and `kelley_terminal`,
 the cutting-plane loop on that LP that the terminal stage ran before its
 closed form.  `train_recording` trains while recording every cut, since a
-`CutSet` keeps only its envelope.
+`CutSet` keeps only its envelope.  `Cut` is a cut with its wealth slope,
+which the package does not store (it is -1 on the package's cost-to-go);
+`cut_set` builds a package `CutSet` from such cuts.
 
 The valuation oracles price storage by routes other than the package's
 `price_storage`: `indifference_price_exponential`, the closed form on the
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,10 +36,50 @@ from storagesddp.discretization import MarkovChain, nearest_node
 from storagesddp.config import RunConfig, train_from_config
 from storagesddp.sddp import Policy, StorageProblem, train
 from storagesddp.errors import InfeasibleError, StorageError
-from storagesddp.stage_solver import Cut, CutSet, NodeSolution, NodeSubproblem
+from storagesddp.stage_solver import CutSet, NodeSubproblem
 from storagesddp.storage import StageData, stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class Cut:
+    """Affine lower bound ``intercept + grad_wealth * w + grad_energy * e`` on a cost-to-go.
+
+    The LP oracle takes cuts of any wealth slope, such as the tangents of
+    the exponential terminal cost; the package's cuts have wealth slope -1.
+    """
+
+    intercept: float
+    grad_wealth: float
+    grad_energy: float
+
+    def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.intercept)
+            and math.isfinite(self.grad_wealth)
+            and math.isfinite(self.grad_energy)
+        ):
+            raise ValueError("cut coefficients must be finite")
+
+
+@dataclass(frozen=True)
+class LPSolution:
+    """Optimum of `LPSubproblem`; `subgradient` is ``(wealth, energy)``."""
+
+    controls: tuple[float, float]
+    value: float
+    subgradient: tuple[float, float]
+    next_state: tuple[float, float]
+
+
+def cut_set(capacity: float, cuts: list[Cut]) -> CutSet:
+    """The package's `CutSet` of ``cuts``, which must have wealth slope -1."""
+    cutset = CutSet(capacity)
+    for c in cuts:
+        assert c.grad_wealth == -1.0, c
+        cutset.append(c.intercept, c.grad_energy)
+    return cutset
 
 
 class MaxIterationsError(StorageError):
@@ -421,7 +463,7 @@ class LPSubproblem:
             buy = max(buy - (nxt - d.capacity) / d.charge_eff, 0.0)
         return buy, sell
 
-    def solve(self, state: tuple[float, float]) -> NodeSolution:
+    def solve(self, state: tuple[float, float]) -> LPSolution:
         """Solve the subproblem at the incoming ``state``."""
         self._sync_cuts()
         self._check_state(state)
@@ -430,7 +472,7 @@ class LPSubproblem:
         self._assemble_b(xm, xe, m)
         x, basis, y_basis = self._pivot(m, _OBJECTIVE)
         controls = self._clamp(x, xe)
-        return NodeSolution(
+        return LPSolution(
             controls=controls,
             value=x[2],
             subgradient=self._subgradient(basis, y_basis),
@@ -877,7 +919,7 @@ def kelley_terminal(
     ``seed_wealth``, by default the wealth of `max_wealth_controls`; each
     pass adds the tangent at the LP's next wealth, until the terminal cost
     there and the LP value agree within ``tol`` (relative once the cost
-    exceeds one).  Returns (last `NodeSolution`, gap per pass).
+    exceeds one).  Returns (last `LPSolution`, gap per pass).
     """
     w = seed_wealth
     if w is None:
@@ -909,9 +951,9 @@ def train_recording(problem: StorageProblem, chain: MarkovChain, iterations: int
     recorded: dict[CutSet, list[Cut]] = {}
     append = CutSet.append
 
-    def recording_append(self, intercept, grad_wealth, grad_energy):
-        append(self, intercept, grad_wealth, grad_energy)
-        recorded.setdefault(self, []).append(Cut(intercept, grad_wealth, grad_energy))
+    def recording_append(self, intercept, grad_energy):
+        append(self, intercept, grad_energy)
+        recorded.setdefault(self, []).append(Cut(intercept, -1.0, grad_energy))
 
     CutSet.append = recording_append
     try:

@@ -74,6 +74,16 @@ class TestConfigHandling:
         p.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(p), "--out", str(tmp_path)]) == 4
 
+    def test_large_negative_wealth_is_numerical_failure(self, tmp_path, capsys):
+        # the expected-utility bound overflows exp below about -700/rho of
+        # initial wealth: a typed failure, and no checkpoint
+        cfg = dict(SMALL, utility={"initial_wealth": -50000.0})
+        p = tmp_path / "poor.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(p), "--out", str(tmp_path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint.json").exists()
+
 
 class TestCommands:
     def test_discretize(self, small_config, tmp_path):
@@ -85,7 +95,7 @@ class TestCommands:
     def test_train_outputs(self, small_config, tmp_path):
         assert main(["train", "--config", small_config, "--out", str(tmp_path)]) == 0
         log = (tmp_path / "training_log.csv").read_text().splitlines()
-        assert log[0] == "iteration,bound,seconds"
+        assert log[0] == "iteration,bound,path_objective,envelope_lines,seconds"
         assert len(log) == 26
         bounds = [float(r.split(",")[1]) for r in log[1:]]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))

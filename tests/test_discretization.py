@@ -130,6 +130,16 @@ class TestBuildChain:
         for a, b in zip(c1.nodes, c2.nodes):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sigma", [10.0, 0.0], ids=["gaussian", "dirac"])
+    def test_stages_after_the_root_share_one_matrix(self, sigma):
+        # stages 1..T share one node set, so every transition after the
+        # root's is stage 1's, raw row masses included
+        chain = s.build_chain(model(sigma=sigma), 8, sampling_std=10.0)
+        assert chain.transitions[0].shape == (1, 8)
+        for t in range(1, chain.horizon):
+            assert np.array_equal(chain.transitions[t], chain.transitions[1])
+            assert np.array_equal(chain.raw_row_mass[t], chain.raw_row_mass[1])
+
     def test_underflow_detection(self):
         # conditional density centered far outside the sampling support
         m = model(a=100.0, sigma=0.001, xi0=1.0)

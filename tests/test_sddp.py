@@ -11,7 +11,7 @@ import storagesddp as s
 from storagesddp.errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from storagesddp.config import train_from_config
 from storagesddp.sddp import CutPool, _seed_cuts, best_case_trading, checkpoint_fingerprint
-from oracles import chain_dp, dp_cost_to_go, feedback_policy_value, policy_chain_value
+from oracles import Cut, chain_dp, dp_cost_to_go, feedback_policy_value, policy_chain_value
 
 
 class TestTrainToy:
@@ -160,9 +160,8 @@ class TestSeedCuts:
             j = int(rng.integers(0, toy_chain.node_count(t)))
             xm = float(rng.uniform(-30, 30))
             xe = float(rng.uniform(0, cap))
-            a, gw, ge = pools.get(t, j).arrays()
-            assert a.size == 1
-            seed = s.Cut(a[0], gw[0], ge[0])
+            seed = pools.get(t, j)
+            assert len(seed) == 1
             truth = dp_cost_to_go(G, cap, rho, t, j, xm, xe)
             assert seed.value(xm, xe) <= truth + 1e-6
 
@@ -221,7 +220,7 @@ class TestPolicyOperations:
 
         policy, _ = toy_trained
         data = policy.stage_data(1, 0)
-        cuts = [s.Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
+        cuts = [Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
         got = policy.decide(1, 0, (0.0, 0.0))
         _, want = grid_stage_minimum(data, cuts, (0.0, 0.0), n=401, problem=toy_problem)
         assert got[0] == pytest.approx(want[0], abs=2e-3)
@@ -418,7 +417,7 @@ class TestCheckpoints:
 def test_cutset_append_rejects_infinite_coefficients(bad):
     cuts = s.CutSet(1.0)
     with pytest.raises(ValueError, match="cut coefficients must be finite"):
-        cuts.append(0.0, -1.0, bad)
+        cuts.append(0.0, bad)
     assert len(cuts) == 0
 
 
@@ -437,8 +436,11 @@ def test_training_log_csv(tmp_path, toy_trained):
     path = tmp_path / "log.csv"
     log.write_csv(str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,bound,seconds"
+    assert lines[0] == "iteration,bound,path_objective,envelope_lines,seconds"
     assert len(lines) == log.iterations + 1
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == pytest.approx(log.bounds[0])
+    for i, line in enumerate(lines[1:]):
+        it, bound, path_objective, lines_kept, _ = line.split(",")
+        assert int(it) == i + 1
+        assert float(bound) == log.bounds[i]
+        assert float(path_objective) == log.path_objectives[i]
+        assert int(lines_kept) == log.cut_counts[i]

@@ -12,7 +12,9 @@ from oracles import (
     _OBJECTIVE,
     _TIE_BUY,
     _TIE_SELL,
+    Cut,
     LPSubproblem,
+    cut_set,
     grid_stage_minimum,
     kelley_terminal,
     lp_wealth_bounds,
@@ -44,7 +46,7 @@ def random_cuts(rng, n):
     for _ in range(n):
         ge = rng.normal(0.0, 30.0)
         a = rng.normal(0.0, 15.0)
-        cuts.append(s.Cut(a, -1.0, ge))
+        cuts.append(Cut(a, -1.0, ge))
     return cuts
 
 
@@ -99,7 +101,7 @@ class TestAgainstScipy:
             data = dataclasses.replace(data, u_max_discharge=speed)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
+            sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
             sol = sub.solve(state)
             ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
@@ -138,7 +140,7 @@ class TestSolveStage:
     def test_zero_value_to_go(self):
         # the cost-to-go -w' of the last stage: an empty battery holds
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, [s.Cut(0.0, -1.0, 0.0)]))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(0.0, -1.0, 0.0)]))
         value, _ = s.solve_stage(
             state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0]),
             risk_aversion=0.03,
@@ -154,7 +156,7 @@ class TestSolveStage:
             datas = [stage(m - 1.0, m + 1.0) for m in mids]
             cuts = [random_cuts(rng, 4) for _ in range(2)]
             subs = [
-                s.NodeSubproblem(d, cutset=s.CutSet(d.capacity, c)) for d, c in zip(datas, cuts)
+                s.NodeSubproblem(d, cutset=cut_set(d.capacity, c)) for d, c in zip(datas, cuts)
             ]
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
@@ -179,8 +181,7 @@ class TestSolveStage:
         # stage T holds the closed-form terminal subproblems, stage 2 LPs;
         # the stage value is the log-sum-exp of the successor solves around
         # their largest value, the energy subgradient their average with the
-        # weights p_i exp(rho (J_i - max J)), both in node order, and the
-        # wealth subgradient -1
+        # weights p_i exp(rho (J_i - max J)), both in node order
         policy, _ = toy_trained
         rho = policy.problem.utility.risk_aversion
         T = toy_chain.horizon
@@ -189,7 +190,7 @@ class TestSolveStage:
         for t in (T, 2):
             for row in toy_chain.transitions[t - 1]:
                 for state in ((0.0, 0.0), (1.5, 0.3), (-2.0, 0.9)):
-                    value, (vm, ve) = s.solve_stage(state, policy.subproblems(t), row, rho)
+                    value, ve = s.solve_stage(state, policy.subproblems(t), row, rho)
                     sols = [
                         (p, policy.subproblem(t, i).solve(state))
                         for i, p in enumerate(row.tolist())
@@ -198,14 +199,14 @@ class TestSolveStage:
                     top = max(sol.value for _, sol in sols)
                     q = [p * math.exp(rho * (sol.value - top)) for p, sol in sols]
                     want = top + math.log(sum(q)) / rho
-                    want_e = sum(w * sol.subgradient[1] for w, (_, sol) in zip(q, sols)) / sum(q)
-                    assert (value, vm, ve) == (want, -1.0, want_e)
+                    want_e = sum(w * sol.subgradient for w, (_, sol) in zip(q, sols)) / sum(q)
+                    assert (value, ve) == (want, want_e)
 
     def test_lower_bound_validity(self):
         rng = np.random.default_rng(33)
         data = stage(47.0, 49.0)
         cuts = random_cuts(rng, 12)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
         state = (3.0, 0.5)
         sol = sub.solve(state)
         for _ in range(100):
@@ -220,14 +221,15 @@ class TestSolveStage:
         rng = np.random.default_rng(44)
         data = stage(40.0, 42.0)
         cuts = random_cuts(rng, 10)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
         for _ in range(20):
             state = (rng.uniform(-20, 20), rng.uniform(0.1, 0.9))
             base = sub.solve(state)
-            vm, ve = base.subgradient
+            ve = base.subgradient
             for h in (1e-3, -1e-3):
+                # the wealth subgradient is -1
                 v_m = sub.solve((state[0] + h, state[1])).value
-                assert v_m >= base.value + h * vm - 1e-9
+                assert v_m >= base.value - h - 1e-9
                 v_e = sub.solve((state[0], state[1] + h)).value
                 assert v_e >= base.value + h * ve - 1e-9
 
@@ -235,8 +237,8 @@ class TestSolveStage:
         rng = np.random.default_rng(5)
         data = stage(49.0, 51.0)
         cuts = random_cuts(rng, 6)
-        a = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts)).solve((1.0, 0.4))
-        b = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts)).solve((1.0, 0.4))
+        a = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts)).solve((1.0, 0.4))
+        b = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts)).solve((1.0, 0.4))
         assert a == b
 
     def test_infeasible_state(self):
@@ -361,11 +363,9 @@ class TestTerminalKelley:
         state = (1.0, 0.5)
         sol = terminal(state, data)
         for h in (1e-4, -1e-4):
-            assert terminal((state[0] + h, state[1]), data).value >= (
-                sol.value + h * sol.subgradient[0] - 1e-8
-            )
+            assert terminal((state[0] + h, state[1]), data).value >= sol.value - h - 1e-8
             assert terminal((state[0], state[1] + h), data).value >= (
-                sol.value + h * sol.subgradient[1] - 1e-8
+                sol.value + h * sol.subgradient - 1e-8
             )
 
     @pytest.mark.parametrize("rho", [1e-4, 0.03, 0.3])
@@ -392,10 +392,10 @@ class TestTerminalKelley:
             assert sol.next_state == data.next_state(state, controls)
             assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-6)
             assert sol.value == -sol.next_state[0]
-            assert sol.subgradient[0] == -1.0
 
             # the oracle minimizes the exponential cost, whose subgradient is
-            # the closed form's scaled by -tc'(w*)
+            # the closed form's scaled by -tc'(w*); the closed form's wealth
+            # subgradient is -1
             w_star = sol.next_state[0]
             slope = terminal_cost_derivative(utility, w_star)
             if abs(slope) * min(abs(data.bid), abs(data.ask)) < _LP_RESOLUTION:
@@ -408,20 +408,18 @@ class TestTerminalKelley:
             assert ref.value == pytest.approx(
                 s.terminal_cost(utility, w_star), rel=1e-12, abs=1e-12
             )
-            assert -slope * sol.subgradient[0] == pytest.approx(
-                ref.subgradient[0], rel=1e-12, abs=1e-12
-            )
+            assert slope == pytest.approx(ref.subgradient[0], rel=1e-12, abs=1e-12)
             # the LP duals carry its objective tie perturbation
             tie = data.leak_factor * (_TIE_BUY / data.charge_eff + _TIE_SELL / data.discharge_eff)
-            assert -slope * sol.subgradient[1] == pytest.approx(
+            assert -slope * sol.subgradient == pytest.approx(
                 ref.subgradient[1], rel=1e-12, abs=tie
             )
             seen["oracle"] += 1
             seen["empty battery"] += xe == 0.0
             seen["full battery"] += xe == data.capacity
             seen["negative ask"] += data.ask < 0.0
-            seen["emptied"] += sol.next_state[1] == 0.0 and sol.subgradient[1] != 0.0
-            seen["filled"] += sol.next_state[1] == data.capacity and sol.subgradient[1] != 0.0
+            seen["emptied"] += sol.next_state[1] == 0.0 and sol.subgradient != 0.0
+            seen["filled"] += sol.next_state[1] == data.capacity and sol.subgradient != 0.0
         assert seen["oracle"] >= 180, seen
         assert min(seen.values()) > 0, seen
         assert (seen["tiny slope"] > 0) == (rho > 0.01), seen
@@ -453,7 +451,7 @@ def test_tie_break_prefers_smallest_controls():
     # the LP oracle: a constant cost-to-go makes every control optimal, and
     # its objective perturbation picks (0, 0)
     data = stage(49.0, 51.0)
-    sub = LPSubproblem(data, [s.Cut(-5.0, 0.0, 0.0)])
+    sub = LPSubproblem(data, [Cut(-5.0, 0.0, 0.0)])
     sol = sub.solve((0.0, 0.5))
     assert sol.controls == (0.0, 0.0)
     assert sol.value == pytest.approx(-5.0, abs=1e-9)
@@ -504,7 +502,7 @@ class TestLaneKernel:
                 bid, ask = mids - 1.0, mids + 1.0
             else:
                 bid = ask = None
-            sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts))
+            sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
             out = self.one_node(sub, wealth, energy, ask=ask, bid=bid)
             for k in range(K):
                 lane_data = data
@@ -527,7 +525,7 @@ class TestLaneKernel:
         slopes = [rng.uniform(-60.0, 60.0, n).tolist() for n in (1, 2, 5, 11)]
         slopes.append([-tie_ask / data.charge_eff, -tie_bid / data.discharge_eff, 0.0, 20.0])
         cutsets = [
-            s.CutSet(data.capacity, [s.Cut(30.0 - 30.0 * (1 + g / 60) ** 2, -1.0, g) for g in gs])
+            cut_set(data.capacity, [Cut(30.0 - 30.0 * (1 + g / 60) ** 2, -1.0, g) for g in gs])
             for gs in slopes
         ]
         assert [len(c) for c in cutsets] == [1, 2, 5, 11, 4]
@@ -563,7 +561,7 @@ class TestLaneKernel:
 
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, [s.Cut(-5.0, -1.0, 1.0)]))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(-5.0, -1.0, 1.0)]))
         last = s.NodeSubproblem(data, cutset=None, terminal=True)
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
@@ -586,7 +584,7 @@ class TestLaneKernel:
         tol = 4.0 * math.ulp(wealth)
         energy = np.array([0.0, 0.3, 1.1, 2.0])
         subs = [
-            s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, random_cuts(rng, 8))),
+            s.NodeSubproblem(data, cutset=cut_set(data.capacity, random_cuts(rng, 8))),
             s.NodeSubproblem(data, cutset=None, terminal=True),
         ]
         for sub in subs:
@@ -625,7 +623,7 @@ class TestLaneKernel:
         with pytest.raises(InfeasibleError):
             self.one_node(sub, np.zeros(2), np.array([0.0, 2.0]))
         # beside a trained node, only the lanes that visit the empty one fail
-        trained = s.NodeSubproblem(data, cutset=s.CutSet(1.0, [s.Cut(-5.0, -1.0, 1.0)]))
+        trained = s.NodeSubproblem(data, cutset=cut_set(1.0, [Cut(-5.0, -1.0, 1.0)]))
         lanes = s.StageLanes([trained, sub])
         args = np.zeros(2), np.array([0.0, 0.5]), np.full(2, data.ask), np.full(2, data.bid)
         lanes.next_states(np.array([0, 0]), *args)
@@ -636,9 +634,15 @@ class TestLaneKernel:
 @pytest.mark.parametrize("field", ["intercept", "grad_wealth", "grad_energy"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_cut_rejects_non_finite_coefficients(field, bad):
+    # the oracles' cuts, and the package's cut set, which stores no wealth slope
     coefs = {"intercept": 1.0, "grad_wealth": -0.5, "grad_energy": 2.0, field: bad}
     with pytest.raises(ValueError, match="cut coefficients must be finite"):
-        s.Cut(**coefs)
+        Cut(**coefs)
+    if field != "grad_wealth":
+        cuts = s.CutSet(1.0)
+        with pytest.raises(ValueError, match="cut coefficients must be finite"):
+            cuts.append(coefs["intercept"], coefs["grad_energy"])
+        assert len(cuts) == 0
 
 
 def brute_force(a, g, grid):
@@ -669,7 +673,7 @@ def spliced(a, g, capacity):
     """The envelope a cut set keeps when the lines arrive one by one."""
     cuts = s.CutSet(capacity)
     for ai, gi in zip(a, g):
-        cuts.append(float(ai), -1.0, float(gi))
+        cuts.append(float(ai), float(gi))
     return cuts.envelope
 
 
@@ -724,35 +728,18 @@ class TestEnvelope:
         assert len(sizes) == 184 and max(sizes) <= 12
 
     def test_dominated_lines_leave_it_unchanged(self):
-        cuts = s.CutSet(1.0, [s.Cut(0.0, -1.0, -10.0), s.Cut(-8.0, -1.0, 5.0)])
+        cuts = cut_set(1.0, [Cut(0.0, -1.0, -10.0), Cut(-8.0, -1.0, 5.0)])
         env = cuts.envelope
         assert env.slopes == [-10.0, 5.0] and env.breaks[1] == pytest.approx(8.0 / 15.0)
         assert len(cuts) == 2
-        cuts.append(-20.0, -1.0, 0.0)  # below everywhere on [0, 1]
+        cuts.append(-20.0, 0.0)  # below everywhere on [0, 1]
         assert cuts.envelope is env and len(cuts) == 2
-        cuts.append(1.0, -1.0, 0.0)  # above everywhere on [0, 1]
+        cuts.append(1.0, 0.0)  # above everywhere on [0, 1]
         assert cuts.envelope.slopes == [0.0] and len(cuts) == 1
 
     def test_subproblem_refuses_another_capacity(self):
         with pytest.raises(ValueError, match="another capacity"):
-            s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet(2.0, [s.Cut(0.0, -1.0, 0.0)]))
-
-
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: s.NodeSubproblem(
-            stage(49.0, 51.0), cutset=s.CutSet(1.0, [s.Cut(0.0, -0.5, 1.0)])
-        ),
-        lambda: s.NodeSubproblem(stage(49.0, 51.0), cutset=s.CutSet(1.0)).cutset.append(
-            0.0, 0.0, 1.0
-        ),
-    ],
-    ids=["build", "add"],
-)
-def test_closed_form_refuses_other_wealth_slopes(make):
-    with pytest.raises(ValueError, match="grad_wealth == -1"):
-        make()
+            s.NodeSubproblem(stage(49.0, 51.0), cutset=cut_set(2.0, [Cut(0.0, -1.0, 0.0)]))
 
 
 class TestSpreadConditionViolated:
@@ -766,7 +753,7 @@ class TestSpreadConditionViolated:
             assert not s.check_spread_condition(data)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sol = s.NodeSubproblem(data, cutset=s.CutSet(data.capacity, cuts)).solve(state)
+            sol = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts)).solve(state)
             ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
             at_controls = stage_objective(data, cuts, state, *sol.controls)
@@ -824,13 +811,11 @@ class TestClosedFormOnTrainedPool:
                 row = policy.chain.transitions[t][j]
                 for w, e in self.states(rng, capacity, n=6):
                     sol = sub.solve((w, e))
-                    assert sol.subgradient[0] == -1.0
-                    value, (vm, ve) = s.solve_stage((w, e), policy.subproblems(t + 1), row, rho)
-                    assert vm == -1.0
+                    value, ve = s.solve_stage((w, e), policy.subproblems(t + 1), row, rho)
                     w2 = w + 3.0
                     for e2 in grid:
                         tol = 1e-9 * max(1.0, abs(sol.value))
-                        cut = sol.value - (w2 - w) + sol.subgradient[1] * (e2 - e)
+                        cut = sol.value - (w2 - w) + sol.subgradient * (e2 - e)
                         assert sub.solve((w2, e2)).value >= cut - tol, (t, j, e, e2)
                         stage = s.solve_stage((w2, e2), policy.subproblems(t + 1), row, rho)[0]
                         assert stage >= value - (w2 - w) + ve * (e2 - e) - tol, (t, j, e, e2)

@@ -1,6 +1,5 @@
 import copy
 import json
-import logging
 import math
 from dataclasses import replace
 
@@ -109,11 +108,6 @@ class TestStorageValuation:
         # closed-form path always trains at zero wealth
         assert a.price == pytest.approx(b.price, abs=1e-12)
         assert b.phi_without > 0.0
-
-    def test_no_warning_inside_shift_window(self, toy_config, caplog):
-        with caplog.at_level(logging.WARNING, logger="storagesddp.valuation"):
-            s.price_storage(toy_config)
-        assert not caplog.records
 
     def test_high_risk_aversion_prices_within_exact_and_best_case(self, tmp_path):
         # capacity 4 at rho 10 with 20 iterations: the expected-utility bound
