@@ -104,7 +104,6 @@ def cmd_simulate(args) -> int:
         chain = build_chain_for(cfg)
         pools = load_checkpoint(args.checkpoint, problem, chain)
         policy = Policy(problem, chain, pools)
-        policy.check_spread_condition()
         trained_bound = policy.root_bound()
     else:
         policy, log = train_from_config(cfg)

@@ -286,7 +286,6 @@ def build_chain_for(cfg: RunConfig) -> MarkovChain:
         build_price_model(cfg),
         n=cfg.sddp.quadrature_points,
         sampling_std=cfg.price.sampling_std,
-        horizon=cfg.horizon,
     )
 
 

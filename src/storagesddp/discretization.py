@@ -63,7 +63,9 @@ class MarkovChain:
 
     Stage 0 holds the single root node ``xi_0``; stages 1..T share one node
     set.  ``transitions[t]`` maps stage-t nodes to stage-(t+1) nodes for
-    t = 0..T-1.  Immutable after construction and safe to share.
+    t = 0..T-1.  Stages may hold one array object between them: each
+    distinct matrix is checked and given its cumulative rows once.
+    Immutable after construction and safe to share.
     """
 
     def __init__(
@@ -79,21 +81,24 @@ class MarkovChain:
         self.nodes = [np.asarray(v, dtype=float) for v in nodes]
         self.transitions = [np.asarray(m, dtype=float) for m in transitions]
         self.raw_row_mass = [np.asarray(v, dtype=float) for v in raw_row_mass]
+        # cumulative transition rows for path sampling, by matrix identity;
+        # the last entry is raised to +inf so that a draw above a row's
+        # rounded total picks the last node
+        cumulative: dict[int, np.ndarray] = {}
         for t, mat in enumerate(self.transitions):
             if mat.shape != (len(self.nodes[t]), len(self.nodes[t + 1])):
                 raise ValueError(f"transition matrix {t} has shape {mat.shape}")
+            if id(mat) in cumulative:
+                continue
             if np.any(mat < 0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-12):
                 raise ValueError(f"transition matrix {t} is not row-stochastic")
+            mat.setflags(write=False)
+            cum = np.cumsum(mat, axis=1)
+            cum[:, -1] = np.inf
+            cumulative[id(mat)] = cum
+        self._cumulative = [cumulative[id(m)] for m in self.transitions]
         for v in self.nodes:
             v.setflags(write=False)
-        for m in self.transitions:
-            m.setflags(write=False)
-        # cumulative transition rows for path sampling; the last entry is
-        # raised to +inf so that a draw above a row's rounded total picks the
-        # last node
-        self._cumulative = [np.cumsum(m, axis=1) for m in self.transitions]
-        for cum in self._cumulative:
-            cum[:, -1] = np.inf
 
     def node_count(self, stage: int) -> int:
         return len(self.nodes[stage])
@@ -135,9 +140,11 @@ def build_chain(
     model: PriceModel,
     n: int,
     sampling_std: float | None = None,
-    horizon: int | None = None,
 ) -> MarkovChain:
     """Discretize the deviation process on ``n`` quadrature nodes per stage.
+
+    The chain has the model's horizon.  Stages 1..T hold one read-only node
+    array, and stages 1..T-1 one transition matrix.
 
     Parameters
     ----------
@@ -148,8 +155,6 @@ def build_chain(
     sampling_std:
         Std of the zero-mean Gaussian sampling density.  Defaults to the
         stationary std of the deviation process.
-    horizon:
-        Number of stages; defaults to the model horizon.
 
     Raises
     ------
@@ -159,9 +164,7 @@ def build_chain(
     """
     if n < 1:
         raise InvalidOrderError("need at least one quadrature point")
-    T = model.horizon if horizon is None else int(horizon)
-    if T < 1:
-        raise ValueError("horizon must be >= 1")
+    T = model.horizon
     if sampling_std is None:
         sampling_std = model.stationary_std()
         if sampling_std <= 0:
@@ -176,7 +179,7 @@ def build_chain(
     phi = _normal_pdf(stage_nodes, 0.0, sampling_std)
 
     nodes: list[np.ndarray] = [np.array([model.initial_deviation])]
-    nodes += [stage_nodes.copy() for _ in range(T)]
+    nodes += [stage_nodes] * T
 
     transitions: list[np.ndarray] = []
     raw_mass: list[np.ndarray] = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,7 +187,9 @@ def bid_ask(model: PriceModel, stage: int, deviation: float) -> tuple[float, flo
 def read_price_csv(path: str) -> tuple[PriceSeries, int]:
     """Read ``timestamp,day_ahead,id1`` rows; drop incomplete rows.
 
-    Returns the cleaned series and the number of dropped rows (also logged).
+    A row without a timestamp or with a price that is not a finite number
+    (``nan`` and ``inf`` parse as floats) is incomplete.  Returns the
+    cleaned series and the number of dropped rows (also logged).
     """
     timestamps: list[str] = []
     da: list[float] = []
@@ -212,7 +215,7 @@ def read_price_csv(path: str) -> tuple[PriceSeries, int]:
                 except (TypeError, ValueError, KeyError):
                     dropped += 1
                     continue
-                if ts is None or ts == "":
+                if ts is None or ts == "" or not (math.isfinite(d) and math.isfinite(v)):
                     dropped += 1
                     continue
                 timestamps.append(ts)

@@ -40,6 +40,7 @@ _FEAS_TOL = 1e-9
 # depend on the chunk size)
 _LANE_ELEMENTS = 1 << 18
 _KDE_ELEMENTS = 1 << 15
+_KDE_GRID_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -160,20 +161,18 @@ def evaluate_out_of_sample(
     )
 
 
-def kernel_density(samples: np.ndarray, grid_points: int = 256) -> DensityEstimate:
-    """Gaussian KDE with Silverman bandwidth 1.06 * std * n^(-1/5)."""
+def kernel_density(samples: np.ndarray) -> DensityEstimate:
+    """Gaussian KDE with Silverman bandwidth 1.06 * std * n^(-1/5) on 256 grid points."""
     x = np.asarray(samples, dtype=float)
     if x.size < 2 or np.std(x) == 0.0:
         raise DegenerateSampleError("need >= 2 samples with nonzero variance")
-    if grid_points < 16:
-        raise ValueError("grid_points must be >= 16")
     n = x.size
     bw = 1.06 * float(np.std(x, ddof=1)) * n ** (-0.2)
-    grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, grid_points)
-    density = np.empty(grid_points)
+    grid = np.linspace(x.min() - 3.0 * bw, x.max() + 3.0 * bw, _KDE_GRID_POINTS)
+    density = np.empty(_KDE_GRID_POINTS)
     norm = 1.0 / (n * bw * np.sqrt(2.0 * np.pi))
     chunk = max(1, _KDE_ELEMENTS // n)
-    for lo in range(0, grid_points, chunk):
+    for lo in range(0, _KDE_GRID_POINTS, chunk):
         g = grid[lo : lo + chunk, None]
         z = (g - x[None, :]) / bw
         density[lo : lo + chunk] = norm * np.exp(-0.5 * z * z).sum(axis=1)

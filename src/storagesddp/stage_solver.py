@@ -262,22 +262,15 @@ class NodeSubproblem:
 
     The incoming state enters only the closed form, so a subproblem is built
     once per node and solved for many states.  A subproblem holds nothing
-    that a solve writes.  Terminal subproblems have no cut set; their
-    envelope is the zero line.  A cut set built for another capacity is
-    refused with `ValueError`.
+    that a solve writes.  A terminal subproblem is one without a cut set
+    (``cutset=None``); its envelope is the zero line.  A cut set built for
+    another capacity is refused with `ValueError`.
     """
 
-    def __init__(
-        self,
-        data: StageData,
-        cutset: CutSet | None,
-        terminal: bool = False,
-    ) -> None:
-        if terminal == (cutset is not None):
-            raise ValueError("provide a cutset, or terminal=True, not both")
+    def __init__(self, data: StageData, cutset: CutSet | None) -> None:
         self.data = data
         self.cutset = cutset
-        self.terminal = terminal
+        self.terminal = cutset is None
         d = data
         cp_b = d.charge_eff * d.u_max_charge
         cm_s = d.discharge_eff * d.u_max_discharge
@@ -286,7 +279,7 @@ class NodeSubproblem:
             d.leak_factor, d.capacity, d.u_max_charge, d.u_max_discharge,
             d.charge_eff, d.discharge_eff, cp_b, cm_s, -s1, -s2, kink, spread,
         )  # fmt: skip
-        if terminal:
+        if self.terminal:
             self._zero = Envelope([0.0], [0.0], [0.0, d.capacity], [0.0, 0.0])
         elif cutset.envelope.breaks[-1] != d.capacity:
             raise ValueError("the cut set was built for another capacity")

@@ -31,9 +31,8 @@ _EXP_ARG_MAX = 700.0
 class BatterySpec:
     """Physical storage parameters.
 
-    ``u_max_charge`` / ``u_max_discharge`` default to
-    ``speed_fraction * capacity`` (equal charge and discharge speeds) but can
-    be set independently.
+    Charging and discharging share one speed limit, ``speed_fraction *
+    capacity`` per period.
     """
 
     capacity: float
@@ -41,8 +40,6 @@ class BatterySpec:
     charge_eff: float = 0.95
     discharge_eff: float = 1.05
     leakage: float = 0.0
-    u_max_charge: float | None = None
-    u_max_discharge: float | None = None
 
     def __post_init__(self) -> None:
         if not self.capacity > 0:
@@ -56,14 +53,10 @@ class BatterySpec:
 
     @property
     def max_charge(self) -> float:
-        if self.u_max_charge is not None:
-            return self.u_max_charge
         return self.speed_fraction * self.capacity
 
     @property
     def max_discharge(self) -> float:
-        if self.u_max_discharge is not None:
-            return self.u_max_discharge
         return self.speed_fraction * self.capacity
 
 
@@ -90,7 +83,6 @@ class StageData:
                             - discharge_eff * u_sell
     """
 
-    stage: int
     node: int
     bid: float
     ask: float
@@ -123,14 +115,13 @@ def stage_data_for(
     battery: BatterySpec,
     stage: int,
     deviation: float,
-    node: int = -1,
+    node: int,
 ) -> StageData:
     """Assemble one stage's data from realized (or node) deviation."""
     from .price_model import bid_ask  # local import avoids cycle at module load
 
     bid, ask = bid_ask(model, stage, deviation)
     return StageData(
-        stage=stage,
         node=node,
         bid=bid,
         ask=ask,

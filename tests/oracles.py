@@ -799,10 +799,7 @@ def _simulate_one(
         node = nearest_node(policy.chain, t, xi)
         if realized_prices:
             data = stage_data_for(model, battery, t, xi, node=node)
-            if t == T:
-                sub = NodeSubproblem(data, cutset=None, terminal=True)
-            else:
-                sub = NodeSubproblem(data, cutset=policy.pools.get(t, node))
+            sub = NodeSubproblem(data, None if t == T else policy.pools.get(t, node))
         else:
             data = policy.stage_data(t, node)
             sub = policy.subproblem(t, node)

@@ -158,7 +158,7 @@ class TestBuildChain:
         assert chain.nodes[0].tolist() == [-3.5]
 
     def test_output_shapes(self):
-        chain = s.build_chain(model(T=6), 5, horizon=6)
+        chain = s.build_chain(model(T=6), 5)
         assert chain.horizon == 6
         assert len(chain.nodes) == 7
         assert chain.transitions[0].shape == (1, 5)
@@ -231,7 +231,7 @@ class TestNodePaths:
 
 
 def test_chain_json_export():
-    chain = s.build_chain(model(T=4), 3, horizon=4)
+    chain = s.build_chain(model(T=4), 3)
     doc = json.loads(chain.to_json())
     assert doc["horizon"] == 4
     assert len(doc["nodes"]) == 5

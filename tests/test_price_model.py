@@ -60,6 +60,25 @@ class TestDeviations:
         series = s.PriceSeries(("a", "b"), np.array([48.0, 63.0]), np.array([50.0, 60.0]))
         assert s.deviations_from_series(series).tolist() == [2.0, -3.0]
 
+    def test_drops_non_finite_prices(self, tmp_path):
+        # float() parses both; a fit on them would report nan
+        p = tmp_path / "prices.csv"
+        p.write_text(
+            "timestamp,day_ahead,id1\n"
+            "2024-01-01T00:00,48.0,50.0\n"
+            "2024-01-01T01:00,nan,49.0\n"
+            "2024-01-01T02:00,63.0,60.0\n"
+            "2024-01-01T03:00,55.0,inf\n"
+            "2024-01-01T04:00,52.0,51.5\n"
+            "2024-01-01T05:00,50.0,51.0\n",
+            encoding="utf-8",
+        )
+        series, dropped = s.read_price_csv(str(p))
+        assert dropped == 2
+        assert series.day_ahead.tolist() == [48.0, 63.0, 52.0, 50.0]
+        fit = s.fit_ar(s.deviations_from_series(series))
+        assert all(np.isfinite([fit.slope, fit.intercept, fit.r_squared, fit.residual_std]))
+
     def test_identity_case(self):
         da = np.linspace(10, 80, 24)
         series = s.PriceSeries(tuple(str(i) for i in range(24)), da, da.copy())
@@ -175,6 +194,25 @@ class TestCsvIngestion:
         assert dropped == 2
         assert series.day_ahead.tolist() == [48.0, 63.0]
         assert s.deviations_from_series(series).tolist() == [2.0, -3.0]
+
+    def test_drops_non_finite_prices(self, tmp_path):
+        # float() parses both; a fit on them would report nan
+        p = tmp_path / "prices.csv"
+        p.write_text(
+            "timestamp,day_ahead,id1\n"
+            "2024-01-01T00:00,48.0,50.0\n"
+            "2024-01-01T01:00,nan,49.0\n"
+            "2024-01-01T02:00,63.0,60.0\n"
+            "2024-01-01T03:00,55.0,inf\n"
+            "2024-01-01T04:00,52.0,51.5\n"
+            "2024-01-01T05:00,50.0,51.0\n",
+            encoding="utf-8",
+        )
+        series, dropped = s.read_price_csv(str(p))
+        assert dropped == 2
+        assert series.day_ahead.tolist() == [48.0, 63.0, 52.0, 50.0]
+        fit = s.fit_ar(s.deviations_from_series(series))
+        assert all(np.isfinite([fit.slope, fit.intercept, fit.r_squared, fit.residual_std]))
 
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.csv"

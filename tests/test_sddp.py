@@ -284,16 +284,8 @@ class TestCheckpoints:
         restored = s.Policy(policy.problem, policy.chain, pools)
         assert restored.root_bound() == policy.root_bound()
 
-    def test_warm_restart_monotone(self, toy_problem, toy_chain, toy_trained, saved):
-        policy, log = toy_trained
-        pools = s.sddp.load_checkpoint(str(saved), toy_problem, toy_chain)
-        _, log2 = s.train(toy_problem, toy_chain, 20, 999, warm_start=pools)
-        assert log2.bounds[0] <= log.final_bound() + 1e-12
-
     def test_horizon_mismatch_rejected(self, toy_problem, saved):
-        other = s.build_chain(
-            s.PriceModel((50.0,) * 5, 0.4, 1.0, 1.0), 2, horizon=5
-        )
+        other = s.build_chain(s.PriceModel((50.0,) * 5, 0.4, 1.0, 1.0), 2)
         with pytest.raises(CheckpointError, match="horizon"):
             s.sddp.load_checkpoint(str(saved), toy_problem, other)
 
@@ -321,6 +313,7 @@ class TestCheckpoints:
             ("slope order", "stage 0, node 0 is not an envelope"),
             ("break order", "stage 0, node 0 is not an envelope"),
             ("nan break", "stage 0, node 0 is not an envelope"),
+            ("lines miss their break", "stage 0, node 0 is not an envelope: lines 0 and 1"),
             ("break count", "stage 1, node 0 is not an envelope"),
             ("first break", "stage 1, node 0 is not an envelope"),
             ("last break", "stage 1, node 0 is not an envelope"),
@@ -375,6 +368,11 @@ class TestCheckpoints:
             doc["pools"][0]["breaks"][1] = doc["pools"][0]["breaks"][2]
         elif change == "nan break":
             doc["pools"][0]["breaks"][1] = float("nan")
+        elif change == "lines miss their break":
+            # increasing slopes and breaks, but line 1 is above line 0 left
+            # of their break, where line 0 would be read
+            doc["pools"][0]["cuts"] = [[-10.0, 0.0], [-10.0, 5.0]]
+            doc["pools"][0]["breaks"][1] = 0.9
         elif change == "break count":
             doc["pools"][1]["breaks"].insert(1, 0.5 * doc["pools"][1]["breaks"][1])
         elif change == "first break":

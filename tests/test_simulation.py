@@ -125,7 +125,7 @@ class TestKernelDensity:
     def test_concentrated_sample(self):
         rng = np.random.default_rng(0)
         x = 5.0 + 1e-4 * rng.standard_normal(500)
-        est = s.kernel_density(x, grid_points=128)
+        est = s.kernel_density(x)
         integral = np.trapezoid(est.density, est.grid)
         assert abs(integral - 1.0) <= 1e-3
         assert abs(est.grid[np.argmax(est.density)] - 5.0) < 1e-3
@@ -133,7 +133,7 @@ class TestKernelDensity:
     def test_standard_normal_recovery(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(100_000)
-        est = s.kernel_density(x, grid_points=256)
+        est = s.kernel_density(x)
         pdf = np.exp(-0.5 * est.grid**2) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(est.density - pdf)) < 0.02
         assert abs(np.trapezoid(est.density, est.grid) - 1.0) <= 1e-3
@@ -141,7 +141,7 @@ class TestKernelDensity:
     def test_bimodal_mixture(self):
         rng = np.random.default_rng(2)
         x = np.concatenate([rng.normal(-5, 1, 5000), rng.normal(5, 1, 5000)])
-        est = s.kernel_density(x, grid_points=256)
+        est = s.kernel_density(x)
         d = est.density
         peaks = [
             est.grid[i]
@@ -163,8 +163,6 @@ class TestKernelDensity:
             s.kernel_density(np.array([1.0]))
         with pytest.raises(DegenerateSampleError):
             s.kernel_density(np.full(10, 3.0))
-        with pytest.raises(ValueError):
-            s.kernel_density(np.random.default_rng(0).standard_normal(100), grid_points=8)
 
 
 class TestTailComparison:

@@ -1,7 +1,8 @@
 """Static checks of the package source.
 
 No unused imports, no unreferenced private names, no error class that package
-code never raises, catches or subclasses, and a resolvable ``__all__``.
+code never raises, catches or subclasses, no dataclass field that nothing
+reads, and a resolvable ``__all__``.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import storagesddp as s
 
 PACKAGE = Path(s.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -119,6 +121,30 @@ def error_uses(source: str) -> set[str]:
     return used
 
 
+def dataclass_fields(source: str) -> list[str]:
+    """``Class.field`` of every annotated field in a module's dataclasses."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in _named(d) for d in node.decorator_list
+        ):
+            fields += [
+                f"{node.name}.{stmt.target.id}"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            ]
+    return fields
+
+
+def attributes_read(source: str) -> set[str]:
+    """Names of every attribute a module loads (``x.name`` read, not assigned)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_error_use_detector_on_synthetic_module():
     source = (
         "from . import errors\n"
@@ -145,6 +171,40 @@ def test_every_error_class_is_used_by_package_code():
         if path.name != "errors.py":
             used |= error_uses(path.read_text(encoding="utf-8"))
     assert sorted(classes - used) == []
+
+
+def test_dataclass_field_detectors_on_synthetic_module():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "    y: float = 0.0\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    z: int\n"
+        "class C:\n"
+        "    w: int\n"
+        "def f(a, b):\n"
+        "    b.z = a.x\n"
+    )
+    assert dataclass_fields(source) == ["A.x", "A.y", "B.z"]
+    assert attributes_read(source) == {"dataclass", "x"}
+
+
+def test_every_dataclass_field_is_read():
+    # a field that no package, test or benchmark code reads is carried for
+    # nothing; each caller would still have to fill it in
+    fields = [
+        field
+        for path in sorted(PACKAGE.glob("*.py"))
+        for field in dataclass_fields(path.read_text(encoding="utf-8"))
+    ]
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *REPO.glob("tests/*.py"), *REPO.glob("bench/*.py")]:
+        read |= attributes_read(path.read_text(encoding="utf-8"))
+    assert [f for f in fields if f.split(".")[1] not in read] == []
 
 
 def test_detector_finds_unused_and_ignores_used():

@@ -27,7 +27,6 @@ from oracles import (
 
 def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
     return s.StageData(
-        stage=1,
         node=0,
         bid=bid,
         ask=ask,
@@ -284,7 +283,7 @@ class TestTwoStageDeterministic:
 
 
 def terminal(state, data):
-    return s.NodeSubproblem(data, cutset=None, terminal=True).solve_terminal(state)
+    return s.NodeSubproblem(data, None).solve_terminal(state)
 
 
 def max_wealth_lp(data, state):
@@ -386,7 +385,7 @@ class TestTerminalKelley:
             sol = terminal(state, data)
 
             # the vectorized enumeration picks the scalar enumeration's vertex
-            sub = s.NodeSubproblem(data, cutset=None, terminal=True)
+            sub = s.NodeSubproblem(data, None)
             controls = sub._clamp(max_wealth_controls(data, state), xe)
             assert sol.controls == controls
             assert sol.next_state == data.next_state(state, controls)
@@ -437,7 +436,7 @@ class TestTerminalKelley:
             bid, ask = mids - 1.0, mids + 1.0
         else:
             bid = ask = None
-        sub = s.NodeSubproblem(data, cutset=None, terminal=True)
+        sub = s.NodeSubproblem(data, None)
         out = TestLaneKernel.one_node(sub, wealth, energy, ask=ask, bid=bid)
         for k in range(K):
             lane_data = data
@@ -553,8 +552,8 @@ class TestLaneKernel:
     def test_stage_must_share_the_battery(self):
         data = stage(30.0, 32.0)
         subs = [
-            s.NodeSubproblem(data, cutset=None, terminal=True),
-            s.NodeSubproblem(dataclasses.replace(data, u_max_charge=0.3), None, terminal=True),
+            s.NodeSubproblem(data, None),
+            s.NodeSubproblem(dataclasses.replace(data, u_max_charge=0.3), None),
         ]
         with pytest.raises(ValueError):
             s.StageLanes(subs)
@@ -562,7 +561,7 @@ class TestLaneKernel:
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
         sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(-5.0, -1.0, 1.0)]))
-        last = s.NodeSubproblem(data, cutset=None, terminal=True)
+        last = s.NodeSubproblem(data, None)
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
                 sub.solve((0.0, bad))
@@ -585,7 +584,7 @@ class TestLaneKernel:
         energy = np.array([0.0, 0.3, 1.1, 2.0])
         subs = [
             s.NodeSubproblem(data, cutset=cut_set(data.capacity, random_cuts(rng, 8))),
-            s.NodeSubproblem(data, cutset=None, terminal=True),
+            s.NodeSubproblem(data, None),
         ]
         for sub in subs:
             buy0, sell0, wealth0, energy0 = self.one_node(sub, np.zeros(4), energy)
@@ -845,6 +844,6 @@ class TestClosedFormOnTrainedPool:
                 lane = subs[j]
                 if own_prices:
                     data = dataclasses.replace(lane.data, bid=float(bid[k]), ask=float(ask[k]))
-                    lane = s.NodeSubproblem(data, lane.cutset, terminal=lane.terminal)
+                    lane = s.NodeSubproblem(data, lane.cutset)
                 want = TestLaneKernel.scalar_results(lane, state)
                 assert TestLaneKernel.lane_results(out, k) == want, (t, j, k)

@@ -14,7 +14,6 @@ from oracles import random_relaxed_trajectory, terminal_cost_derivative
 
 def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
     return s.StageData(
-        stage=1,
         node=0,
         bid=bid,
         ask=ask,
@@ -58,9 +57,7 @@ class TestRecoverComplementary:
         assert np.allclose(rec.energy, traj.energy)
 
     def test_simultaneous_buy_sell_folds(self):
-        battery = s.BatterySpec(
-            capacity=1.0, speed_fraction=0.4, u_max_charge=1.0, u_max_discharge=1.0
-        )
+        battery = s.BatterySpec(capacity=1.0, speed_fraction=1.0)
         prices = [(48.0, 50.0), (52.0, 54.0)]
         # stage 1 charges a little, stage 2 buys and sells one unit each
         traj = s.RelaxedTrajectory(
@@ -159,11 +156,9 @@ class TestSpecs:
         with pytest.raises(ValueError):
             s.BatterySpec(capacity=1.0, leakage=1.5)
 
-    def test_speed_defaults_and_overrides(self):
+    def test_speeds_are_the_speed_fraction_of_capacity(self):
         b = s.BatterySpec(capacity=2.0, speed_fraction=0.4)
         assert b.max_charge == b.max_discharge == pytest.approx(0.8)
-        b2 = s.BatterySpec(capacity=2.0, speed_fraction=0.4, u_max_charge=0.1)
-        assert b2.max_charge == 0.1 and b2.max_discharge == pytest.approx(0.8)
 
     def test_stage_data_validation(self):
         with pytest.raises(ValueError):
