@@ -152,10 +152,7 @@ def _build_section(cls, data: dict, path: str):
             kwargs[key] = tuple(float(v) for v in value)
         else:
             kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid '{path}' section: {exc}") from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -158,19 +158,17 @@ def build_chain(
 
     Raises
     ------
+    InvalidOrderError, ValueError
+        From `gauss_hermite`, for ``n < 1`` or ``sampling_std <= 0``.
     NumericalUnderflowError
         If a raw transition row sums to less than 1e-12 (sampling density
         badly mismatched with the conditional density).
     """
-    if n < 1:
-        raise InvalidOrderError("need at least one quadrature point")
     T = model.horizon
     if sampling_std is None:
         sampling_std = model.stationary_std()
         if sampling_std <= 0:
             sampling_std = 1.0  # degenerate model; node placement is irrelevant
-    if sampling_std <= 0:
-        raise ValueError("sampling_std must be > 0")
 
     rule = gauss_hermite(n, sampling_std)
     stage_nodes = rule.nodes

@@ -104,8 +104,6 @@ class RegressionFit:
 
 def deviations_from_series(series: PriceSeries) -> np.ndarray:
     """Deviation observations ``id1 - day_ahead``, elementwise."""
-    if len(series.id1) != len(series.day_ahead):
-        raise LengthMismatchError("id1 and day_ahead lengths differ")
     return series.id1 - series.day_ahead
 
 
@@ -198,11 +196,9 @@ def read_price_csv(path: str) -> tuple[PriceSeries, int]:
     try:
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.DictReader(f)
-            if reader.fieldnames is None or set(reader.fieldnames) < {
-                "timestamp",
-                "day_ahead",
-                "id1",
-            }:
+            if reader.fieldnames is None or not {"timestamp", "day_ahead", "id1"} <= set(
+                reader.fieldnames
+            ):
                 raise DataError(
                     f"{path}: expected header 'timestamp,day_ahead,id1', "
                     f"got {reader.fieldnames}"

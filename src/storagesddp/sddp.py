@@ -16,20 +16,21 @@ gives a deterministic optimistic bound on the certainty equivalent;
 `TrainingLog.bounds` reports it as expected utility (maximization
 orientation), where it is non-increasing.
 
-Checkpoints (format 4) are versioned JSON that carry a fingerprint of the
-problem and chain the cuts were trained on, and hold each node's envelope:
-its lines as ``[intercept, energy slope]`` rows (the wealth slope is -1)
-and its breaks.  `load_checkpoint` uses them as the envelope as they are,
-so a reloaded policy is the trained one bit for bit.  It refuses another
-format version, fingerprint or horizon, any record of a node the chain
-lacks or of a node already read, any empty pool, and lines and breaks that
-do not form an envelope with `CheckpointError`.
+Checkpoints (format 5) are versioned JSON that carry a fingerprint of the
+problem and chain the cuts were trained on, and hold the envelopes by
+position: ``pools[t][j]`` is node j of stage t, its lines as ``[intercept,
+energy slope]`` rows (the wealth slope is -1) and its breaks.
+`load_checkpoint` uses them as the envelope as they are, so a reloaded
+policy is the trained one bit for bit.  It refuses another format version,
+fingerprint, stage count or node count, any empty pool, and lines and
+breaks that do not form an envelope with `CheckpointError`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -55,8 +56,9 @@ from .storage import (
 # version 1 (unversioned) checkpoints held cuts on the expected-utility cost;
 # version 2 wrote each cut as an object with named coefficients; version 3
 # held [intercept, grad_wealth, grad_energy] rows that the loader spliced in
-# again, which can move a break by rounding.
-CHECKPOINT_VERSION = 4
+# again, which can move a break by rounding; version 4 held a list of records
+# that named their stage and node.
+CHECKPOINT_VERSION = 5
 # relative mismatch allowed where two envelope lines of a checkpoint meet;
 # pools trained at capacity 0.5 to 4 and rho 0.003 to 0.3 stay below 2.2e-16
 _BREAK_TOL = 1e-9
@@ -79,7 +81,6 @@ class CutPool:
     """
 
     def __init__(self, chain: MarkovChain, capacity: float) -> None:
-        self.horizon = chain.horizon
         self._sets: list[list[CutSet]] = [
             [CutSet(capacity) for _ in range(chain.node_count(t))]
             for t in range(chain.horizon)
@@ -95,25 +96,21 @@ class CutPool:
     def to_json(self, fingerprint: str) -> str:
         """Versioned JSON of every pool, tagged with `checkpoint_fingerprint`.
 
-        Each pool's envelope is its lines as rows ``[intercept,
-        grad_energy]``, in increasing energy slope, and its breaks.
+        ``pools[t][j]`` is node j of stage t's envelope: its lines as rows
+        ``[intercept, grad_energy]``, in increasing energy slope, and its
+        breaks.
         """
-        records = [
-            {
-                "stage": t,
-                "node": j,
-                "cuts": [[a, g] for a, g in zip(cs.envelope.intercepts, cs.envelope.slopes)],
-                "breaks": cs.envelope.breaks,
-            }
-            for t, level in enumerate(self._sets)
-            for j, cs in enumerate(level)
+        pools = [
+            [
+                {
+                    "cuts": [[a, g] for a, g in zip(cs.envelope.intercepts, cs.envelope.slopes)],
+                    "breaks": cs.envelope.breaks,
+                }
+                for cs in level
+            ]
+            for level in self._sets
         ]
-        doc = {
-            "format_version": CHECKPOINT_VERSION,
-            "fingerprint": fingerprint,
-            "horizon": self.horizon,
-            "pools": records,
-        }
+        doc = {"format_version": CHECKPOINT_VERSION, "fingerprint": fingerprint, "pools": pools}
         return json.dumps(doc, separators=(",", ":"))
 
     @classmethod
@@ -122,16 +119,14 @@ class CutPool:
     ) -> "CutPool":
         """Parse `to_json` output for ``chain`` and the expected ``fingerprint``.
 
-        Each record's lines and breaks become its node's envelope as they
-        are (`stage_solver.envelope_from_lines`).  Raises `CheckpointError`
-        for text that is not JSON, a format version other than
-        `CHECKPOINT_VERSION`, missing keys, a stage or node that is not an
-        index of ``chain`` (an ``int``, not a ``bool``, in range), a (stage,
-        node) held by two records, cuts that are not rows of two finite
-        numbers, a pool without cuts, lines and breaks that do not form an
-        envelope on ``[0, capacity]`` (adjacent lines that do not meet at
-        their break among them), and a horizon or fingerprint that differs
-        from the expected one.
+        Each node's lines and breaks become its envelope as they are
+        (`stage_solver.envelope_from_lines`).  Raises `CheckpointError`, in
+        this order, for text that is not JSON, a format version other than
+        `CHECKPOINT_VERSION`, missing keys, a stage count other than the
+        chain's horizon, a fingerprint other than the expected one, a stage
+        that is not a list of the chain's nodes, and a node whose cuts are
+        not rows of two finite numbers, that has no cuts, or whose lines and
+        breaks do not form an envelope on ``[0, capacity]`` (`_envelope`).
         """
         try:
             doc = json.loads(text)
@@ -144,66 +139,60 @@ class CutPool:
                 "retrain to write a current one"
             )
         try:
-            horizon, found, records = doc["horizon"], doc["fingerprint"], doc["pools"]
+            found, levels = doc["fingerprint"], doc["pools"]
         except KeyError as exc:
             raise CheckpointError(f"checkpoint lacks the key {exc}") from exc
-        if horizon != chain.horizon:
+        if not isinstance(levels, list):
+            raise CheckpointError("malformed checkpoint cuts: 'pools' is not a list")
+        if len(levels) != chain.horizon:
             raise CheckpointError(
-                f"checkpoint horizon {horizon} != chain horizon {chain.horizon}"
+                f"checkpoint horizon {len(levels)} != chain horizon {chain.horizon}"
             )
         if found != fingerprint:
             raise CheckpointError(
                 "checkpoint was trained on another price model, battery, risk "
                 "aversion or chain"
             )
-        if not isinstance(records, list):
-            raise CheckpointError("malformed checkpoint cuts: 'pools' is not a list")
         pool = cls(chain, capacity)
-        read = set()
-        for rec in records:
-            t, j, envelope = _record(rec, chain, capacity)
-            if (t, j) in read:
-                raise CheckpointError(f"checkpoint holds stage {t}, node {j} twice")
-            read.add((t, j))
-            if envelope is not None:
-                pool.get(t, j).envelope = envelope
-        for t, level in enumerate(pool._sets):
-            for j, cuts in enumerate(level):
-                if not len(cuts):
-                    raise CheckpointError(f"checkpoint pool at stage {t}, node {j} has no cuts")
+        for t, (level, sets) in enumerate(zip(levels, pool._sets)):
+            if not isinstance(level, list) or len(level) != len(sets):
+                raise CheckpointError(
+                    f"checkpoint stage {t} is not a list of the chain's {len(sets)} nodes"
+                )
+            for j, (rec, cuts) in enumerate(zip(level, sets)):
+                cuts.envelope = _envelope(rec, t, j, capacity)
         return pool
 
 
-def _is_index(value, size: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+def _envelope(rec, t: int, j: int, capacity: float) -> Envelope:
+    """The envelope of node j of stage t from its checkpoint record.
 
-
-def _record(rec, chain: MarkovChain, capacity: float) -> tuple[int, int, Envelope | None]:
-    """``(stage, node, envelope)`` of one checkpoint record; ``None`` for a record without cuts.
-
-    The envelope's slopes and breaks must strictly increase, and its breaks,
-    one more than its lines, must run from 0 to ``capacity``; that refuses
-    non-finite breaks too.  Adjacent lines must meet at their shared break,
-    to `_BREAK_TOL` relative to the height there.
+    The cuts must be rows of two finite numbers (JSON ``true`` and
+    ``false`` are no numbers here, as in the config), and there must be at
+    least one.  The slopes and breaks must strictly increase, and the
+    breaks, one more than the lines, must run from 0 to ``capacity``; that
+    refuses non-finite breaks too.  Adjacent lines must meet at their shared
+    break, to `_BREAK_TOL` relative to the height there.
     """
     try:
-        t, j = rec["stage"], rec["node"]
-        rows = np.array(rec["cuts"] or np.empty((0, 2)))
-        breaks = np.array(rec["breaks"])
+        cuts, breaks = rec["cuts"], rec["breaks"]
+        rows, x = np.array(cuts), np.array(breaks)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint cuts: {exc}") from exc
-    if not (_is_index(t, chain.horizon) and _is_index(j, chain.node_count(t))):
-        raise CheckpointError(
-            f"checkpoint record of stage {t!r}, node {j!r}: the chain has no such node"
-        )
-    if rows.dtype.kind not in "fi" or rows.ndim != 2 or rows.shape[1] != 2:
+    if not rows.size:
+        raise CheckpointError(f"checkpoint pool at stage {t}, node {j} has no cuts")
+    if (
+        rows.dtype.kind not in "fi"
+        or rows.ndim != 2
+        or rows.shape[1] != 2
+        or bool in map(type, itertools.chain.from_iterable(cuts))
+    ):
         raise CheckpointError("malformed checkpoint cuts: cuts are not rows of two numbers")
     if not np.isfinite(rows).all():
         raise CheckpointError("malformed checkpoint cuts: cut coefficients must be finite")
-    if not len(rows):
-        return t, j, None
     intercepts, slopes = rows.astype(float).T.tolist()
-    x = breaks.astype(float).tolist() if breaks.dtype.kind in "fi" and breaks.ndim == 1 else []
+    numbers = x.dtype.kind in "fi" and x.ndim == 1 and bool not in map(type, breaks)
+    x = x.astype(float).tolist() if numbers else []
     if not (
         len(x) == len(slopes) + 1
         and x[0] == 0.0
@@ -224,7 +213,7 @@ def _record(rec, chain: MarkovChain, capacity: float) -> tuple[int, int, Envelop
                 f"checkpoint pool at stage {t}, node {j} is not an envelope: lines "
                 f"{k - 1} and {k} differ by {abs(left - right):.3g} at their break {x[k]!r}"
             )
-    return t, j, envelope
+    return envelope
 
 
 def _increasing(values: list) -> bool:
@@ -478,21 +467,20 @@ def train(
 def checkpoint_fingerprint(problem: StorageProblem, chain: MarkovChain) -> str:
     """SHA-256 of what the cuts depend on: price model, battery, rho and chain.
 
-    The initial wealth is left out: every cut holds at every wealth.  The
-    battery keeps the two null speed-override keys that `BatterySpec` had
-    until its speeds became ``speed_fraction * capacity`` alone, so
-    checkpoints written before keep their fingerprints.
+    The model pieces enter as JSON, then each of the chain's node vectors
+    and transition matrices as its shape and little-endian float64 bytes.
+    The initial wealth is left out: every cut holds at every wealth.
     """
-    battery = dataclasses.asdict(problem.battery)
-    battery.update(u_max_charge=None, u_max_discharge=None)
     doc = {
         "price_model": dataclasses.asdict(problem.price_model),
-        "battery": battery,
+        "battery": dataclasses.asdict(problem.battery),
         "risk_aversion": problem.utility.risk_aversion,
-        "nodes": [v.tolist() for v in chain.nodes],
-        "transitions": [m.tolist() for m in chain.transitions],
     }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    for array in chain.nodes + chain.transitions:
+        digest.update(repr(array.shape).encode())
+        digest.update(array.astype("<f8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 def save_checkpoint(policy: Policy, path: str) -> None:

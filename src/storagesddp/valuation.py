@@ -12,13 +12,13 @@ once ``rho * phi`` nears one.  It is the package's only valuation route;
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .config import RunConfig, train_from_config, validate_config, with_axis_value
+from .config import RunConfig, build_utility, train_from_config, validate_config, with_axis_value
 from .errors import ConfigError
+from .storage import terminal_cost
 
 
 @dataclass(frozen=True)
@@ -36,12 +36,14 @@ def price_storage(config: RunConfig) -> ValuationResult:
     (`sddp.Policy.root_certainty_equivalent`), an optimistic bound that
     tightens with the iterations.  ``phi_with`` is the matching expected
     utility, the final training bound, and ``phi_without`` the utility of the
-    config's initial wealth without the storage.
+    config's initial wealth without the storage.  Raises `OverflowGuardError`,
+    before training, where that utility overflows.
     """
-    rho = config.utility.rho
+    utility = build_utility(config)
+    # 0.0 - x, not -x: zero wealth gives 0.0, not -0.0
+    phi_without = 0.0 - terminal_cost(utility, utility.initial_wealth)
     zero_wealth = replace(config, utility=replace(config.utility, initial_wealth=0.0))
     policy, log = train_from_config(zero_wealth)
-    phi_without = (1.0 - math.exp(-rho * config.utility.initial_wealth)) / rho
     return ValuationResult(
         price=policy.root_certainty_equivalent(),
         phi_with=log.final_bound(),

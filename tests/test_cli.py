@@ -84,6 +84,18 @@ class TestConfigHandling:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "simulate", "price", "sweep"])
+    def test_every_command_fails_typed_at_large_negative_wealth(
+        self, tmp_path, capsys, command
+    ):
+        # the utility without storage overflows exp there as well
+        cfg = dict(SMALL, utility={"initial_wealth": -50000.0})
+        p = tmp_path / "poor.json"
+        p.write_text(json.dumps(cfg))
+        grid = ["--axis", "capacity", "--grid", "1.0"] if command == "sweep" else []
+        assert main([command, "--config", str(p), "--out", str(tmp_path)] + grid) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_discretize(self, small_config, tmp_path):
@@ -100,7 +112,7 @@ class TestCommands:
         bounds = [float(r.split(",")[1]) for r in log[1:]]
         assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
         ckpt = json.loads((tmp_path / "checkpoint.json").read_text())
-        assert ckpt["horizon"] == 6
+        assert len(ckpt["pools"]) == 6
 
     def test_train_idempotent(self, small_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -296,17 +308,17 @@ def test_simulate_refuses_unusable_checkpoint(tmp_path, capsys, case):
         ckpt.unlink()
     elif case == "old format":
         # the layout before format versions: horizon and pools only
-        ckpt.write_text(json.dumps({"horizon": doc["horizon"], "pools": doc["pools"]}))
+        ckpt.write_text(json.dumps({"horizon": len(doc["pools"]), "pools": doc["pools"]}))
     elif case == "missing key":
         del doc["fingerprint"]
         ckpt.write_text(json.dumps(doc))
     elif case == "not an envelope":
         # a hand-edited break beyond the capacity
-        doc["pools"][1]["breaks"][-1] = 2.0
+        doc["pools"][1][0]["breaks"][-1] = 2.0
         ckpt.write_text(json.dumps(doc))
     elif case == "empty pool":
         # a node without cuts has no value
-        doc["pools"][1]["cuts"] = []
+        doc["pools"][1][0]["cuts"] = []
         ckpt.write_text(json.dumps(doc))
     config.write_text(json.dumps(run), encoding="utf-8")
     capsys.readouterr()

@@ -60,6 +60,10 @@ class TestGaussHermite:
             s.gauss_hermite(0, 1.0)
         with pytest.raises(ValueError):
             s.gauss_hermite(2, 0.0)
+        with pytest.raises(InvalidOrderError):
+            s.build_chain(model(), 0)
+        with pytest.raises(ValueError):
+            s.build_chain(model(), 2, sampling_std=0.0)
 
     def test_weights_sum_to_one(self):
         for n in (1, 2, 5, 16, 40):

@@ -220,6 +220,13 @@ class TestCsvIngestion:
         with pytest.raises(DataError):
             s.read_price_csv(str(p))
 
+    def test_header_without_id1(self, tmp_path):
+        # every row would lack id1; the header is refused, not the rows
+        p = tmp_path / "no_id1.csv"
+        p.write_text("timestamp,day_ahead,price\n2024-01-01T00:00,48.0,50.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="expected header"):
+            s.read_price_csv(str(p))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             s.read_price_csv(str(tmp_path / "nope.csv"))

@@ -273,16 +273,33 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.json"
         s.sddp.save_checkpoint(policy, str(path))
         pools = s.sddp.load_checkpoint(str(path), policy.problem, policy.chain)
-        records = json.loads(path.read_text())["pools"]
-        assert len(records) == 185
-        for rec in records:
-            trained = policy.pools.get(rec["stage"], rec["node"]).envelope
-            loaded = pools.get(rec["stage"], rec["node"]).envelope
-            assert len(rec["cuts"]) == len(trained.slopes)
-            assert len(rec["breaks"]) == len(trained.breaks)
-            assert [[v.hex() for v in f] for f in loaded] == [[v.hex() for v in f] for f in trained]
+        levels = json.loads(path.read_text())["pools"]
+        assert sum(map(len, levels)) == 185
+        for t, level in enumerate(levels):
+            for j, rec in enumerate(level):
+                trained = policy.pools.get(t, j).envelope
+                loaded = pools.get(t, j).envelope
+                assert len(rec["cuts"]) == len(trained.slopes)
+                assert len(rec["breaks"]) == len(trained.breaks)
+                assert [[v.hex() for v in f] for f in loaded] == [
+                    [v.hex() for v in f] for f in trained
+                ]
         restored = s.Policy(policy.problem, policy.chain, pools)
         assert restored.root_bound() == policy.root_bound()
+
+    def test_layout_is_by_position(self, toy_trained, toy_chain, saved):
+        # pools[t][j] is node j of stage t; no key repeats a position
+        policy, _ = toy_trained
+        doc = json.loads(saved.read_text())
+        assert sorted(doc) == ["fingerprint", "format_version", "pools"]
+        assert doc["format_version"] == 5
+        assert [len(level) for level in doc["pools"]] == [
+            toy_chain.node_count(t) for t in range(toy_chain.horizon)
+        ]
+        for t, level in enumerate(doc["pools"]):
+            for j, rec in enumerate(level):
+                assert sorted(rec) == ["breaks", "cuts"]
+                assert rec["breaks"] == policy.pools.get(t, j).envelope.breaks
 
     def test_horizon_mismatch_rejected(self, toy_problem, saved):
         other = s.build_chain(s.PriceModel((50.0,) * 5, 0.4, 1.0, 1.0), 2)
@@ -291,7 +308,7 @@ class TestCheckpoints:
 
     def test_nan_intercept_rejected(self, toy_problem, toy_chain, saved):
         doc = json.loads(saved.read_text())
-        doc["pools"][0]["cuts"][0][0] = float("nan")
+        doc["pools"][0][0]["cuts"][0][0] = float("nan")
         saved.write_text(json.dumps(doc))
         assert "NaN" in saved.read_text()
         with pytest.raises(ValueError, match="cut coefficients must be finite"):
@@ -307,6 +324,7 @@ class TestCheckpoints:
             ("old version", "format version 1"),
             ("missing pools", "lacks the key 'pools'"),
             ("format 3", "format version 3"),
+            ("format 4", "format version 4"),
             ("missing cut key", "malformed checkpoint cuts"),
             ("missing breaks", "malformed checkpoint cuts: 'breaks'"),
             ("empty pool", "stage 1, node 0 has no cuts"),
@@ -318,9 +336,11 @@ class TestCheckpoints:
             ("first break", "stage 1, node 0 is not an envelope"),
             ("last break", "stage 1, node 0 is not an envelope"),
             ("cuts not rows", "malformed checkpoint cuts"),
-            ("negative node", "stage 2, node -2: the chain has no such node"),
-            ("bool stage", "stage True, node 0: the chain has no such node"),
-            ("repeated record", "holds stage 1, node 0 twice"),
+            ("false break", "stage 0, node 0 is not an envelope"),
+            ("true cut", "malformed checkpoint cuts: cuts are not rows of two numbers"),
+            ("missing node", "stage 2 is not a list of the chain's 2 nodes"),
+            ("extra stage", "checkpoint horizon 4 != chain horizon 3"),
+            ("stage not a list", "stage 1 is not a list of the chain's 2 nodes"),
             ("truncated", "not valid JSON"),
             ("missing file", "cannot read checkpoint"),
         ],
@@ -347,45 +367,61 @@ class TestCheckpoints:
         elif change == "format 3":
             # rows of three coefficients that the loader spliced in again
             doc["format_version"] = 3
-            for rec in doc["pools"]:
-                rec["cuts"] = [[a, -1.0, g] for a, g in rec.pop("cuts")]
-                del rec["breaks"]
+            for level in doc["pools"]:
+                for rec in level:
+                    rec["cuts"] = [[a, -1.0, g] for a, g in rec.pop("cuts")]
+                    del rec["breaks"]
+        elif change == "format 4":
+            # one list of records that name their stage and node
+            doc["format_version"] = 4
+            doc["horizon"] = len(doc["pools"])
+            doc["pools"] = [
+                {"stage": t, "node": j, **rec}
+                for t, level in enumerate(doc["pools"])
+                for j, rec in enumerate(level)
+            ]
         elif change == "missing cut key":
             # a row of one coefficient
-            del doc["pools"][0]["cuts"][0][1]
+            del doc["pools"][0][0]["cuts"][0][1]
         elif change == "missing breaks":
-            del doc["pools"][1]["breaks"]
+            del doc["pools"][1][0]["breaks"]
         elif change == "empty pool":
             # a node without cuts has no value
-            doc["pools"][1]["cuts"] = []
+            doc["pools"][1][0]["cuts"] = []
         elif change == "cuts not rows":
             # the rows of a pool, flattened
-            doc["pools"][1]["cuts"] = sum(doc["pools"][1]["cuts"], [])
+            doc["pools"][1][0]["cuts"] = sum(doc["pools"][1][0]["cuts"], [])
         elif change == "slope order":
             # stage 0 holds two lines: in decreasing slope they are no envelope
-            doc["pools"][0]["cuts"].reverse()
+            doc["pools"][0][0]["cuts"].reverse()
         elif change == "break order":
-            doc["pools"][0]["breaks"][1] = doc["pools"][0]["breaks"][2]
+            doc["pools"][0][0]["breaks"][1] = doc["pools"][0][0]["breaks"][2]
         elif change == "nan break":
-            doc["pools"][0]["breaks"][1] = float("nan")
+            doc["pools"][0][0]["breaks"][1] = float("nan")
         elif change == "lines miss their break":
             # increasing slopes and breaks, but line 1 is above line 0 left
             # of their break, where line 0 would be read
-            doc["pools"][0]["cuts"] = [[-10.0, 0.0], [-10.0, 5.0]]
-            doc["pools"][0]["breaks"][1] = 0.9
+            doc["pools"][0][0]["cuts"] = [[-10.0, 0.0], [-10.0, 5.0]]
+            doc["pools"][0][0]["breaks"][1] = 0.9
         elif change == "break count":
-            doc["pools"][1]["breaks"].insert(1, 0.5 * doc["pools"][1]["breaks"][1])
+            breaks = doc["pools"][1][0]["breaks"]
+            breaks.insert(1, 0.5 * breaks[1])
         elif change == "first break":
-            doc["pools"][1]["breaks"][0] = 1e-9
+            doc["pools"][1][0]["breaks"][0] = 1e-9
         elif change == "last break":
-            doc["pools"][1]["breaks"][-1] *= 0.5
-        elif change == "negative node":
-            # stage 2 node 1's cuts would bound node 0 as a Python index
-            doc["pools"][-1]["node"] = -2
-        elif change == "bool stage":
-            doc["pools"][1]["stage"] = True
-        elif change == "repeated record":
-            doc["pools"].append(doc["pools"][1])
+            doc["pools"][1][0]["breaks"][-1] *= 0.5
+        elif change == "false break":
+            # JSON false reads as 0 in Python, but is no number here
+            doc["pools"][0][0]["breaks"][0] = False
+        elif change == "true cut":
+            doc["pools"][1][0]["cuts"][0][1] = True
+        elif change == "missing node":
+            del doc["pools"][2][1]
+        elif change == "extra stage":
+            doc["pools"].append(doc["pools"][2])
+        elif change == "stage not a list":
+            # a stage's one node without its list
+            doc["pools"][1] = doc["pools"][1][0]
         if change not in ("rho", "capacity", "chain", "truncated", "missing file"):
             saved.write_text(json.dumps(doc))
         if change == "truncated":
@@ -396,6 +432,41 @@ class TestCheckpoints:
             s.sddp.load_checkpoint(str(saved), problem, chain)
         assert isinstance(err.value, s.errors.DataError)
         assert isinstance(err.value, ValueError)
+
+    @pytest.mark.parametrize("part", ["nodes", "transitions"])
+    def test_fingerprint_reads_every_chain_array(self, default_problem, tmp_path, part):
+        # a hand-built copy of the chain has its fingerprint; one changed
+        # entry of stage 5 alone changes it, and the checkpoint is refused
+        chain = s.build_chain(default_problem.price_model, 2)
+        policy, _ = s.train(default_problem, chain, 3, 0)
+        path = tmp_path / "ckpt.json"
+        s.sddp.save_checkpoint(policy, str(path))
+
+        def rebuilt(arrays):
+            return s.MarkovChain(
+                chain.horizon, arrays["nodes"], arrays["transitions"], chain.raw_row_mass
+            )
+
+        arrays = {"nodes": list(chain.nodes), "transitions": list(chain.transitions)}
+        arrays = {k: [a.copy() for a in v] for k, v in arrays.items()}
+        same = rebuilt(arrays)
+        assert checkpoint_fingerprint(default_problem, same) == checkpoint_fingerprint(
+            default_problem, chain
+        )
+        assert s.sddp.load_checkpoint(str(path), default_problem, same).total_cuts() == (
+            policy.pools.total_cuts()
+        )
+        changed = arrays[part][5] = arrays[part][5].copy()
+        # one node moves, or 0.001 of probability moves within a row
+        changed.flat[0] += 1e-3
+        if part == "transitions":
+            changed.flat[1] -= 1e-3
+        other = rebuilt(arrays)
+        assert checkpoint_fingerprint(default_problem, other) != checkpoint_fingerprint(
+            default_problem, chain
+        )
+        with pytest.raises(CheckpointError, match="trained on another"):
+            s.sddp.load_checkpoint(str(path), default_problem, other)
 
     def test_failed_write_keeps_existing_checkpoint(self, toy_trained, saved, monkeypatch):
         policy, _ = toy_trained
