@@ -63,21 +63,20 @@ class MarkovChain:
 
     Stage 0 holds the single root node ``xi_0``; stages 1..T share one node
     set.  ``transitions[t]`` maps stage-t nodes to stage-(t+1) nodes for
-    t = 0..T-1.  Stages may hold one array object between them: each
-    distinct matrix is checked and given its cumulative rows once.
-    Immutable after construction and safe to share.
+    t = 0..T-1, so T is the number of matrices.  Stages may hold one array
+    object between them: each distinct matrix is checked and given its
+    cumulative rows once.  Immutable after construction and safe to share.
     """
 
     def __init__(
         self,
-        horizon: int,
         nodes: list[np.ndarray],
         transitions: list[np.ndarray],
         raw_row_mass: list[np.ndarray],
     ) -> None:
-        if len(nodes) != horizon + 1 or len(transitions) != horizon:
-            raise ValueError("need horizon+1 node vectors and horizon transition matrices")
-        self.horizon = horizon
+        if len(nodes) != len(transitions) + 1:
+            raise ValueError("need one more node vector than transition matrices")
+        self.horizon = len(transitions)
         self.nodes = [np.asarray(v, dtype=float) for v in nodes]
         self.transitions = [np.asarray(m, dtype=float) for m in transitions]
         self.raw_row_mass = [np.asarray(v, dtype=float) for v in raw_row_mass]
@@ -208,7 +207,7 @@ def build_chain(
     transitions += transitions[1:] * (T - 2)
     raw_mass += raw_mass[1:] * (T - 2)
 
-    return MarkovChain(T, nodes, transitions, raw_mass)
+    return MarkovChain(nodes, transitions, raw_mass)
 
 
 def nearest_node(

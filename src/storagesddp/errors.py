@@ -19,8 +19,8 @@ class DataError(StorageError):
     """Input data could not be ingested."""
 
 
-class DegenerateInputError(StorageError):
-    """Regression input carries no usable signal (zero-variance regressor)."""
+class DegenerateInputError(DataError):
+    """Regression input carries no usable signal: too few observations, or no variance."""
 
 
 class LengthMismatchError(DataError):

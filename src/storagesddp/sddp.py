@@ -269,12 +269,11 @@ class Policy:
         for t in range(1, T + 1):
             level_subs = []
             for i in range(chain.node_count(t)):
-                d = stage_data_for(
-                    problem.price_model, problem.battery, t, float(chain.nodes[t][i]), i
-                )
+                xi = float(chain.nodes[t][i])
+                d = stage_data_for(problem.price_model, problem.battery, t, xi)
                 if not check_spread_condition(d):
                     raise ConditionViolatedError(
-                        f"bid/ask efficiency condition fails at stage {t}, node {d.node}"
+                        f"bid/ask efficiency condition fails at stage {t}, node {i}"
                     )
                 level_subs.append(NodeSubproblem(d, None if t == T else pools.get(t, i)))
             self._subs.append(level_subs)
@@ -305,8 +304,7 @@ class Policy:
         An optimistic bound on the optimal policy's certainty equivalent; at
         zero initial wealth it is the indifference price of the storage.
         """
-        w0 = self.problem.utility.initial_wealth
-        return -self.pools.get(0, 0).value(w0, 0.0)
+        return self.problem.utility.initial_wealth - self.pools.get(0, 0).value(0.0)
 
     def root_bound(self) -> float:
         """Deterministic bound at the root as expected utility (maximization orientation)."""

@@ -35,10 +35,10 @@ wealth.  A node without cuts has no value, and its solves raise
 
 The terminal stage is the case ``H = 0``: its cost is minus the terminal
 wealth.  `NodeSubproblem` solves one state per call on Python floats.
-`StageLanes` gives the controls and next states of K lanes of one stage in
-one call on numpy arrays, each lane at its own node and bid/ask, with every
-floating-point operation in the scalar order, so each lane equals the scalar
-solve bit for bit; it computes no value or subgradient.  `solve_stage` is
+`StageLanes` gives the controls and next energies of K lanes of one stage
+in one call on numpy arrays, each lane at its own node and bid/ask, with
+every floating-point operation in the scalar order, so each lane equals the
+scalar solve bit for bit; it takes no wealth and computes no value.  `solve_stage` is
 the Bellman stage of training's backward pass: the entropic risk
 ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor solves (nested
 entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
@@ -179,9 +179,10 @@ class CutSet:
     """A node's cuts, kept as their upper envelope over ``[0, capacity]``.
 
     Every cut on the cash-additive cost-to-go is ``a - w + g * e``, so a cut
-    is the line ``a + g * e`` in energy.  `append` splices each cut into
-    `envelope`; a cut that is the maximum nowhere on ``[0, capacity]`` never
-    binds at a feasible state and leaves it as it was.
+    is the line ``a + g * e`` in energy, and the cost-to-go at ``(w, e)`` is
+    ``value(e) - w``.  `append` splices each cut into `envelope`; a cut that
+    is the maximum nowhere on ``[0, capacity]`` never binds at a feasible
+    state and leaves it as it was.
     """
 
     __slots__ = ("envelope",)
@@ -205,12 +206,12 @@ class CutSet:
         slopes = np.array(env.slopes, dtype=float)
         return np.array(env.intercepts, dtype=float), np.full(slopes.size, -1.0), slopes
 
-    def value(self, wealth: float, energy: float) -> float:
-        """Pointwise max of the cuts; `NotTrainedError` without cuts."""
+    def value(self, energy: float) -> float:
+        """The envelope's height ``max(a + g * energy)``; `NotTrainedError` without cuts."""
         env = self.envelope
         if not env.slopes:
             raise NotTrainedError(_NO_CUTS)
-        return max([a - wealth + g * energy for a, g in zip(env.intercepts, env.slopes)])
+        return max([a + g * energy for a, g in zip(env.intercepts, env.slopes)])
 
     def __len__(self) -> int:
         return len(self.envelope.slopes)
@@ -403,7 +404,7 @@ class NodeSubproblem:
 
 
 class StageLanes:
-    """The next states of many lanes of one stage, each at its own node and prices.
+    """The controls and next energies of many lanes of one stage, each at its own node and prices.
 
     Built from the stage's node subproblems, which must share the battery.
     Row i of two padded tables holds node i's envelope: its slopes padded
@@ -427,17 +428,16 @@ class StageLanes:
         )
         self._trained = np.array(lines) > 0
 
-    def next_states(self, nodes, wealth, energy, ask, bid):
-        """``(buy, sell, next_wealth, next_energy)`` per lane, as arrays.
+    def next_states(self, nodes, energy, ask, bid):
+        """``(buy, sell, next_energy)`` per lane, as arrays.
 
-        Lane k solves node ``nodes[k]`` from ``(wealth[k], energy[k])`` at
-        the prices ``ask[k]``/``bid[k]``, which set only the slopes and kink
-        of the trading cost.  Every operation is the scalar solve's,
-        elementwise and in its order, so lane k equals `next_state` and
-        ``solve(...).controls`` of that node's subproblem at lane k's prices
-        bit for bit.  Raises the scalar solve's errors.
+        Lane k solves node ``nodes[k]`` from ``energy[k]`` at the prices
+        ``ask[k]``/``bid[k]``, which set only the slopes and kink of the
+        trading cost.  Every operation is the scalar solve's, elementwise and
+        in its order, so lane k equals the controls and next energy of that
+        node's subproblem at lane k's prices, at any wealth, bit for bit.
+        Raises the scalar solve's errors.
         """
-        xm = np.asarray(wealth, dtype=float)
         xe = np.asarray(energy, dtype=float)
         ask = np.asarray(ask, dtype=float)
         bid = np.asarray(bid, dtype=float)
@@ -470,7 +470,7 @@ class StageLanes:
                 buy = np.where(spread, buy, buy_v)
                 sell = np.where(spread, sell, sell_v)
         buy, sell = _clamp_lanes(self.data, np.array([buy, sell]), xe)
-        return buy, sell, xm - ask * buy + bid * sell, leak * xe + cp * buy - cm * sell
+        return buy, sell, leak * xe + cp * buy - cm * sell
 
 
 def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):

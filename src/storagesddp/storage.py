@@ -83,7 +83,6 @@ class StageData:
                             - discharge_eff * u_sell
     """
 
-    node: int
     bid: float
     ask: float
     leak_factor: float
@@ -115,14 +114,12 @@ def stage_data_for(
     battery: BatterySpec,
     stage: int,
     deviation: float,
-    node: int,
 ) -> StageData:
     """Assemble one stage's data from realized (or node) deviation."""
     from .price_model import bid_ask  # local import avoids cycle at module load
 
     bid, ask = bid_ask(model, stage, deviation)
     return StageData(
-        node=node,
         bid=bid,
         ask=ask,
         leak_factor=1.0 - battery.leakage,
@@ -191,14 +188,13 @@ def _validate_relaxed(
     relaxed: RelaxedTrajectory,
     prices: list[tuple[float, float]],
     battery: BatterySpec,
-    x0m: float,
 ) -> None:
     T = relaxed.horizon
     if len(prices) != T:
         raise InfeasibleInputError(f"need {T} price pairs, got {len(prices)}")
     leak = 1.0 - battery.leakage
-    if abs(relaxed.wealth[0] - x0m) > _FEAS_TOL or abs(relaxed.energy[0]) > _FEAS_TOL:
-        raise InfeasibleInputError("initial state mismatch")
+    if abs(relaxed.energy[0]) > _FEAS_TOL:
+        raise InfeasibleInputError("the trajectory does not start empty")
     for t in range(T):
         bid, ask = prices[t]
         b, s = relaxed.buy[t], relaxed.sell[t]
@@ -220,14 +216,14 @@ def recover_complementary(
     relaxed: RelaxedTrajectory,
     prices: list[tuple[float, float]],
     battery: BatterySpec,
-    x0m: float,
 ) -> ComplementaryTrajectory:
     """Fold a relaxed trajectory into a physical one.
 
     Per period the net charge effect ``C = c_plus*buy - c_minus*sell`` is
     reproduced by the single control ``u = C+/c_plus - C-/c_minus``.  The
-    energy path is unchanged; terminal wealth can only increase, given the
-    spread condition.
+    fold starts from the trajectory's own initial wealth and an empty
+    battery.  The energy path is unchanged; terminal wealth can only
+    increase, given the spread condition.
 
     Raises
     ------
@@ -236,7 +232,7 @@ def recover_complementary(
     ConditionViolatedError
         If the spread condition fails at some stage.
     """
-    _validate_relaxed(relaxed, prices, battery, x0m)
+    _validate_relaxed(relaxed, prices, battery)
     cp, cm = battery.charge_eff, battery.discharge_eff
     T = relaxed.horizon
     for t, (bid, ask) in enumerate(prices):
@@ -247,7 +243,7 @@ def recover_complementary(
     net = np.empty(T)
     wealth = np.empty(T + 1)
     energy = np.empty(T + 1)
-    wealth[0], energy[0] = x0m, 0.0
+    wealth[0], energy[0] = relaxed.wealth[0], 0.0
     for t in range(T):
         bid, ask = prices[t]
         c = cp * relaxed.buy[t] - cm * relaxed.sell[t]

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .config import RunConfig, build_utility, train_from_config, validate_config, with_axis_value
 from .errors import ConfigError
-from .storage import terminal_cost
+from .storage import UtilitySpec, terminal_cost
 
 
 @dataclass(frozen=True)
@@ -30,22 +30,21 @@ class ValuationResult:
 
 
 def price_storage(config: RunConfig) -> ValuationResult:
-    """Indifference price from one training at zero initial wealth.
+    """Indifference price from one training on ``config``.
 
-    The price is the trained root certainty equivalent
-    (`sddp.Policy.root_certainty_equivalent`), an optimistic bound that
-    tightens with the iterations.  ``phi_with`` is the matching expected
-    utility, the final training bound, and ``phi_without`` the utility of the
-    config's initial wealth without the storage.  Raises `OverflowGuardError`,
-    before training, where that utility overflows.
+    The pools do not depend on the initial wealth ``w0``.  The price is the
+    root certainty equivalent of trading from zero cash, an optimistic bound
+    that tightens with the iterations.  Both utilities are at ``w0``:
+    ``phi_with`` is the final training bound, ``-terminal_cost(utility, w0 +
+    price)``, and ``phi_without`` the utility of ``w0`` alone.  Raises
+    `OverflowGuardError`, before training, where that utility overflows.
     """
     utility = build_utility(config)
     # 0.0 - x, not -x: zero wealth gives 0.0, not -0.0
     phi_without = 0.0 - terminal_cost(utility, utility.initial_wealth)
-    zero_wealth = replace(config, utility=replace(config.utility, initial_wealth=0.0))
-    policy, log = train_from_config(zero_wealth)
+    policy, log = train_from_config(config)
     return ValuationResult(
-        price=policy.root_certainty_equivalent(),
+        price=-policy.pools.get(0, 0).value(0.0),
         phi_with=log.final_bound(),
         phi_without=phi_without,
         iterations=config.sddp.iterations,
@@ -61,12 +60,14 @@ def price_sweep(
     """Indifference prices along a parameter grid.
 
     Rows are ``(axis_value, rho, price_eur, bound, train_seconds)``, one per
-    (grid point, risk aversion).  Grid point i trains with the base config's
-    iterations and seed ``base_config.sddp.seed + i``.  A capacity of
-    exactly 0 is priced at 0 without training.  Everything is checked
-    before the first training: an empty or not strictly increasing grid,
-    and a config that `validate_config` refuses (the base config at each
-    risk aversion, or a grid point's config), raise `ConfigError`.
+    (grid point, risk aversion); ``bound`` is `price_storage`'s ``phi_with``.
+    Grid point i trains with the base config's iterations and seed
+    ``base_config.sddp.seed + i``.  A capacity of exactly 0 is priced at 0
+    without training, its bound the utility of the initial wealth alone.
+    Everything is checked before the first training: an empty or not
+    strictly increasing grid, and a config that `validate_config` refuses
+    (the base config at each risk aversion, or a grid point's config), raise
+    `ConfigError`.
     """
     if len(grid) == 0:
         raise ConfigError("grid must be nonempty")
@@ -93,7 +94,9 @@ def price_sweep(
     rows = []
     for g, rho, cfg in points:
         if cfg is None:
-            rows.append((float(g), float(rho), 0.0, 0.0, 0.0))
+            utility = UtilitySpec(float(rho), base_config.utility.initial_wealth)
+            bound = 0.0 - terminal_cost(utility, utility.initial_wealth)
+            rows.append((float(g), float(rho), 0.0, bound, 0.0))
             continue
         t0 = time.perf_counter()
         result = price_storage(cfg)

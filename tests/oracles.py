@@ -798,7 +798,7 @@ def _simulate_one(
         xi = float(deviations[t - 1])
         node = nearest_node(policy.chain, t, xi)
         if realized_prices:
-            data = stage_data_for(model, battery, t, xi, node=node)
+            data = stage_data_for(model, battery, t, xi)
             sub = NodeSubproblem(data, None if t == T else policy.pools.get(t, node))
         else:
             data = policy.stage_data(t, node)

@@ -72,7 +72,7 @@ def test_criterion_3_complementary_recovery_dominates():
     for _ in range(1000):
         prices = [tuple(sorted(rng.uniform(5, 95, 2))) for _ in range(5)]
         traj = random_relaxed_trajectory(rng, battery, prices, x0m=0.0)
-        rec = s.recover_complementary(traj, prices, battery, 0.0)
+        rec = s.recover_complementary(traj, prices, battery)
         assert np.allclose(rec.energy, traj.energy, atol=1e-9)
         assert np.all(rec.net_control <= battery.max_charge + 1e-12)
         assert np.all(rec.net_control >= -battery.max_discharge - 1e-12)

@@ -48,6 +48,16 @@ class TestFit:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["fit", str(tmp_path / "none.csv"), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "rows",
+        [["t0,50,52", "t1,50,51"], [f"t{i},50.0,52.0" for i in range(6)]],
+        ids=["two rows", "constant deviation"],
+    )
+    def test_unusable_data_is_data_error(self, tmp_path, capsys, rows):
+        # too few observations or a constant regressor: the data, not the numerics
+        assert main(["fit", write_csv(tmp_path, rows), "--out", str(tmp_path)]) == 3
+        assert "data error" in capsys.readouterr().err
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):

@@ -2,7 +2,8 @@
 
 No unused imports, no unreferenced private names, no error class that package
 code never raises, catches or subclasses, no dataclass field that nothing
-reads, and a resolvable ``__all__``.
+reads, no function parameter that its function never reads, and a resolvable
+``__all__``.
 """
 
 import ast
@@ -145,6 +146,32 @@ def attributes_read(source: str) -> set[str]:
     }
 
 
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter (line n)`` of every parameter its function never reads.
+
+    A read is a ``Name`` load anywhere in the function, nested functions
+    included.  ``self`` and ``cls`` are left out: a method need not use its
+    instance.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, [a.vararg, a.kwarg])]
+            read = {
+                n.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread += [
+                f"{name}.{p.arg} (line {node.lineno})"
+                for p in params
+                if p.arg not in ("self", "cls", *read)
+            ]
+    return sorted(unread)
+
+
 def test_error_use_detector_on_synthetic_module():
     source = (
         "from . import errors\n"
@@ -205,6 +232,36 @@ def test_every_dataclass_field_is_read():
     for path in [*PACKAGE.glob("*.py"), *REPO.glob("tests/*.py"), *REPO.glob("bench/*.py")]:
         read |= attributes_read(path.read_text(encoding="utf-8"))
     assert [f for f in fields if f.split(".")[1] not in read] == []
+
+
+def test_unread_parameter_detector_on_synthetic_module():
+    source = (
+        "class A:\n"
+        "    def m(self, x, y=0):\n"
+        "        return x\n"
+        "def f(a, *args, b, **kw):\n"
+        "    def inner():\n"
+        "        return a + b\n"
+        "    args = ()\n"
+        "    return inner()\n"
+        "g = lambda u, v: u\n"
+    )
+    assert unread_parameters(source) == [
+        "<lambda>.v (line 9)",
+        "f.args (line 4)",
+        "f.kw (line 4)",
+        "m.y (line 2)",
+    ]
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads is an input the caller fills in
+    # for nothing
+    found = {
+        path.name: unread_parameters(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: params for name, params in found.items() if params} == {}
 
 
 def test_detector_finds_unused_and_ignores_used():

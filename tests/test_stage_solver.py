@@ -27,7 +27,6 @@ from oracles import (
 
 def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
     return s.StageData(
-        node=0,
         bid=bid,
         ask=ask,
         leak_factor=1.0 - leak,
@@ -479,12 +478,19 @@ class TestLaneKernel:
         return sol.controls, sol.next_state
 
     @staticmethod
+    def with_wealth(out, wealth, ask, bid):
+        """The lanes' ``(buy, sell, next_energy)`` and the next wealth, as the scalar solve's."""
+        buy, sell, next_energy = out
+        return buy, sell, wealth - ask * buy + bid * sell, next_energy
+
+    @staticmethod
     def one_node(sub, wealth, energy, ask=None, bid=None):
         """Lanes of the one subproblem ``sub``, at its own prices without ``ask``/``bid``."""
         K = len(energy)
         if ask is None:
             ask, bid = np.full(K, sub.data.ask), np.full(K, sub.data.bid)
-        return s.StageLanes([sub]).next_states(np.zeros(K, dtype=int), wealth, energy, ask, bid)
+        out = s.StageLanes([sub]).next_states(np.zeros(K, dtype=int), energy, ask, bid)
+        return TestLaneKernel.with_wealth(out, wealth, ask, bid)
 
     @pytest.mark.parametrize("own_prices", [True, False])
     def test_random_instances_match_scalar(self, own_prices):
@@ -528,10 +534,7 @@ class TestLaneKernel:
             for gs in slopes
         ]
         assert [len(c) for c in cutsets] == [1, 2, 5, 11, 4]
-        subs = [
-            s.NodeSubproblem(dataclasses.replace(data, node=j), cutset=c)
-            for j, c in enumerate(cutsets)
-        ]
+        subs = [s.NodeSubproblem(data, cutset=c) for c in cutsets]
         K = 250
         nodes = rng.integers(0, len(subs), K)
         wealth = rng.uniform(-50.0, 50.0, K)
@@ -540,7 +543,8 @@ class TestLaneKernel:
         mids = rng.uniform(-60.0, 120.0, K)
         bid, ask = mids - 1.0, mids + 1.0
         bid[nodes == 4], ask[nodes == 4] = tie_bid, tie_ask
-        out = s.StageLanes(subs).next_states(nodes, wealth, energy, ask, bid)
+        out = s.StageLanes(subs).next_states(nodes, energy, ask, bid)
+        out = self.with_wealth(out, wealth, ask, bid)
         for k in range(K):
             lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
             lane = s.NodeSubproblem(lane_data, cutset=cutsets[nodes[k]])
@@ -615,7 +619,7 @@ class TestLaneKernel:
         with pytest.raises(NotTrainedError):
             self.one_node(sub, np.zeros(2), np.array([0.0, 0.5]))
         with pytest.raises(NotTrainedError):
-            cuts.value(0.0, 0.5)
+            cuts.value(0.5)
         # the energy state is checked first
         with pytest.raises(InfeasibleError):
             sub.solve((0.0, 2.0))
@@ -624,7 +628,7 @@ class TestLaneKernel:
         # beside a trained node, only the lanes that visit the empty one fail
         trained = s.NodeSubproblem(data, cutset=cut_set(1.0, [Cut(-5.0, -1.0, 1.0)]))
         lanes = s.StageLanes([trained, sub])
-        args = np.zeros(2), np.array([0.0, 0.5]), np.full(2, data.ask), np.full(2, data.bid)
+        args = np.array([0.0, 0.5]), np.full(2, data.ask), np.full(2, data.bid)
         lanes.next_states(np.array([0, 0]), *args)
         with pytest.raises(NotTrainedError):
             lanes.next_states(np.array([0, 1]), *args)
@@ -839,7 +843,8 @@ class TestClosedFormOnTrainedPool:
             else:
                 bid = np.array([subs[j].data.bid for j in nodes])
                 ask = np.array([subs[j].data.ask for j in nodes])
-            out = s.StageLanes(subs).next_states(np.array(nodes), wealth, energy, ask, bid)
+            out = s.StageLanes(subs).next_states(np.array(nodes), energy, ask, bid)
+            out = TestLaneKernel.with_wealth(out, wealth, ask, bid)
             for k, (state, j) in enumerate(zip(states, nodes)):
                 lane = subs[j]
                 if own_prices:

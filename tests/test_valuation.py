@@ -105,9 +105,13 @@ class TestStorageValuation:
         )
         a = s.price_storage(toy_config)
         b = s.price_storage(shifted)
-        # closed-form path always trains at zero wealth
+        # training starts from zero wealth, so the price does not move; both
+        # utilities are at the 40 EUR, and the storage raises the utility
         assert a.price == pytest.approx(b.price, abs=1e-12)
         assert b.phi_without > 0.0
+        assert b.phi_with > b.phi_without
+        rho = toy_config.utility.rho
+        assert b.phi_with == -s.terminal_cost(s.UtilitySpec(rho, 40.0), 40.0 + b.price)
 
     def test_high_risk_aversion_prices_within_exact_and_best_case(self, tmp_path):
         # capacity 4 at rho 10 with 20 iterations: the expected-utility bound
