@@ -28,7 +28,6 @@ from .simulation import (
     SimulationReport,
     evaluate_out_of_sample,
     kernel_density,
-    tail_comparison,
 )
 from .stage_solver import (
     CutSet,
@@ -39,12 +38,9 @@ from .stage_solver import (
 )
 from .storage import (
     BatterySpec,
-    ComplementaryTrajectory,
-    RelaxedTrajectory,
     StageData,
     UtilitySpec,
     check_spread_condition,
-    recover_complementary,
     stage_data_for,
     terminal_cost,
 )
@@ -52,7 +48,6 @@ from .valuation import ValuationResult, price_storage, price_sweep
 
 __all__ = [
     "BatterySpec",
-    "ComplementaryTrajectory",
     "CutPool",
     "CutSet",
     "DensityEstimate",
@@ -64,7 +59,6 @@ __all__ = [
     "PriceSeries",
     "QuadratureRule",
     "RegressionFit",
-    "RelaxedTrajectory",
     "RunConfig",
     "SimulationReport",
     "StageData",
@@ -90,12 +84,10 @@ __all__ = [
     "price_storage",
     "price_sweep",
     "read_price_csv",
-    "recover_complementary",
     "simulate_deviation_path",
     "simulate_deviation_paths",
     "solve_stage",
     "stage_data_for",
-    "tail_comparison",
     "terminal_cost",
     "train",
 ]

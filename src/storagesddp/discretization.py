@@ -8,8 +8,8 @@ weights
     raw[j, i] = cond_density(xi_i | xi_j) / sampling_density(xi_i) * w_i
 
 with the conditional density N(a*xi_j, sigma_eps^2).  Raw rows do not sum
-exactly to one, so each row is normalized; the pre-normalization sums are kept
-as a diagnostic.
+exactly to one, so each row is normalized; a row whose sum is too small to
+normalize is refused.
 """
 
 from __future__ import annotations
@@ -46,15 +46,23 @@ class QuadratureRule:
 def gauss_hermite(n: int, sigma: float) -> QuadratureRule:
     """Gauss-Hermite rule for expectations under N(0, sigma^2).
 
-    Exact for polynomials of degree <= 2n - 1.
+    Exact for polynomials of degree <= 2n - 1.  Raises `InvalidOrderError`
+    for ``n < 1`` and for an order so high that numpy's weights underflow
+    (0 or NaN; from about 371 points).
     """
     if n < 1:
         raise InvalidOrderError("quadrature order must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    x, w = np.polynomial.hermite.hermgauss(n)
+    # numpy warns as the weights underflow; the check below refuses them
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(n)
     nodes = np.sqrt(2.0) * sigma * x
     weights = w / w.sum()
+    if not np.all(np.isfinite(weights) & (weights > 0)):
+        raise InvalidOrderError(
+            f"quadrature order {n} is too high: its weights underflow to 0 or NaN"
+        )
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
@@ -68,18 +76,12 @@ class MarkovChain:
     cumulative rows once.  Immutable after construction and safe to share.
     """
 
-    def __init__(
-        self,
-        nodes: list[np.ndarray],
-        transitions: list[np.ndarray],
-        raw_row_mass: list[np.ndarray],
-    ) -> None:
+    def __init__(self, nodes: list[np.ndarray], transitions: list[np.ndarray]) -> None:
         if len(nodes) != len(transitions) + 1:
             raise ValueError("need one more node vector than transition matrices")
         self.horizon = len(transitions)
         self.nodes = [np.asarray(v, dtype=float) for v in nodes]
         self.transitions = [np.asarray(m, dtype=float) for m in transitions]
-        self.raw_row_mass = [np.asarray(v, dtype=float) for v in raw_row_mass]
         # cumulative transition rows for path sampling, by matrix identity;
         # the last entry is raised to +inf so that a draw above a row's
         # rounded total picks the last node
@@ -89,7 +91,8 @@ class MarkovChain:
                 raise ValueError(f"transition matrix {t} has shape {mat.shape}")
             if id(mat) in cumulative:
                 continue
-            if np.any(mat < 0) or np.any(np.abs(mat.sum(axis=1) - 1.0) > 1e-12):
+            # written so that a NaN entry fails
+            if not (np.all(mat >= 0) and np.all(np.abs(mat.sum(axis=1) - 1.0) <= 1e-12)):
                 raise ValueError(f"transition matrix {t} is not row-stochastic")
             mat.setflags(write=False)
             cum = np.cumsum(mat, axis=1)
@@ -158,7 +161,8 @@ def build_chain(
     Raises
     ------
     InvalidOrderError, ValueError
-        From `gauss_hermite`, for ``n < 1`` or ``sampling_std <= 0``.
+        From `gauss_hermite`, for ``n < 1``, an ``n`` whose weights
+        underflow, or ``sampling_std <= 0``.
     NumericalUnderflowError
         If a raw transition row sums to less than 1e-12 (sampling density
         badly mismatched with the conditional density).
@@ -179,35 +183,30 @@ def build_chain(
     nodes += [stage_nodes] * T
 
     transitions: list[np.ndarray] = []
-    raw_mass: list[np.ndarray] = []
     # stages 1..T share one node set, so transitions[1:] are one matrix:
     # the root's and stage 1's are built, and stage 1's is repeated
     for t in range(min(T, 2)):
         sources = nodes[t]
         mat = np.empty((len(sources), n))
-        mass = np.empty(len(sources))
         for j, xi_j in enumerate(sources):
             if sig == 0.0:
                 # Dirac conditional: all mass on the node nearest a*xi_j.
                 row = np.zeros(n)
                 row[int(np.argmin(np.abs(stage_nodes - a * xi_j)))] = 1.0
-                mass[j] = 1.0
             else:
                 row = _normal_pdf(stage_nodes, a * xi_j, sig) / phi * rule.weights
-                mass[j] = row.sum()
-                if mass[j] < _ROW_SUM_FLOOR:
+                mass = row.sum()
+                if not mass >= _ROW_SUM_FLOOR:
                     raise NumericalUnderflowError(
-                        f"stage {t}, node {j}: raw transition mass {mass[j]:.3e} "
+                        f"stage {t}, node {j}: raw transition mass {mass:.3e} "
                         "below 1e-12; adjust sampling_std"
                     )
-                row = row / mass[j]
+                row = row / mass
             mat[j] = row
         transitions.append(mat)
-        raw_mass.append(mass)
     transitions += transitions[1:] * (T - 2)
-    raw_mass += raw_mass[1:] * (T - 2)
 
-    return MarkovChain(nodes, transitions, raw_mass)
+    return MarkovChain(nodes, transitions)
 
 
 def nearest_node(

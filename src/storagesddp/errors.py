@@ -40,15 +40,11 @@ class StageOutOfRangeError(StorageError):
 
 
 class InvalidOrderError(StorageError):
-    """Quadrature order below 1."""
+    """Quadrature order below 1, or so high that its weights underflow to 0 or NaN."""
 
 
 class NumericalUnderflowError(StorageError):
     """A transition row lost essentially all mass; sampling density mismatched."""
-
-
-class InfeasibleInputError(StorageError):
-    """A trajectory violates the relaxed problem's constraints."""
 
 
 class ConditionViolatedError(StorageError):

@@ -6,7 +6,7 @@ of the remaining trading under exponential utility.  Each iteration samples
 one node path through the chain (forward pass, recording visited states),
 then walks the stages backwards, adding at every visited (stage, node) one
 affine cut with wealth slope -1, stored as its line in energy and computed
-as in `stage_solver.solve_stage` (the entropic risk of the successor
+by `stage_solver.solve_stage` (the entropic risk of the successor
 subproblems, with their freshly updated pools).  A node's `CutSet` holds
 only the upper envelope of its cuts over the feasible energies, which the
 stage solves read: each new cut is spliced in, and a cut that is the
@@ -43,10 +43,9 @@ from numpy.random import default_rng
 from .discretization import MarkovChain
 from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import CutSet, Envelope, NodeSubproblem, _stage_value, envelope_from_lines
+from .stage_solver import CutSet, Envelope, NodeSubproblem, envelope_from_lines, solve_stage
 from .storage import (
     BatterySpec,
-    StageData,
     UtilitySpec,
     check_spread_condition,
     stage_data_for,
@@ -282,9 +281,6 @@ class Policy:
     def horizon(self) -> int:
         return self.chain.horizon
 
-    def stage_data(self, stage: int, node: int) -> StageData:
-        return self._subs[stage][node].data
-
     def subproblem(self, stage: int, node: int) -> NodeSubproblem:
         return self._subs[stage][node]
 
@@ -451,7 +447,7 @@ def train(
         for t in range(T - 1, -1, -1):
             xm, xe = states[t]
             j = nodes[t]
-            value, ve = _stage_value((xm, xe), subs[t + 1], rows[t][j], rho)
+            value, ve = solve_stage((xm, xe), subs[t + 1], rows[t][j], rho)
             sets[t][j].append(value + xm - ve * xe, ve)
 
         log.bounds.append(policy.root_bound())

@@ -175,16 +175,3 @@ def kernel_density(samples: np.ndarray) -> DensityEstimate:
         density[lo : lo + chunk] = norm * np.exp(-0.5 * z * z).sum(axis=1)
     return DensityEstimate(grid=grid, density=density, bandwidth=bw)
 
-
-def tail_comparison(
-    reports: dict[float, SimulationReport], quantile: float
-) -> list[tuple[float, float]]:
-    """Lower wealth quantile per risk aversion, sorted by risk aversion."""
-    if len(reports) < 2:
-        raise ValueError("need reports for at least two risk aversions")
-    if not 0.0 < quantile < 0.5:
-        raise ValueError("quantile must lie in (0, 0.5)")
-    return [
-        (rho, float(np.quantile(reports[rho].terminal_wealths, quantile)))
-        for rho in sorted(reports)
-    ]

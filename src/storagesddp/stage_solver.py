@@ -39,7 +39,7 @@ wealth.  `NodeSubproblem` solves one state per call on Python floats.
 in one call on numpy arrays, each lane at its own node and bid/ask, with
 every floating-point operation in the scalar order, so each lane equals the
 scalar solve bit for bit; it takes no wealth and computes no value.  `solve_stage` is
-the Bellman stage of training's backward pass: the entropic risk
+the Bellman stage that training's backward pass calls: the entropic risk
 ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor solves (nested
 entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
 
@@ -495,39 +495,24 @@ def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):
 
 
 def solve_stage(
-    state: tuple[float, float],
-    subproblems: list[NodeSubproblem],
-    transition_row,
-    risk_aversion: float,
+    state: tuple[float, float], subproblems: list[NodeSubproblem], probs: list, rho: float
 ) -> tuple[float, float]:
     """Solve one Bellman stage: entropic risk over the successor subproblems.
 
     Prices are observed before the stage control is chosen, so successor
-    node i has its own deterministic subproblem ``subproblems[i]``.  The
-    stage value is ``(1/rho) log sum_i p_i exp(rho J_i)``, evaluated around
-    the largest successor value ``m`` as
-    ``m + log(sum_i p_i exp(rho (J_i - m))) / rho``.  Its energy subgradient
-    is the successors' energy subgradients averaged with the weights
-    ``q_i ∝ p_i exp(rho J_i)``; its wealth subgradient is -1, as for every
-    cost-to-go.  Successors with probability 0 are not solved.  Returns
-    ``(value, grad_energy)``.
+    node i has its own deterministic subproblem ``subproblems[i]``, reached
+    with probability ``probs[i]``: a row of the chain's transition matrix
+    as Python floats, on which scalar arithmetic is faster than on numpy
+    scalars and rounds identically.  The stage value is
+    ``(1/rho) log sum_i p_i exp(rho J_i)``, evaluated around the largest
+    successor value ``m`` as ``m + log(sum_i p_i exp(rho (J_i - m))) / rho``.
+    Its energy subgradient is the successors' energy subgradients averaged
+    with the weights ``q_i ∝ p_i exp(rho J_i)``; its wealth subgradient is
+    -1, as for every cost-to-go.  Successors with probability 0 are not
+    solved.  The row and rho are not checked here: `MarkovChain` checks
+    that its rows are stochastic, and `UtilitySpec` that rho is positive.
+    Returns ``(value, grad_energy)``.
     """
-    # Python floats: scalar arithmetic on them is faster than on numpy
-    # scalars and rounds identically
-    probs = np.asarray(transition_row, dtype=float).tolist()
-    if len(subproblems) != len(probs):
-        raise ValueError("need one subproblem per transition_row entry")
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ValueError("transition_row must sum to 1")
-    if not risk_aversion > 0.0:
-        raise ValueError("risk_aversion must be > 0")
-    return _stage_value(state, subproblems, probs, risk_aversion)
-
-
-def _stage_value(
-    state: tuple[float, float], subproblems: list[NodeSubproblem], probs: list, rho: float
-) -> tuple[float, float]:
-    """`solve_stage` on a checked row of Python floats (training's rows are checked once)."""
     sols = [(p, sub.solve(state)) for p, sub in zip(probs, subproblems) if p > 0.0]
     top = max([sol.value for _, sol in sols])
     weights = [p * math.exp(rho * (sol.value - top)) for p, sol in sols]

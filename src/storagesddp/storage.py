@@ -4,10 +4,9 @@ The physical control is a single signed energy quantity per period; buying
 ``u >= 0`` costs ``ask * u`` and stores ``c_plus * u``, selling ``u <= 0``
 earns ``bid * |u|`` and removes ``c_minus * |u|``.  The solver works with the
 convex relaxation that carries separate buy/sell quantities (both may be
-positive simultaneously).  Whenever ``bid / c_minus <= ask / c_plus`` holds,
-a relaxed trajectory can be folded back into a physical one with the same
-energy path and no worse terminal wealth; `recover_complementary` performs
-that fold.
+positive simultaneously).  Whenever ``bid / c_minus <= ask / c_plus`` holds
+(`check_spread_condition`), buying and selling at once never pays, so the
+relaxation is tight, and the stage solves buy or sell, never both.
 """
 
 from __future__ import annotations
@@ -15,13 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ConditionViolatedError, InfeasibleInputError, OverflowGuardError
+from .errors import OverflowGuardError
 from .price_model import PriceModel
 
 _SPREAD_TOL = 1e-12
-_FEAS_TOL = 1e-9
 
 # exp argument beyond which a double overflows
 _EXP_ARG_MAX = 700.0
@@ -98,16 +94,6 @@ class StageData:
         if self.u_max_charge < 0 or self.u_max_discharge < 0:
             raise ValueError("speed bounds must be >= 0")
 
-    def next_state(
-        self, state: tuple[float, float], controls: tuple[float, float]
-    ) -> tuple[float, float]:
-        xm, xe = state
-        buy, sell = controls
-        return (
-            xm - self.ask * buy + self.bid * sell,
-            self.leak_factor * xe + self.charge_eff * buy - self.discharge_eff * sell,
-        )
-
 
 def stage_data_for(
     model: PriceModel,
@@ -141,118 +127,6 @@ def check_spread_condition(stage_data: StageData) -> bool:
         stage_data.bid / stage_data.discharge_eff
         <= stage_data.ask / stage_data.charge_eff + _SPREAD_TOL
     )
-
-
-@dataclass
-class RelaxedTrajectory:
-    """Trajectory of the two-control relaxation.
-
-    ``wealth`` and ``energy`` have length T+1 (index 0 is the initial state);
-    ``buy`` and ``sell`` have length T.
-    """
-
-    wealth: np.ndarray
-    energy: np.ndarray
-    buy: np.ndarray
-    sell: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.wealth = np.asarray(self.wealth, dtype=float)
-        self.energy = np.asarray(self.energy, dtype=float)
-        self.buy = np.asarray(self.buy, dtype=float)
-        self.sell = np.asarray(self.sell, dtype=float)
-        T = len(self.buy)
-        if len(self.sell) != T or len(self.wealth) != T + 1 or len(self.energy) != T + 1:
-            raise ValueError("inconsistent trajectory lengths")
-
-    @property
-    def horizon(self) -> int:
-        return len(self.buy)
-
-
-@dataclass
-class ComplementaryTrajectory:
-    """Physical trajectory: one signed net control per period."""
-
-    wealth: np.ndarray
-    energy: np.ndarray
-    net_control: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.wealth = np.asarray(self.wealth, dtype=float)
-        self.energy = np.asarray(self.energy, dtype=float)
-        self.net_control = np.asarray(self.net_control, dtype=float)
-
-
-def _validate_relaxed(
-    relaxed: RelaxedTrajectory,
-    prices: list[tuple[float, float]],
-    battery: BatterySpec,
-) -> None:
-    T = relaxed.horizon
-    if len(prices) != T:
-        raise InfeasibleInputError(f"need {T} price pairs, got {len(prices)}")
-    leak = 1.0 - battery.leakage
-    if abs(relaxed.energy[0]) > _FEAS_TOL:
-        raise InfeasibleInputError("the trajectory does not start empty")
-    for t in range(T):
-        bid, ask = prices[t]
-        b, s = relaxed.buy[t], relaxed.sell[t]
-        if not (-_FEAS_TOL <= b <= battery.max_charge + _FEAS_TOL):
-            raise InfeasibleInputError(f"buy control out of box at t={t + 1}")
-        if not (-_FEAS_TOL <= s <= battery.max_discharge + _FEAS_TOL):
-            raise InfeasibleInputError(f"sell control out of box at t={t + 1}")
-        wm = relaxed.wealth[t] - ask * b + bid * s
-        we = leak * relaxed.energy[t] + battery.charge_eff * b - battery.discharge_eff * s
-        if abs(wm - relaxed.wealth[t + 1]) > _FEAS_TOL:
-            raise InfeasibleInputError(f"wealth dynamics violated at t={t + 1}")
-        if abs(we - relaxed.energy[t + 1]) > _FEAS_TOL:
-            raise InfeasibleInputError(f"energy dynamics violated at t={t + 1}")
-        if not (-_FEAS_TOL <= relaxed.energy[t + 1] <= battery.capacity + _FEAS_TOL):
-            raise InfeasibleInputError(f"energy out of [0, capacity] at t={t + 1}")
-
-
-def recover_complementary(
-    relaxed: RelaxedTrajectory,
-    prices: list[tuple[float, float]],
-    battery: BatterySpec,
-) -> ComplementaryTrajectory:
-    """Fold a relaxed trajectory into a physical one.
-
-    Per period the net charge effect ``C = c_plus*buy - c_minus*sell`` is
-    reproduced by the single control ``u = C+/c_plus - C-/c_minus``.  The
-    fold starts from the trajectory's own initial wealth and an empty
-    battery.  The energy path is unchanged; terminal wealth can only
-    increase, given the spread condition.
-
-    Raises
-    ------
-    InfeasibleInputError
-        If the relaxed trajectory violates its own constraints.
-    ConditionViolatedError
-        If the spread condition fails at some stage.
-    """
-    _validate_relaxed(relaxed, prices, battery)
-    cp, cm = battery.charge_eff, battery.discharge_eff
-    T = relaxed.horizon
-    for t, (bid, ask) in enumerate(prices):
-        if bid / cm > ask / cp + _SPREAD_TOL:
-            raise ConditionViolatedError(f"spread condition fails at t={t + 1}")
-
-    leak = 1.0 - battery.leakage
-    net = np.empty(T)
-    wealth = np.empty(T + 1)
-    energy = np.empty(T + 1)
-    wealth[0], energy[0] = relaxed.wealth[0], 0.0
-    for t in range(T):
-        bid, ask = prices[t]
-        c = cp * relaxed.buy[t] - cm * relaxed.sell[t]
-        u = c / cp if c >= 0 else c / cm
-        net[t] = u
-        cost = ask * u if u >= 0 else bid * u
-        wealth[t + 1] = wealth[t] - cost
-        energy[t + 1] = leak * energy[t] + (cp * u if u >= 0 else cm * u)
-    return ComplementaryTrajectory(wealth=wealth, energy=energy, net_control=net)
 
 
 def terminal_cost(utility: UtilitySpec, wealth: float) -> float:

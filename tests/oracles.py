@@ -12,13 +12,23 @@ the cutting-plane loop on that LP that the terminal stage ran before its
 closed form.  `train_recording` trains while recording every cut, since a
 `CutSet` keeps only its envelope.  `Cut` is a cut with its wealth slope,
 which the package does not store (it is -1 on the package's cost-to-go);
-`cut_set` builds a package `CutSet` from such cuts.
+`cut_set` builds a package `CutSet` from such cuts.  `next_state` is the
+stage dynamics on `StageData`, which the package applies inside its solves
+only.
+
+`recover_complementary` folds a trajectory of the two-control relaxation
+(`RelaxedTrajectory`) into one signed control per period
+(`ComplementaryTrajectory`) with the same energy path and no lower terminal
+wealth where the spread condition holds; `InfeasibleInputError` refuses a
+trajectory that breaks its own constraints.  The package never folds: its
+closed form buys or sells, never both, where the condition holds, and
+`Policy` refuses a chain where it fails.
 
 The valuation oracles price storage by routes other than the package's
 `price_storage`: `indifference_price_exponential`, the closed form on the
 zero-wealth expected utility, and `indifference_price_bisection`, a
 bisection on the indifference equation whose every step retrains at the
-shifted initial wealth (`storage_value`).  The errors that only these
+shifted initial wealth (`storage_value`).  The errors that only the
 oracles raise are defined here.
 """
 
@@ -35,11 +45,13 @@ from storagesddp import bid_ask
 from storagesddp.discretization import MarkovChain, nearest_node
 from storagesddp.config import RunConfig, train_from_config
 from storagesddp.sddp import Policy, StorageProblem, train
-from storagesddp.errors import InfeasibleError, StorageError
+from storagesddp.errors import ConditionViolatedError, InfeasibleError, StorageError
 from storagesddp.stage_solver import CutSet, NodeSubproblem
-from storagesddp.storage import StageData, stage_data_for, terminal_cost
+from storagesddp.storage import BatterySpec, StageData, stage_data_for, terminal_cost
 
 _FEAS_TOL = 1e-9
+# slack of the spread condition bid/c- <= ask/c+, as in the package
+_SPREAD_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,10 @@ class BracketInvalidError(StorageError):
 
 class MaxEvaluationsError(StorageError):
     """Bisection exceeded its evaluation budget."""
+
+
+class InfeasibleInputError(StorageError):
+    """A trajectory violates the relaxed problem's constraints."""
 
 # the wealth cap of hand-built stages (no problem given)
 HAND_BUILT_WEALTH_CAP = 1e5
@@ -476,7 +492,7 @@ class LPSubproblem:
             controls=controls,
             value=x[2],
             subgradient=self._subgradient(basis, y_basis),
-            next_state=self.data.next_state(state, controls),
+            next_state=next_state(self.data, state, controls),
         )
 
 
@@ -653,7 +669,7 @@ def policy_chain_value(policy: Policy) -> float:
         state = (utility.initial_wealth, 0.0)
         for t in range(1, policy.horizon + 1):
             controls = policy.decide(t, path[t - 1], state)
-            state = policy.stage_data(t, path[t - 1]).next_state(state, controls)
+            state = next_state(policy.subproblem(t, path[t - 1]).data, state, controls)
         total += prob * (1.0 - np.exp(-rho * state[0])) / rho
     return total
 
@@ -681,12 +697,24 @@ def feedback_policy_value(policy_fn, problem, chain) -> float:
     return total
 
 
+def next_state(
+    data: StageData, state: tuple[float, float], controls: tuple[float, float]
+) -> tuple[float, float]:
+    """The stage dynamics: ``(wealth, energy)`` after ``controls = (buy, sell)`` from ``state``."""
+    xm, xe = state
+    buy, sell = controls
+    return (
+        xm - data.ask * buy + data.bid * sell,
+        data.leak_factor * xe + data.charge_eff * buy - data.discharge_eff * sell,
+    )
+
+
 def stage_objective(data, cuts, state, buy: float, sell: float, problem=None) -> float:
     """Polyhedral stage objective at given controls (max of cuts and floor).
 
     The floor is `lp_wealth_bounds` of ``problem``.
     """
-    xm, xe = data.next_state(state, (buy, sell))
+    xm, xe = next_state(data, state, (buy, sell))
     val = lp_wealth_bounds(problem)[1]
     for c in cuts:
         val = max(val, c.intercept + c.grad_wealth * xm + c.grad_energy * xe)
@@ -747,10 +775,120 @@ def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=N
     return best, (b_star, k_star)
 
 
+@dataclass
+class RelaxedTrajectory:
+    """Trajectory of the two-control relaxation.
+
+    ``wealth`` and ``energy`` have length T+1 (index 0 is the initial state);
+    ``buy`` and ``sell`` have length T.
+    """
+
+    wealth: np.ndarray
+    energy: np.ndarray
+    buy: np.ndarray
+    sell: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.wealth = np.asarray(self.wealth, dtype=float)
+        self.energy = np.asarray(self.energy, dtype=float)
+        self.buy = np.asarray(self.buy, dtype=float)
+        self.sell = np.asarray(self.sell, dtype=float)
+        T = len(self.buy)
+        if len(self.sell) != T or len(self.wealth) != T + 1 or len(self.energy) != T + 1:
+            raise ValueError("inconsistent trajectory lengths")
+
+    @property
+    def horizon(self) -> int:
+        return len(self.buy)
+
+
+@dataclass
+class ComplementaryTrajectory:
+    """Physical trajectory: one signed net control per period."""
+
+    wealth: np.ndarray
+    energy: np.ndarray
+    net_control: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.wealth = np.asarray(self.wealth, dtype=float)
+        self.energy = np.asarray(self.energy, dtype=float)
+        self.net_control = np.asarray(self.net_control, dtype=float)
+
+
+def _validate_relaxed(
+    relaxed: RelaxedTrajectory,
+    prices: list[tuple[float, float]],
+    battery: BatterySpec,
+) -> None:
+    T = relaxed.horizon
+    if len(prices) != T:
+        raise InfeasibleInputError(f"need {T} price pairs, got {len(prices)}")
+    leak = 1.0 - battery.leakage
+    if abs(relaxed.energy[0]) > _FEAS_TOL:
+        raise InfeasibleInputError("the trajectory does not start empty")
+    for t in range(T):
+        bid, ask = prices[t]
+        b, s = relaxed.buy[t], relaxed.sell[t]
+        if not (-_FEAS_TOL <= b <= battery.max_charge + _FEAS_TOL):
+            raise InfeasibleInputError(f"buy control out of box at t={t + 1}")
+        if not (-_FEAS_TOL <= s <= battery.max_discharge + _FEAS_TOL):
+            raise InfeasibleInputError(f"sell control out of box at t={t + 1}")
+        wm = relaxed.wealth[t] - ask * b + bid * s
+        we = leak * relaxed.energy[t] + battery.charge_eff * b - battery.discharge_eff * s
+        if abs(wm - relaxed.wealth[t + 1]) > _FEAS_TOL:
+            raise InfeasibleInputError(f"wealth dynamics violated at t={t + 1}")
+        if abs(we - relaxed.energy[t + 1]) > _FEAS_TOL:
+            raise InfeasibleInputError(f"energy dynamics violated at t={t + 1}")
+        if not (-_FEAS_TOL <= relaxed.energy[t + 1] <= battery.capacity + _FEAS_TOL):
+            raise InfeasibleInputError(f"energy out of [0, capacity] at t={t + 1}")
+
+
+def recover_complementary(
+    relaxed: RelaxedTrajectory,
+    prices: list[tuple[float, float]],
+    battery: BatterySpec,
+) -> ComplementaryTrajectory:
+    """Fold a relaxed trajectory into a physical one.
+
+    Per period the net charge effect ``C = c_plus*buy - c_minus*sell`` is
+    reproduced by the single control ``u = C+/c_plus - C-/c_minus``.  The
+    fold starts from the trajectory's own initial wealth and an empty
+    battery.  The energy path is unchanged; terminal wealth can only
+    increase, given the spread condition.
+
+    Raises
+    ------
+    InfeasibleInputError
+        If the relaxed trajectory violates its own constraints.
+    ConditionViolatedError
+        If the spread condition fails at some stage.
+    """
+    _validate_relaxed(relaxed, prices, battery)
+    cp, cm = battery.charge_eff, battery.discharge_eff
+    T = relaxed.horizon
+    for t, (bid, ask) in enumerate(prices):
+        if bid / cm > ask / cp + _SPREAD_TOL:
+            raise ConditionViolatedError(f"spread condition fails at t={t + 1}")
+
+    leak = 1.0 - battery.leakage
+    net = np.empty(T)
+    wealth = np.empty(T + 1)
+    energy = np.empty(T + 1)
+    wealth[0], energy[0] = relaxed.wealth[0], 0.0
+    for t in range(T):
+        bid, ask = prices[t]
+        c = cp * relaxed.buy[t] - cm * relaxed.sell[t]
+        u = c / cp if c >= 0 else c / cm
+        net[t] = u
+        cost = ask * u if u >= 0 else bid * u
+        wealth[t + 1] = wealth[t] - cost
+        energy[t + 1] = leak * energy[t] + (cp * u if u >= 0 else cm * u)
+    return ComplementaryTrajectory(wealth=wealth, energy=energy, net_control=net)
+
+
 def random_relaxed_trajectory(rng, battery, prices, x0m: float):
     """A random feasible trajectory of the two-control relaxation."""
-    import storagesddp as s
-
     T = len(prices)
     leak = 1.0 - battery.leakage
     wealth = [x0m]
@@ -773,7 +911,7 @@ def random_relaxed_trajectory(rng, battery, prices, x0m: float):
         sells.append(k)
         wealth.append(wealth[-1] - ask * b + bid * k)
         energy.append(nxt)
-    return s.RelaxedTrajectory(
+    return RelaxedTrajectory(
         wealth=np.array(wealth), energy=np.array(energy), buy=np.array(buys), sell=np.array(sells)
     )
 
@@ -801,8 +939,8 @@ def _simulate_one(
             data = stage_data_for(model, battery, t, xi)
             sub = NodeSubproblem(data, None if t == T else policy.pools.get(t, node))
         else:
-            data = policy.stage_data(t, node)
             sub = policy.subproblem(t, node)
+            data = sub.data
         sol = sub.solve(state)
         buy, sell = sol.controls
         if not (

@@ -84,6 +84,19 @@ class TestConfigHandling:
         p.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(p), "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("command", ["discretize", "train", "price"])
+    def test_quadrature_order_whose_weights_underflow(self, tmp_path, capsys, command):
+        # at 400 points numpy's Gauss-Hermite weights are NaN: discretize
+        # wrote a chain of NaN transitions and exited 0, train and price
+        # failed with an untyped traceback
+        cfg = {"horizon": 4, "price": {"sigma_eps": 0.1}}
+        cfg["sddp"] = {"quadrature_points": 400, "iterations": 3}
+        p = tmp_path / "fine.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), "--out", str(tmp_path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert [q.name for q in tmp_path.iterdir()] == ["fine.json"]
+
     def test_large_negative_wealth_is_numerical_failure(self, tmp_path, capsys):
         # the expected-utility bound overflows exp below about -700/rho of
         # initial wealth: a typed failure, and no checkpoint

@@ -65,6 +65,14 @@ class TestGaussHermite:
         with pytest.raises(ValueError):
             s.build_chain(model(), 2, sampling_std=0.0)
 
+    def test_order_whose_weights_underflow(self):
+        # numpy's weights underflow to 0 or NaN from about 371 points; NaN
+        # weights passed every "<= 0" and "> 1e-12" check downstream
+        with pytest.raises(InvalidOrderError, match="underflow"):
+            s.gauss_hermite(400, 1.0)
+        with pytest.raises(InvalidOrderError, match="underflow"):
+            s.build_chain(model(), 400)
+
     def test_weights_sum_to_one(self):
         for n in (1, 2, 5, 16, 40):
             rule = s.gauss_hermite(n, 3.0)
@@ -78,9 +86,8 @@ class TestBuildChain:
         m = model(a=0.0, sigma=2.0)
         chain = s.build_chain(m, 4, sampling_std=2.0)
         rule = s.gauss_hermite(4, 2.0)
-        for t, mat in enumerate(chain.transitions):
+        for mat in chain.transitions:
             assert np.allclose(mat, rule.weights[None, :], atol=1e-12)
-            assert np.allclose(chain.raw_row_mass[t], 1.0, atol=1e-12)
 
     def test_single_node_chain(self):
         chain = s.build_chain(model(a=0.5, xi0=2.0), 1)
@@ -137,12 +144,11 @@ class TestBuildChain:
     @pytest.mark.parametrize("sigma", [10.0, 0.0], ids=["gaussian", "dirac"])
     def test_stages_after_the_root_share_one_matrix(self, sigma):
         # stages 1..T share one node set, so every transition after the
-        # root's is stage 1's, raw row masses included
+        # root's is stage 1's
         chain = s.build_chain(model(sigma=sigma), 8, sampling_std=10.0)
         assert chain.transitions[0].shape == (1, 8)
         for t in range(1, chain.horizon):
             assert np.array_equal(chain.transitions[t], chain.transitions[1])
-            assert np.array_equal(chain.raw_row_mass[t], chain.raw_row_mass[1])
 
     def test_underflow_detection(self):
         # conditional density centered far outside the sampling support
@@ -167,6 +173,16 @@ class TestBuildChain:
         assert len(chain.nodes) == 7
         assert chain.transitions[0].shape == (1, 5)
         assert chain.transitions[3].shape == (5, 5)
+
+
+class TestMarkovChain:
+    def test_nan_matrix_is_not_row_stochastic(self):
+        nodes = [np.zeros(1), np.array([-1.0, 1.0])]
+        with pytest.raises(ValueError, match="row-stochastic"):
+            s.MarkovChain(nodes, [np.array([[np.nan, np.nan]])])
+        with pytest.raises(ValueError, match="row-stochastic"):
+            s.MarkovChain(nodes, [np.array([[np.nan, 1.0]])])
+        assert s.MarkovChain(nodes, [np.array([[0.5, 0.5]])]).horizon == 1
 
 
 class TestNearestNode:

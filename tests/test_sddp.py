@@ -219,7 +219,7 @@ class TestPolicyOperations:
         from oracles import grid_stage_minimum
 
         policy, _ = toy_trained
-        data = policy.stage_data(1, 0)
+        data = policy.subproblem(1, 0).data
         cuts = [Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
         got = policy.decide(1, 0, (0.0, 0.0))
         _, want = grid_stage_minimum(data, cuts, (0.0, 0.0), n=401, problem=toy_problem)
@@ -443,7 +443,7 @@ class TestCheckpoints:
         s.sddp.save_checkpoint(policy, str(path))
 
         def rebuilt(arrays):
-            return s.MarkovChain(arrays["nodes"], arrays["transitions"], chain.raw_row_mass)
+            return s.MarkovChain(arrays["nodes"], arrays["transitions"])
 
         arrays = {"nodes": list(chain.nodes), "transitions": list(chain.transitions)}
         arrays = {k: [a.copy() for a in v] for k, v in arrays.items()}

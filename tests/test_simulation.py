@@ -88,7 +88,7 @@ def test_node_prices_are_bid_ask_at_node_values(trained_n8):
     for t in range(1, policy.horizon + 1):
         bid, ask = s.bid_ask(model, t, chain.nodes[t])
         for j in range(chain.node_count(t)):
-            data = policy.stage_data(t, j)
+            data = policy.subproblem(t, j).data
             assert (bid[j], ask[j]) == (data.bid, data.ask), (t, j)
 
 
@@ -164,26 +164,3 @@ class TestKernelDensity:
         with pytest.raises(DegenerateSampleError):
             s.kernel_density(np.full(10, 3.0))
 
-
-class TestTailComparison:
-    def test_identical_samples_identical_quantiles(self, toy_trained):
-        policy, _ = toy_trained
-        rep = s.evaluate_out_of_sample(policy, 100, rng_seed=4)
-        table = s.tail_comparison({0.01: rep, 0.3: rep}, 0.05)
-        assert table[0][1] == table[1][1]
-        assert [r[0] for r in table] == [0.01, 0.3]
-
-    def test_validation(self, toy_trained):
-        policy, _ = toy_trained
-        rep = s.evaluate_out_of_sample(policy, 10, rng_seed=4)
-        with pytest.raises(ValueError):
-            s.tail_comparison({0.03: rep}, 0.05)
-        with pytest.raises(ValueError):
-            s.tail_comparison({0.01: rep, 0.3: rep}, 0.7)
-
-    def test_quantile_values(self, toy_trained):
-        policy, _ = toy_trained
-        rep = s.evaluate_out_of_sample(policy, 200, rng_seed=4)
-        table = s.tail_comparison({0.1: rep, 0.2: rep}, 0.05)
-        want = float(np.quantile(rep.terminal_wealths, 0.05))
-        assert table[0][1] == pytest.approx(want)

@@ -19,6 +19,7 @@ from oracles import (
     kelley_terminal,
     lp_wealth_bounds,
     max_wealth_controls,
+    next_state,
     stage_objective,
     terminal_cost_derivative,
     train_recording,
@@ -139,10 +140,7 @@ class TestSolveStage:
         # the cost-to-go -w' of the last stage: an empty battery holds
         data = stage(49.0, 51.0)
         sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(0.0, -1.0, 0.0)]))
-        value, _ = s.solve_stage(
-            state=(0.0, 0.0), subproblems=[sub], transition_row=np.array([1.0]),
-            risk_aversion=0.03,
-        )
+        value, _ = s.solve_stage((0.0, 0.0), [sub], [1.0], 0.03)
         assert value == pytest.approx(0.0, abs=1e-9)
         assert sub.solve((0.0, 0.0)).controls == (0.0, 0.0)
 
@@ -158,22 +156,12 @@ class TestSolveStage:
             ]
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
-            value, _ = s.solve_stage(state, subs, row, rho)
+            value, _ = s.solve_stage(state, subs, row.tolist(), rho)
             grid = [grid_stage_minimum(d, c, state, n=201)[0] for d, c in zip(datas, cuts)]
             want = math.log(sum(p * math.exp(rho * v) for p, v in zip(row, grid))) / rho
             # the grid can only overshoot the true minimum
             assert value <= want + 1e-9
             assert want - value <= 1e-3
-
-    def test_transition_row_must_be_stochastic(self):
-        sub = s.NodeSubproblem(stage(49, 51), cutset=s.CutSet(1.0))
-        with pytest.raises(ValueError):
-            s.solve_stage((0.0, 0.0), [sub], np.array([0.7]), 0.03)
-        # a stochastic row still needs one subproblem per entry
-        with pytest.raises(ValueError):
-            s.solve_stage((0.0, 0.0), [sub], np.array([0.5, 0.5]), 0.03)
-        with pytest.raises(ValueError):
-            s.solve_stage((0.0, 0.0), [sub], np.array([1.0]), 0.0)
 
     def test_equals_per_successor_solves(self, toy_chain, toy_trained):
         # stage T holds the closed-form terminal subproblems, stage 2 LPs;
@@ -188,7 +176,7 @@ class TestSolveStage:
         for t in (T, 2):
             for row in toy_chain.transitions[t - 1]:
                 for state in ((0.0, 0.0), (1.5, 0.3), (-2.0, 0.9)):
-                    value, ve = s.solve_stage(state, policy.subproblems(t), row, rho)
+                    value, ve = s.solve_stage(state, policy.subproblems(t), row.tolist(), rho)
                     sols = [
                         (p, policy.subproblem(t, i).solve(state))
                         for i, p in enumerate(row.tolist())
@@ -266,10 +254,10 @@ class TestTwoStageDeterministic:
         c1 = policy.decide(1, 0, (0.0, 0.0))
         assert c1[0] == pytest.approx(0.4, abs=1e-6)
         assert c1[1] == pytest.approx(0.0, abs=1e-9)
-        state1 = policy.stage_data(1, 0).next_state((0.0, 0.0), c1)
+        state1 = next_state(policy.subproblem(1, 0).data, (0.0, 0.0), c1)
         c2 = policy.decide(2, 0, state1)
         assert c2[1] == pytest.approx(0.38 / 1.05, abs=1e-6)
-        wealth = policy.stage_data(2, 0).next_state(state1, c2)[0]
+        wealth = next_state(policy.subproblem(2, 0).data, state1, c2)[0]
         assert wealth == pytest.approx(6.857143, abs=1e-4)
 
         # exhaustive net-control grid search oracle at 1e-4 resolution
@@ -387,7 +375,7 @@ class TestTerminalKelley:
             sub = s.NodeSubproblem(data, None)
             controls = sub._clamp(max_wealth_controls(data, state), xe)
             assert sol.controls == controls
-            assert sol.next_state == data.next_state(state, controls)
+            assert sol.next_state == next_state(data, state, controls)
             assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-6)
             assert sol.value == -sol.next_state[0]
 
@@ -811,7 +799,7 @@ class TestClosedFormOnTrainedPool:
         for t in range(1, policy.horizon, 3):
             for j in range(policy.chain.node_count(t)):
                 sub = policy.subproblem(t, j)
-                row = policy.chain.transitions[t][j]
+                row = policy.chain.transitions[t][j].tolist()
                 for w, e in self.states(rng, capacity, n=6):
                     sol = sub.solve((w, e))
                     value, ve = s.solve_stage((w, e), policy.subproblems(t + 1), row, rho)
@@ -852,3 +840,49 @@ class TestClosedFormOnTrainedPool:
                     lane = s.NodeSubproblem(data, lane.cutset)
                 want = TestLaneKernel.scalar_results(lane, state)
                 assert TestLaneKernel.lane_results(out, k) == want, (t, j, k)
+
+
+class TestComplementarity:
+    """Where bid/c- <= ask/c+ holds at the traded prices, the closed form buys or sells, never both.
+
+    This is why the package needs no fold from the two-control relaxation
+    back to one signed control (the fold is `oracles.recover_complementary`).
+    """
+
+    def test_scalar_solves_at_every_node(self, trained_n8):
+        policy, _ = trained_n8
+        capacity = policy.problem.battery.capacity
+        rng = np.random.default_rng(34)
+        count = 0
+        for t in range(1, policy.horizon + 1):
+            for sub in policy.subproblems(t):
+                assert s.check_spread_condition(sub.data)
+                for state in TestClosedFormOnTrainedPool.states(rng, capacity, n=25):
+                    sol = sub.solve(state)
+                    buy, sell = sol.controls
+                    assert buy * sell == 0.0, (t, state, sol.controls)
+                    assert sub.next_state(state) == sol.next_state
+                    assert sol.next_state == next_state(sub.data, state, sol.controls)
+                    count += 1
+        assert count == policy.horizon * 8 * 25
+
+    def test_lanes_at_realized_prices(self, trained_n8):
+        # deviations far wider than the model's, so that some lanes fall
+        # below the condition's -20 EUR limit; only those may trade both ways
+        policy, _ = trained_n8
+        model, battery = policy.problem.price_model, policy.problem.battery
+        rng = np.random.default_rng(35)
+        holds = both_ways = 0
+        for t in range(1, policy.horizon + 1):
+            subs = policy.subproblems(t)
+            nodes = np.repeat(np.arange(len(subs)), 100)
+            energy = rng.uniform(0.0, battery.capacity, nodes.size)
+            energy[::10] = 0.0
+            bid, ask = s.bid_ask(model, t, rng.normal(0.0, 25.0, nodes.size))
+            buy, sell, _ = s.StageLanes(subs).next_states(nodes, energy, ask, bid)
+            spread = bid / battery.discharge_eff <= ask / battery.charge_eff
+            assert np.all(buy[spread] * sell[spread] == 0.0), t
+            holds += int(spread.sum())
+            both_ways += int(np.count_nonzero((buy > 0.0) & (sell > 0.0)))
+        assert holds > 0.98 * policy.horizon * 800
+        assert both_ways > 0

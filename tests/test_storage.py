@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import storagesddp as s
-from storagesddp.errors import (
-    ConditionViolatedError,
+from storagesddp.errors import ConditionViolatedError, OverflowGuardError
+from oracles import (
     InfeasibleInputError,
-    OverflowGuardError,
+    RelaxedTrajectory,
+    random_relaxed_trajectory,
+    recover_complementary,
+    terminal_cost_derivative,
 )
-from oracles import random_relaxed_trajectory, terminal_cost_derivative
 
 
 def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
@@ -44,13 +46,13 @@ class TestRecoverComplementary:
         battery = s.BatterySpec(capacity=1.0, speed_fraction=0.4)
         prices = [(48.0, 50.0), (52.0, 54.0)]
         u = 0.3
-        traj = s.RelaxedTrajectory(
+        traj = RelaxedTrajectory(
             wealth=[0.0, -50.0 * u, -50.0 * u - 54.0 * u],
             energy=[0.0, 0.95 * u, 0.95 * u + 0.95 * u],
             buy=[u, u],
             sell=[0.0, 0.0],
         )
-        rec = s.recover_complementary(traj, prices, battery)
+        rec = recover_complementary(traj, prices, battery)
         assert np.allclose(rec.net_control, [u, u])
         assert np.allclose(rec.wealth, traj.wealth)
         assert np.allclose(rec.energy, traj.energy)
@@ -59,13 +61,13 @@ class TestRecoverComplementary:
         battery = s.BatterySpec(capacity=1.0, speed_fraction=1.0)
         prices = [(48.0, 50.0), (52.0, 54.0)]
         # stage 1 charges a little, stage 2 buys and sells one unit each
-        traj = s.RelaxedTrajectory(
+        traj = RelaxedTrajectory(
             wealth=[0.0, -10.0, -10.0 - 54.0 + 52.0],
             energy=[0.0, 0.19, 0.19 + 0.95 - 1.05],
             buy=[0.2, 1.0],
             sell=[0.0, 1.0],
         )
-        rec = s.recover_complementary(traj, prices, battery)
+        rec = recover_complementary(traj, prices, battery)
         # net charge effect c = 0.95 - 1.05 = -0.1 -> u = c / c_minus
         assert rec.net_control[1] == pytest.approx(-0.1 / 1.05, abs=1e-12)
         # energy balance of the folded control reproduces c
@@ -81,7 +83,7 @@ class TestRecoverComplementary:
         for _ in range(200):
             prices = [tuple(sorted(rng.uniform(20, 90, 2))) for _ in range(5)]
             traj = random_relaxed_trajectory(rng, battery, prices, x0m=5.0)
-            rec = s.recover_complementary(traj, prices, battery)
+            rec = recover_complementary(traj, prices, battery)
             assert rec.wealth[0] == traj.wealth[0]
             assert np.allclose(rec.energy, traj.energy, atol=1e-9)
             assert np.all(rec.net_control <= battery.max_charge + 1e-12)
@@ -91,24 +93,24 @@ class TestRecoverComplementary:
     def test_infeasible_input_rejected(self):
         battery = s.BatterySpec(capacity=1.0, speed_fraction=0.4)
         prices = [(48.0, 50.0)]
-        above_box = s.RelaxedTrajectory(
+        above_box = RelaxedTrajectory(
             wealth=[0.0, -25.0], energy=[0.0, 0.475], buy=[0.5], sell=[0.0]
         )  # buy above the 0.4 box
-        charged = s.RelaxedTrajectory(
+        charged = RelaxedTrajectory(
             wealth=[0.0, -15.0], energy=[0.1, 0.385], buy=[0.3], sell=[0.0]
         )  # its own dynamics hold, but the battery starts with 0.1 MWh
         for traj in (above_box, charged):
             with pytest.raises(InfeasibleInputError):
-                s.recover_complementary(traj, prices, battery)
+                recover_complementary(traj, prices, battery)
 
     def test_condition_violation_rejected(self):
         battery = s.BatterySpec(capacity=1.0, speed_fraction=0.4)
         prices = [(-31.0, -29.0)]
-        traj = s.RelaxedTrajectory(
+        traj = RelaxedTrajectory(
             wealth=[0.0, 29.0 * 0.2], energy=[0.0, 0.19], buy=[0.2], sell=[0.0]
         )
         with pytest.raises(ConditionViolatedError):
-            s.recover_complementary(traj, prices, battery)
+            recover_complementary(traj, prices, battery)
 
 
 class TestTerminalCost:
