@@ -13,10 +13,8 @@ from .config import (
 from .discretization import MarkovChain, QuadratureRule, build_chain, gauss_hermite, nearest_node
 from .price_model import (
     PriceModel,
-    PriceSeries,
     RegressionFit,
     bid_ask,
-    deviations_from_series,
     fit_ar,
     read_price_csv,
     simulate_deviation_path,
@@ -56,7 +54,6 @@ __all__ = [
     "NodeSubproblem",
     "Policy",
     "PriceModel",
-    "PriceSeries",
     "QuadratureRule",
     "RegressionFit",
     "RunConfig",
@@ -74,7 +71,6 @@ __all__ = [
     "check_spread_condition",
     "config_from_dict",
     "default_day_ahead",
-    "deviations_from_series",
     "evaluate_out_of_sample",
     "fit_ar",
     "gauss_hermite",

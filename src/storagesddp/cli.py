@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import (
@@ -25,7 +24,7 @@ from .config import (
     train_from_config,
 )
 from .errors import ConfigError, DataError, DegenerateSampleError, StorageError
-from .price_model import fit_ar, deviations_from_series, read_price_csv
+from .price_model import fit_ar, read_price_csv
 from .sddp import Policy, load_checkpoint, save_checkpoint
 from .simulation import evaluate_out_of_sample, kernel_density
 from .valuation import price_storage, price_sweep, second_differences
@@ -43,8 +42,8 @@ def _out_dir(args) -> str:
 
 
 def cmd_fit(args) -> int:
-    series, dropped = read_price_csv(args.csv)
-    fit = fit_ar(deviations_from_series(series))
+    deviations, dropped = read_price_csv(args.csv)
+    fit = fit_ar(deviations)
     doc = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -104,10 +103,9 @@ def cmd_simulate(args) -> int:
         chain = build_chain_for(cfg)
         pools = load_checkpoint(args.checkpoint, problem, chain)
         policy = Policy(problem, chain, pools)
-        trained_bound = policy.root_bound()
     else:
-        policy, log = train_from_config(cfg)
-        trained_bound = log.final_bound()
+        policy, _ = train_from_config(cfg)
+    trained_bound = policy.root_bound()
     report = evaluate_out_of_sample(policy, cfg.simulate.scenarios, cfg.simulate.seed)
     out = _out_dir(args)
     rep_path = os.path.join(out, "simulation.csv")
@@ -165,8 +163,6 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     grid = _numbers(args.grid, "--grid")
     rhos = _numbers(args.rhos, "--rhos") if args.rhos is not None else None
-    if args.iterations is not None:
-        cfg = replace(cfg, sddp=replace(cfg.sddp, iterations=args.iterations))
     rows = price_sweep(args.axis, grid, cfg, rhos=rhos)
 
     out = _out_dir(args)
@@ -226,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--grid", required=True, help="comma-separated increasing values")
     p.add_argument("--rhos", help="comma-separated risk aversions (default: config rho)")
-    p.add_argument("--iterations", type=int, help="override sddp.iterations per point")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -35,11 +35,12 @@ class QuadratureRule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-        if np.any(self.weights <= 0):
+        # written so that a NaN weight or node fails
+        if not np.all(self.weights > 0):
             raise ValueError("quadrature weights must be positive")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("quadrature weights must sum to 1")
-        if np.any(np.diff(self.nodes) <= 0):
+        if not np.all(np.diff(self.nodes) > 0):
             raise ValueError("quadrature nodes must be strictly increasing")
 
 

@@ -23,10 +23,6 @@ class DegenerateInputError(DataError):
     """Regression input carries no usable signal: too few observations, or no variance."""
 
 
-class LengthMismatchError(DataError):
-    """Paired series have different lengths."""
-
-
 class CheckpointError(DataError, ValueError):
     """A cut-pool checkpoint cannot be used.
 

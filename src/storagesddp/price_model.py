@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegenerateInputError,
-    LengthMismatchError,
-    StageOutOfRangeError,
-)
+from .errors import DataError, DegenerateInputError, StageOutOfRangeError
 
 logger = logging.getLogger(__name__)
 
@@ -73,25 +68,6 @@ class PriceModel:
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """Aligned historical day-ahead and ID1 (intraday proxy) prices."""
-
-    timestamps: tuple[str, ...]
-    day_ahead: np.ndarray
-    id1: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "day_ahead", np.asarray(self.day_ahead, dtype=float))
-        object.__setattr__(self, "id1", np.asarray(self.id1, dtype=float))
-        n = len(self.timestamps)
-        if len(self.day_ahead) != n or len(self.id1) != n:
-            raise LengthMismatchError(
-                f"timestamps/day_ahead/id1 lengths differ: "
-                f"{n}/{len(self.day_ahead)}/{len(self.id1)}"
-            )
-
-
-@dataclass(frozen=True)
 class RegressionFit:
     """OLS fit of next deviation on current deviation."""
 
@@ -102,15 +78,12 @@ class RegressionFit:
     n_obs: int
 
 
-def deviations_from_series(series: PriceSeries) -> np.ndarray:
-    """Deviation observations ``id1 - day_ahead``, elementwise."""
-    return series.id1 - series.day_ahead
-
-
 def fit_ar(deviations: np.ndarray) -> RegressionFit:
     """Estimate the AR(1) coefficient by OLS with intercept.
 
-    Regresses ``xi_{t+1}`` on ``xi_t``.  The innovation std is the population
+    ``deviations`` are the observations ``xi_t`` in time order, such as the
+    ``id1 - day_ahead`` that `read_price_csv` returns.  Regresses
+    ``xi_{t+1}`` on ``xi_t``.  The innovation std is the population
     std of the residuals ``r_t = xi_{t+1} - slope * xi_t`` about their mean;
     the mean itself is discarded because the simulated innovations are
     zero-mean by construction.
@@ -182,16 +155,17 @@ def bid_ask(model: PriceModel, stage: int, deviation: float) -> tuple[float, flo
     return mid - model.spread, mid + model.spread
 
 
-def read_price_csv(path: str) -> tuple[PriceSeries, int]:
-    """Read ``timestamp,day_ahead,id1`` rows; drop incomplete rows.
+def read_price_csv(path: str) -> tuple[np.ndarray, int]:
+    """Read ``timestamp,day_ahead,id1`` rows as deviations ``id1 - day_ahead``.
 
     A row without a timestamp or with a price that is not a finite number
-    (``nan`` and ``inf`` parse as floats) is incomplete.  Returns the
-    cleaned series and the number of dropped rows (also logged).
+    (``nan`` and ``inf`` parse as floats) is incomplete and dropped.
+    Returns the deviations of the kept rows, in file order, and the number
+    of dropped rows (also logged).  Raises `DataError` for a file that
+    cannot be read, a header without the three columns, and a file without
+    a usable row.
     """
-    timestamps: list[str] = []
-    da: list[float] = []
-    id1: list[float] = []
+    deviations: list[float] = []
     dropped = 0
     try:
         with open(path, newline="", encoding="utf-8") as f:
@@ -214,13 +188,11 @@ def read_price_csv(path: str) -> tuple[PriceSeries, int]:
                 if ts is None or ts == "" or not (math.isfinite(d) and math.isfinite(v)):
                     dropped += 1
                     continue
-                timestamps.append(ts)
-                da.append(d)
-                id1.append(v)
+                deviations.append(v - d)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if dropped:
         logger.warning("dropped %d incomplete rows from %s", dropped, path)
-    if not timestamps:
+    if not deviations:
         raise DataError(f"{path}: no usable rows")
-    return PriceSeries(tuple(timestamps), np.array(da), np.array(id1)), dropped
+    return np.array(deviations), dropped

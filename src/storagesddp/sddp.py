@@ -251,10 +251,14 @@ class TrainingLog:
 class Policy:
     """Trained cut pools plus the problem data needed to act on them.
 
-    Immutable once training completes; `decide` and the simulation helpers
-    only read the pools.  Construction refuses, with
-    `ConditionViolatedError`, a node whose bid and ask break the spread
-    condition, where the two-control relaxation could be strict.
+    ``subproblem(t, j)`` is node j of stage t, for t = 1..T; its solve gives
+    the optimal controls at a state.  Stages 1..T-1 read the pools of stage
+    t; the stage-T subproblems share one cut set that holds the zero line,
+    so the terminal stage is solved as every other.  Immutable once
+    training completes; the solves and the simulation only read the pools.
+    Construction refuses, with `ConditionViolatedError`, a node whose bid
+    and ask break the spread condition, where the two-control relaxation
+    could be strict.
     """
 
     def __init__(self, problem: StorageProblem, chain: MarkovChain, pools: CutPool) -> None:
@@ -264,6 +268,8 @@ class Policy:
         self.chain = chain
         self.pools = pools
         T = chain.horizon
+        terminal = CutSet(problem.battery.capacity)
+        terminal.append(0.0, 0.0)
         self._subs: list[list[NodeSubproblem] | None] = [None]
         for t in range(1, T + 1):
             level_subs = []
@@ -274,7 +280,7 @@ class Policy:
                     raise ConditionViolatedError(
                         f"bid/ask efficiency condition fails at stage {t}, node {i}"
                     )
-                level_subs.append(NodeSubproblem(d, None if t == T else pools.get(t, i)))
+                level_subs.append(NodeSubproblem(d, terminal if t == T else pools.get(t, i)))
             self._subs.append(level_subs)
 
     @property
@@ -286,13 +292,6 @@ class Policy:
 
     def subproblems(self, stage: int) -> list[NodeSubproblem]:
         return self._subs[stage]
-
-    def decide(
-        self, stage: int, node: int, state: tuple[float, float]
-    ) -> tuple[float, float]:
-        """Optimal (buy, sell) for the given stage and realized node."""
-        sol = self._subs[stage][node].solve(state)
-        return sol.controls
 
     def root_certainty_equivalent(self) -> float:
         """Certainty equivalent of terminal wealth at the root, EUR: ``-J_0(x0)``.

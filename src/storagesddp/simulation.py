@@ -11,8 +11,8 @@ lanes trade at their nodes' prices.
 Evaluation runs stage-major over blocks of scenarios, one lane per
 scenario.  At each stage every lane is mapped to its nearest node, and all
 lanes go through one `StageLanes.next_states` call on the stage's padded
-envelope tables, each at its own node and bid/ask; the terminal stage is
-the same closed form on the zero envelope.  Wealth is the running sum of
+envelope tables, each at its own node and bid/ask; the terminal stage's
+tables hold its zero line.  Wealth is the running sum of
 the lanes' trades, kept here.  The tables are built once per evaluation
 and not kept: evaluation writes nothing to the policy's subproblems or
 envelopes.  The block size follows an element budget, so
@@ -75,7 +75,7 @@ class DensityEstimate:
 def _lane_block(policy: Policy) -> int:
     """Scenarios per block: the element budget over the largest envelope."""
     lines = 1 + max(
-        len(sub.envelope.slopes)
+        len(sub.cutset)
         for t in range(1, policy.horizon + 1)
         for sub in policy.subproblems(t)
     )

@@ -33,8 +33,9 @@ solve at any wealth has the controls and next energy of a solve at zero
 wealth.  A node without cuts has no value, and its solves raise
 `NotTrainedError`.
 
-The terminal stage is the case ``H = 0``: its cost is minus the terminal
-wealth.  `NodeSubproblem` solves one state per call on Python floats.
+The terminal stage is the case ``H = 0``, a cut set that holds the zero
+line: its cost is minus the terminal wealth.  `NodeSubproblem` solves one
+state per call on Python floats.
 `StageLanes` gives the controls and next energies of K lanes of one stage
 in one call on numpy arrays, each lane at its own node and bid/ask, with
 every floating-point operation in the scalar order, so each lane equals the
@@ -229,10 +230,12 @@ class NodeSolution:
 
 @dataclass(frozen=True)
 class TerminalSolution(NodeSolution):
-    """Terminal-stage optimum; `gaps` is the objective/bound gap per pass.
+    """A `NodeSolution` with ``gaps = (0.0,)``, the one pass of the closed form.
 
-    The closed form is exact in one pass, so `gaps` is always ``(0.0,)``;
-    it is kept because the benchmark's `bench/spans.py` reads it.
+    Only `NodeSubproblem.solve_terminal` returns it, and no package code
+    calls that: the terminal stage is `NodeSubproblem.solve` on the zero
+    line.  Both stay only because the benchmark's `bench/spans.py` traces
+    `solve_terminal` and reads `gaps`.
     """
 
     gaps: tuple[float, ...] = (0.0,)
@@ -259,19 +262,19 @@ def _price_slopes(data: StageData, ask, bid, cp_b: float, cm_s: float):
 
 
 class NodeSubproblem:
-    """One (stage, node) subproblem: the node's prices, boxes and cut envelope.
+    """One (stage, node) subproblem: the node's prices, boxes and cut set.
 
     The incoming state enters only the closed form, so a subproblem is built
-    once per node and solved for many states.  A subproblem holds nothing
-    that a solve writes.  A terminal subproblem is one without a cut set
-    (``cutset=None``); its envelope is the zero line.  A cut set built for
-    another capacity is refused with `ValueError`.
+    once per node and solved for many states; every solve reads the cut
+    set's current envelope.  A subproblem holds nothing that a solve
+    writes.  The terminal stage is no special case: its subproblems hold a
+    cut set whose one line is zero.  A cut set built for another capacity is
+    refused with `ValueError`.
     """
 
-    def __init__(self, data: StageData, cutset: CutSet | None) -> None:
+    def __init__(self, data: StageData, cutset: CutSet) -> None:
         self.data = data
         self.cutset = cutset
-        self.terminal = cutset is None
         d = data
         cp_b = d.charge_eff * d.u_max_charge
         cm_s = d.discharge_eff * d.u_max_discharge
@@ -280,17 +283,8 @@ class NodeSubproblem:
             d.leak_factor, d.capacity, d.u_max_charge, d.u_max_discharge,
             d.charge_eff, d.discharge_eff, cp_b, cm_s, -s1, -s2, kink, spread,
         )  # fmt: skip
-        if self.terminal:
-            self._zero = Envelope([0.0], [0.0], [0.0, d.capacity], [0.0, 0.0])
-        elif cutset.envelope.breaks[-1] != d.capacity:
+        if cutset.envelope.breaks[-1] != d.capacity:
             raise ValueError("the cut set was built for another capacity")
-
-    @property
-    def envelope(self) -> Envelope:
-        """The envelope the solves read: the cut set's, or the zero line when terminal."""
-        if self.terminal:
-            return self._zero
-        return self.cutset.envelope
 
     def _clamp(self, x, xe: float) -> tuple[float, float]:
         """Snap controls into their boxes and the energy band.
@@ -323,7 +317,7 @@ class NodeSubproblem:
         leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
         if not (-_STATE_TOL <= xe <= cap + _STATE_TOL):
             raise InfeasibleError(f"energy state {xe:.6g} outside [0, {cap:.6g}]")
-        g, a, x, _ = self.envelope
+        g, a, x, _ = self.cutset.envelope
         if not g:
             raise NotTrainedError(_NO_CUTS)
         d = self.data
@@ -392,14 +386,14 @@ class NodeSubproblem:
         The state keeps its wealth, which only shifts the value, because the
         benchmark's `bench/spans.py` passes ``(wealth, energy)``.
         """
-        if self.terminal:
-            return self.solve_terminal(state)
         return NodeSolution(*self._optimum(state))
 
     def solve_terminal(self, state: tuple[float, float]) -> TerminalSolution:
-        """Minimize minus the terminal wealth: the closed form with ``H = 0``."""
-        if not self.terminal:
-            raise ValueError("not a terminal subproblem")
+        """`solve`, returned as a `TerminalSolution`.
+
+        No package code calls it; it stays only as a name that the
+        benchmark's `bench/spans.py` traces.
+        """
         return TerminalSolution(*self._optimum(state))
 
 
@@ -418,13 +412,12 @@ class StageLanes:
             raise ValueError("the subproblems of one stage must share the battery")
         self.data = subproblems[0].data
         self._const = subproblems[0]._const[:8]
-        lines = [len(sub.envelope.slopes) for sub in subproblems]
+        envs = [sub.cutset.envelope for sub in subproblems]
+        lines = [len(env.slopes) for env in envs]
         h, cap = max(lines), self._const[1]
-        self._slopes = np.array(
-            [sub.envelope.slopes + [_INF] * (h - n) for sub, n in zip(subproblems, lines)]
-        )
+        self._slopes = np.array([env.slopes + [_INF] * (h - n) for env, n in zip(envs, lines)])
         self._breaks = np.array(
-            [sub.envelope.breaks[:n] + [cap] * (h + 1 - n) for sub, n in zip(subproblems, lines)]
+            [env.breaks[:n] + [cap] * (h + 1 - n) for env, n in zip(envs, lines)]
         )
         self._trained = np.array(lines) > 0
 

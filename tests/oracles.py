@@ -12,7 +12,8 @@ the cutting-plane loop on that LP that the terminal stage ran before its
 closed form.  `train_recording` trains while recording every cut, since a
 `CutSet` keeps only its envelope.  `Cut` is a cut with its wealth slope,
 which the package does not store (it is -1 on the package's cost-to-go);
-`cut_set` builds a package `CutSet` from such cuts.  `next_state` is the
+`cut_set` builds a package `CutSet` from such cuts, and `zero_cut_set` the
+terminal stage's one of the zero line.  `next_state` is the
 stage dynamics on `StageData`, which the package applies inside its solves
 only.
 
@@ -91,6 +92,13 @@ def cut_set(capacity: float, cuts: list[Cut]) -> CutSet:
     for c in cuts:
         assert c.grad_wealth == -1.0, c
         cutset.append(c.intercept, c.grad_energy)
+    return cutset
+
+
+def zero_cut_set(capacity: float) -> CutSet:
+    """The terminal stage's `CutSet`: the zero line, as `Policy` gives stage T."""
+    cutset = CutSet(capacity)
+    cutset.append(0.0, 0.0)
     return cutset
 
 
@@ -668,8 +676,8 @@ def policy_chain_value(policy: Policy) -> float:
     for path, prob in enumerate_node_paths(policy.chain):
         state = (utility.initial_wealth, 0.0)
         for t in range(1, policy.horizon + 1):
-            controls = policy.decide(t, path[t - 1], state)
-            state = next_state(policy.subproblem(t, path[t - 1]).data, state, controls)
+            sub = policy.subproblem(t, path[t - 1])
+            state = next_state(sub.data, state, sub.solve(state).controls)
         total += prob * (1.0 - np.exp(-rho * state[0])) / rho
     return total
 
@@ -937,7 +945,8 @@ def _simulate_one(
         node = nearest_node(policy.chain, t, xi)
         if realized_prices:
             data = stage_data_for(model, battery, t, xi)
-            sub = NodeSubproblem(data, None if t == T else policy.pools.get(t, node))
+            cutset = zero_cut_set(data.capacity) if t == T else policy.pools.get(t, node)
+            sub = NodeSubproblem(data, cutset)
         else:
             sub = policy.subproblem(t, node)
             data = sub.data

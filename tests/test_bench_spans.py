@@ -62,14 +62,14 @@ def traced_objects(spans):
 
 
 def test_traced_training_and_decision(spans, toy_problem, toy_chain):
-    # what a traced benchmark run calls: install, train, decide, then the
-    # per-layer metrics and the active-cut share
+    # what a traced benchmark run calls: install, train, one subproblem
+    # solve, then the per-layer metrics and the active-cut share
     before = traced_objects(spans)
     tracer = spans.Tracer()
     tracer.install()
     try:
         policy, _ = s.train(toy_problem, toy_chain, 5, 0)
-        policy.decide(1, 0, (0.0, 0.0))
+        policy.subproblem(1, 0).solve((0.0, 0.0))
     finally:
         tracer.uninstall()
     assert traced_objects(spans) == before

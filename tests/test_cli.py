@@ -226,8 +226,6 @@ class TestCommands:
                 "0.5,1.0",
                 "--rhos",
                 "0.03",
-                "--iterations",
-                "20",
                 "--out",
                 str(tmp_path),
             ]
@@ -252,8 +250,6 @@ class TestCommands:
         ["--grid", "0.5", "--rhos", "0"],
         ["--grid", "0", "--rhos", "nan"],
         ["--grid", "0.5", "--rhos", "0.03,y"],
-        ["--grid", "0.5", "--iterations=-3"],
-        ["--grid", "0.5", "--iterations", "0"],
     ],
     ids=[
         "decreasing grid",
@@ -265,8 +261,6 @@ class TestCommands:
         "zero rho",
         "nan rho at zero capacity",
         "unparsable rhos",
-        "negative iterations",
-        "zero iterations",
     ],
 )
 def test_sweep_refuses_bad_arguments(small_config, tmp_path, capsys, options):

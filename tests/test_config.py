@@ -70,6 +70,8 @@ class TestParsing:
             {"sddp": {"seed": -1}},
             {"simulate": {"scenarios": 0}},
             {"price": {"sampling_std": 0.0}},
+            {"sddp": {"iterations": 0}},
+            {"sddp": {"iterations": -3}},
         ],
     )
     def test_invalid_values_rejected(self, doc):

@@ -175,6 +175,16 @@ class TestBuildChain:
         assert chain.transitions[3].shape == (5, 5)
 
 
+class TestQuadratureRule:
+    def test_nan_fails_its_checks(self):
+        # a NaN compares false, so every check must pass only good values
+        with pytest.raises(ValueError, match="positive"):
+            s.QuadratureRule(nodes=[0.0, 1.0], weights=[np.nan, np.nan])
+        with pytest.raises(ValueError, match="increasing"):
+            s.QuadratureRule(nodes=[np.nan, 1.0], weights=[0.5, 0.5])
+        assert s.QuadratureRule(nodes=[0.0, 1.0], weights=[0.5, 0.5]).nodes.tolist() == [0.0, 1.0]
+
+
 class TestMarkovChain:
     def test_nan_matrix_is_not_row_stochastic(self):
         nodes = [np.zeros(1), np.array([-1.0, 1.0])]

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 import storagesddp as s
-from storagesddp.errors import (
-    DataError,
-    DegenerateInputError,
-    LengthMismatchError,
-    StageOutOfRangeError,
-)
+from storagesddp.errors import DataError, DegenerateInputError, StageOutOfRangeError
 
 
 def make_model(**kw):
@@ -55,10 +50,17 @@ class TestFitAr:
             s.fit_ar(np.array([3.0, 3.0, 3.0, 3.0]))
 
 
+def write_prices(path, day_ahead, id1):
+    """A price CSV with one complete row per (day_ahead, id1) pair."""
+    rows = [f"t{i},{d!r},{v!r}" for i, (d, v) in enumerate(zip(day_ahead, id1))]
+    path.write_text("timestamp,day_ahead,id1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestDeviations:
-    def test_elementwise(self):
-        series = s.PriceSeries(("a", "b"), np.array([48.0, 63.0]), np.array([50.0, 60.0]))
-        assert s.deviations_from_series(series).tolist() == [2.0, -3.0]
+    def test_elementwise(self, tmp_path):
+        csv = write_prices(tmp_path / "prices.csv", [48.0, 63.0], [50.0, 60.0])
+        assert s.read_price_csv(csv)[0].tolist() == [2.0, -3.0]
 
     def test_drops_non_finite_prices(self, tmp_path):
         # float() parses both; a fit on them would report nan
@@ -73,28 +75,24 @@ class TestDeviations:
             "2024-01-01T05:00,50.0,51.0\n",
             encoding="utf-8",
         )
-        series, dropped = s.read_price_csv(str(p))
+        deviations, dropped = s.read_price_csv(str(p))
         assert dropped == 2
-        assert series.day_ahead.tolist() == [48.0, 63.0, 52.0, 50.0]
-        fit = s.fit_ar(s.deviations_from_series(series))
+        assert deviations.tolist() == [2.0, -3.0, -0.5, 1.0]
+        fit = s.fit_ar(deviations)
         assert all(np.isfinite([fit.slope, fit.intercept, fit.r_squared, fit.residual_std]))
 
-    def test_identity_case(self):
-        da = np.linspace(10, 80, 24)
-        series = s.PriceSeries(tuple(str(i) for i in range(24)), da, da.copy())
-        assert np.all(s.deviations_from_series(series) == 0.0)
+    def test_identity_case(self, tmp_path):
+        da = np.linspace(10, 80, 24).tolist()
+        csv = write_prices(tmp_path / "prices.csv", da, da)
+        assert np.all(s.read_price_csv(csv)[0] == 0.0)
 
-    def test_mean_identity(self):
+    def test_mean_identity(self, tmp_path):
         rng = np.random.default_rng(0)
         da = rng.normal(50, 20, 500)
         id1 = rng.normal(52, 25, 500)
-        series = s.PriceSeries(tuple(str(i) for i in range(500)), da, id1)
-        out = s.deviations_from_series(series)
+        csv = write_prices(tmp_path / "prices.csv", da.tolist(), id1.tolist())
+        out, _ = s.read_price_csv(csv)
         assert out.mean() == pytest.approx(id1.mean() - da.mean(), abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
-            s.PriceSeries(("a",), np.array([1.0, 2.0]), np.array([1.0]))
 
 
 class TestSimulatePath:
@@ -190,10 +188,9 @@ class TestCsvIngestion:
             "2024-01-01T03:00,oops,61.0\n",
             encoding="utf-8",
         )
-        series, dropped = s.read_price_csv(str(p))
+        deviations, dropped = s.read_price_csv(str(p))
         assert dropped == 2
-        assert series.day_ahead.tolist() == [48.0, 63.0]
-        assert s.deviations_from_series(series).tolist() == [2.0, -3.0]
+        assert deviations.tolist() == [2.0, -3.0]
 
     def test_drops_non_finite_prices(self, tmp_path):
         # float() parses both; a fit on them would report nan
@@ -208,10 +205,10 @@ class TestCsvIngestion:
             "2024-01-01T05:00,50.0,51.0\n",
             encoding="utf-8",
         )
-        series, dropped = s.read_price_csv(str(p))
+        deviations, dropped = s.read_price_csv(str(p))
         assert dropped == 2
-        assert series.day_ahead.tolist() == [48.0, 63.0, 52.0, 50.0]
-        fit = s.fit_ar(s.deviations_from_series(series))
+        assert deviations.tolist() == [2.0, -3.0, -0.5, 1.0]
+        fit = s.fit_ar(deviations)
         assert all(np.isfinite([fit.slope, fit.intercept, fit.r_squared, fit.residual_std]))
 
     def test_missing_header(self, tmp_path):

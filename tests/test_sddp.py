@@ -170,19 +170,19 @@ class TestPolicyOperations:
     def test_decide_terminal_examples(self, toy_trained):
         policy, _ = toy_trained
         T = policy.horizon
-        assert policy.decide(T, 0, (0.0, 0.0)) == (0.0, 0.0)
-        buy, sell = policy.decide(T, 1, (0.0, 1.0))
+        assert policy.subproblem(T, 0).solve((0.0, 0.0)).controls == (0.0, 0.0)
+        buy, sell = policy.subproblem(T, 1).solve((0.0, 1.0)).controls
         assert sell == pytest.approx(min(0.4, 1.0 / 1.05), abs=1e-9)
         assert buy == pytest.approx(0.0, abs=1e-9)
 
     def test_decide_is_history_free(self, toy_trained):
         policy, _ = toy_trained
         state = (1.5, 0.3)
-        first = policy.decide(2, 1, state)
+        first = policy.subproblem(2, 1).solve(state).controls
         # interleave unrelated queries, then repeat
-        policy.decide(1, 0, (0.0, 0.0))
-        policy.decide(3, 0, (-2.0, 0.9))
-        assert policy.decide(2, 1, state) == first
+        policy.subproblem(1, 0).solve((0.0, 0.0))
+        policy.subproblem(3, 0).solve((-2.0, 0.9))
+        assert policy.subproblem(2, 1).solve(state).controls == first
 
     def test_decide_is_reentrant(self, trained_n8):
         # solves only read the published envelopes: 4000 queries answered by
@@ -195,12 +195,13 @@ class TestPolicyOperations:
             t = int(rng.integers(1, policy.horizon + 1))
             j = int(rng.integers(0, policy.chain.node_count(t)))
             queries.append((t, j, (float(rng.uniform(-50, 50)), float(rng.uniform(0, cap)))))
-        serial = [policy.decide(*q) for q in queries]
+        serial = [policy.subproblem(t, j).solve(x).controls for t, j, x in queries]
         answers = [None] * len(queries)
 
         def work(part):
             for i in range(part, len(queries), 4):
-                answers[i] = policy.decide(*queries[i])
+                t, j, x = queries[i]
+                answers[i] = policy.subproblem(t, j).solve(x).controls
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -221,7 +222,7 @@ class TestPolicyOperations:
         policy, _ = toy_trained
         data = policy.subproblem(1, 0).data
         cuts = [Cut(*c) for c in zip(*policy.pools.get(1, 0).arrays())]
-        got = policy.decide(1, 0, (0.0, 0.0))
+        got = policy.subproblem(1, 0).solve((0.0, 0.0)).controls
         _, want = grid_stage_minimum(data, cuts, (0.0, 0.0), n=401, problem=toy_problem)
         assert got[0] == pytest.approx(want[0], abs=2e-3)
         assert got[1] == pytest.approx(want[1], abs=2e-3)

@@ -95,7 +95,7 @@ def test_node_prices_are_bid_ask_at_node_values(trained_n8):
 def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trained):
     # a fresh policy's node subproblems hold their prices and cut sets, and
     # every non-terminal cut set holds a non-empty envelope (the
-    # terminal ones solve on the zero envelope); evaluation must leave every
+    # terminal ones share the zero line); evaluation must leave every
     # attribute and every envelope exactly so
     policy = s.Policy(toy_problem, toy_chain, toy_trained[0].pools)
     subs = [
@@ -109,8 +109,7 @@ def test_evaluation_writes_no_policy_subproblem(toy_problem, toy_chain, toy_trai
             k: v.tobytes() if isinstance(v, np.ndarray) else list(v) if isinstance(v, list) else v
             for k, v in vars(sub).items()
         }
-        if sub.cutset is not None:
-            out["cutset.envelope"] = sub.cutset.envelope
+        out["cutset.envelope"] = sub.cutset.envelope
         return out
 
     before = [state(sub) for sub in subs]

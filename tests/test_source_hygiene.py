@@ -2,8 +2,9 @@
 
 No unused imports, no unreferenced private names, no error class that package
 code never raises, catches or subclasses, no dataclass field that nothing
-reads, no function parameter that its function never reads, and a resolvable
-``__all__`` whose every name the pipeline uses.
+reads, no function parameter that its function never reads, a resolvable
+``__all__`` whose every name the pipeline uses, and no public method of an
+exported class that only tests call.
 """
 
 import ast
@@ -172,15 +173,20 @@ def unread_parameters(source: str) -> list[str]:
     return sorted(unread)
 
 
-def traced_names(source: str) -> set[str]:
-    """Names a span map traces: entry 1 of every ``FUNCTIONS`` and ``METHODS`` row."""
-    names: set[str] = set()
+def span_rows(source: str, *tables: str) -> list[tuple]:
+    """The rows of a span map's ``tables`` (``FUNCTIONS``, ``METHODS``), read as literals."""
+    rows: list[tuple] = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id in ("FUNCTIONS", "METHODS") for t in node.targets
+            isinstance(t, ast.Name) and t.id in tables for t in node.targets
         ):
-            names |= {row[1] for row in ast.literal_eval(node.value)}
-    return names
+            rows += ast.literal_eval(node.value)
+    return rows
+
+
+def traced_names(source: str) -> set[str]:
+    """Names a span map traces: entry 1 of every ``FUNCTIONS`` and ``METHODS`` row."""
+    return {row[1] for row in span_rows(source, "FUNCTIONS", "METHODS")}
 
 
 def unused_exports(exported: list[str], sources: dict[str, str], traced: set[str]) -> list[str]:
@@ -189,6 +195,34 @@ def unused_exports(exported: list[str], sources: dict[str, str], traced: set[str
     for text in sources.values():
         read |= names_read(ast.parse(text))
     return sorted(name for name in exported if name not in read)
+
+
+def traced_methods(source: str) -> set[str]:
+    """Method names a span map traces: entry 2 of every ``METHODS`` row."""
+    return {row[2] for row in span_rows(source, "METHODS")}
+
+
+def public_methods(source: str, classes: set[str]) -> list[str]:
+    """``Class.name`` of every public method and property of ``classes`` in a module.
+
+    A name that starts with an underscore, dunders included, is not public.
+    """
+    return [
+        f"{node.name}.{stmt.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and node.name in classes
+        for stmt in node.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")
+    ]
+
+
+def unread_methods(methods: list[str], sources: list[str], traced: set[str]) -> list[str]:
+    """The ``methods`` whose name no source loads as an attribute and that are not ``traced``."""
+    read = set(traced)
+    for text in sources:
+        read |= attributes_read(text)
+    return sorted(m for m in methods if m.split(".")[1] not in read)
 
 
 def test_export_detector_on_synthetic_modules():
@@ -216,6 +250,54 @@ def test_every_exported_name_is_used_by_the_pipeline():
     }
     traced = traced_names((REPO / "bench" / "spans.py").read_text(encoding="utf-8"))
     assert unused_exports(s.__all__, sources, traced) == []
+
+
+def test_method_detector_on_synthetic_modules():
+    spans = "METHODS = (('pkg.b', 'K', 'solve', 'b.solve'),)\n"
+    assert traced_methods(spans) == {"solve"}
+    source = (
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def solve(self):\n"
+        "        pass\n"
+        "    def used(self):\n"
+        "        pass\n"
+        "    def unused(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return self.n\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class Hidden:\n"
+        "    def hidden(self):\n"
+        "        pass\n"
+        "def f(k):\n"
+        "    k.unused = None\n"
+        "    return k.used(), k.size\n"
+    )
+    methods = public_methods(source, {"K"})
+    assert methods == ["K.solve", "K.used", "K.unused", "K.size"]
+    assert unread_methods(methods, [source], traced_methods(spans)) == ["K.unused"]
+
+
+def test_every_public_method_is_read_by_the_pipeline():
+    # a method or property of an exported class that only tests call is
+    # surface without a use; the benchmark reads some, through attributes
+    # or its span map, so bench/ counts as a reader
+    exported = set(s.__all__)
+    methods = [
+        method
+        for path in sorted(PACKAGE.glob("*.py"))
+        for method in public_methods(path.read_text(encoding="utf-8"), exported)
+    ]
+    sources = [
+        path.read_text(encoding="utf-8")
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(REPO.glob("bench/*.py"))]
+    ]
+    traced = traced_methods((REPO / "bench" / "spans.py").read_text(encoding="utf-8"))
+    assert unread_methods(methods, sources, traced) == []
 
 
 def test_error_use_detector_on_synthetic_module():

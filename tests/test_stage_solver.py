@@ -23,6 +23,7 @@ from oracles import (
     stage_objective,
     terminal_cost_derivative,
     train_recording,
+    zero_cut_set,
 )
 
 
@@ -164,15 +165,20 @@ class TestSolveStage:
             assert want - value <= 1e-3
 
     def test_equals_per_successor_solves(self, toy_chain, toy_trained):
-        # stage T holds the closed-form terminal subproblems, stage 2 LPs;
-        # the stage value is the log-sum-exp of the successor solves around
-        # their largest value, the energy subgradient their average with the
-        # weights p_i exp(rho (J_i - max J)), both in node order
+        # the stage-T subproblems share one cut set, the zero line, and
+        # stage 2 reads its own pools; the stage value is the log-sum-exp of
+        # the successor solves around their largest value, the energy
+        # subgradient their average with the weights p_i exp(rho (J_i - max J)),
+        # both in node order
         policy, _ = toy_trained
         rho = policy.problem.utility.risk_aversion
         T = toy_chain.horizon
-        assert all(sub.terminal for sub in policy.subproblems(T))
-        assert not any(sub.terminal for sub in policy.subproblems(2))
+        last = policy.subproblems(T)
+        cap = policy.problem.battery.capacity
+        assert all(sub.cutset is last[0].cutset for sub in last)
+        assert last[0].cutset.envelope == ([0.0], [0.0], [0.0, cap], [0.0, 0.0])
+        for j, sub in enumerate(policy.subproblems(2)):
+            assert sub.cutset is policy.pools.get(2, j)
         for t in (T, 2):
             for row in toy_chain.transitions[t - 1]:
                 for state in ((0.0, 0.0), (1.5, 0.3), (-2.0, 0.9)):
@@ -251,11 +257,11 @@ class TestTwoStageDeterministic:
         problem = s.build_problem(cfg)
         chain = s.build_chain_for(cfg)
         policy, log = s.train(problem, chain, 25, 0)
-        c1 = policy.decide(1, 0, (0.0, 0.0))
+        c1 = policy.subproblem(1, 0).solve((0.0, 0.0)).controls
         assert c1[0] == pytest.approx(0.4, abs=1e-6)
         assert c1[1] == pytest.approx(0.0, abs=1e-9)
         state1 = next_state(policy.subproblem(1, 0).data, (0.0, 0.0), c1)
-        c2 = policy.decide(2, 0, state1)
+        c2 = policy.subproblem(2, 0).solve(state1).controls
         assert c2[1] == pytest.approx(0.38 / 1.05, abs=1e-6)
         wealth = next_state(policy.subproblem(2, 0).data, state1, c2)[0]
         assert wealth == pytest.approx(6.857143, abs=1e-4)
@@ -270,7 +276,7 @@ class TestTwoStageDeterministic:
 
 
 def terminal(state, data):
-    return s.NodeSubproblem(data, None).solve_terminal(state)
+    return s.NodeSubproblem(data, zero_cut_set(data.capacity)).solve_terminal(state)
 
 
 def max_wealth_lp(data, state):
@@ -372,7 +378,7 @@ class TestTerminalKelley:
             sol = terminal(state, data)
 
             # the vectorized enumeration picks the scalar enumeration's vertex
-            sub = s.NodeSubproblem(data, None)
+            sub = s.NodeSubproblem(data, zero_cut_set(data.capacity))
             controls = sub._clamp(max_wealth_controls(data, state), xe)
             assert sol.controls == controls
             assert sol.next_state == next_state(data, state, controls)
@@ -423,7 +429,7 @@ class TestTerminalKelley:
             bid, ask = mids - 1.0, mids + 1.0
         else:
             bid = ask = None
-        sub = s.NodeSubproblem(data, None)
+        sub = s.NodeSubproblem(data, zero_cut_set(data.capacity))
         out = TestLaneKernel.one_node(sub, wealth, energy, ask=ask, bid=bid)
         for k in range(K):
             lane_data = data
@@ -544,8 +550,10 @@ class TestLaneKernel:
     def test_stage_must_share_the_battery(self):
         data = stage(30.0, 32.0)
         subs = [
-            s.NodeSubproblem(data, None),
-            s.NodeSubproblem(dataclasses.replace(data, u_max_charge=0.3), None),
+            s.NodeSubproblem(data, zero_cut_set(data.capacity)),
+            s.NodeSubproblem(
+                dataclasses.replace(data, u_max_charge=0.3), zero_cut_set(data.capacity)
+            ),
         ]
         with pytest.raises(ValueError):
             s.StageLanes(subs)
@@ -553,7 +561,7 @@ class TestLaneKernel:
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
         sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(-5.0, -1.0, 1.0)]))
-        last = s.NodeSubproblem(data, None)
+        last = s.NodeSubproblem(data, zero_cut_set(data.capacity))
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
                 sub.solve((0.0, bad))
@@ -576,7 +584,7 @@ class TestLaneKernel:
         energy = np.array([0.0, 0.3, 1.1, 2.0])
         subs = [
             s.NodeSubproblem(data, cutset=cut_set(data.capacity, random_cuts(rng, 8))),
-            s.NodeSubproblem(data, None),
+            s.NodeSubproblem(data, zero_cut_set(data.capacity)),
         ]
         for sub in subs:
             buy0, sell0, wealth0, energy0 = self.one_node(sub, np.zeros(4), energy)
