@@ -113,7 +113,7 @@ def cmd_simulate(args) -> int:
         f.write("scenario,terminal_wealth,utility\n")
         for i, (w, u) in enumerate(zip(report.terminal_wealths, report.utilities)):
             f.write(f"{i},{float(w)!r},{float(u)!r}\n")
-    print(f"scenarios          {report.n_scenarios}")
+    print(f"scenarios          {len(report.terminal_wealths)}")
     print(f"mean wealth        {report.mean_objective:.4f} EUR")
     print(f"mean utility       {report.mean_utility:.6f} +- {report.std_error:.6f}")
     print(f"in-sample utility  {report.in_sample_mean:.6f}")
@@ -143,7 +143,7 @@ def cmd_price(args) -> int:
         f.write("rho,price_eur,phi_with,phi_without,iterations\n")
         f.write(
             f"{float(cfg.utility.rho)!r},{float(result.price)!r},{float(result.phi_with)!r},"
-            f"{float(result.phi_without)!r},{result.iterations}\n"
+            f"{float(result.phi_without)!r},{cfg.sddp.iterations}\n"
         )
     print(f"indifference price {result.price:.4f} EUR (rho={cfg.utility.rho})")
     print(f"value with storage {result.phi_with:.6f}; without {result.phi_without:.6f}")

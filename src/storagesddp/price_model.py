@@ -25,6 +25,8 @@ logger = logging.getLogger(__name__)
 class PriceModel:
     """Price process parameters for one trading day of ``T`` delivery periods.
 
+    Every value must be finite; a non-finite one raises `ValueError`.
+
     Parameters
     ----------
     day_ahead:
@@ -50,6 +52,12 @@ class PriceModel:
         object.__setattr__(self, "day_ahead", tuple(float(v) for v in self.day_ahead))
         if len(self.day_ahead) == 0:
             raise ValueError("day_ahead must have at least one entry")
+        numbers = (
+            *self.day_ahead, self.ar_coefficient, self.innovation_std, self.spread,
+            self.initial_deviation,
+        )  # fmt: skip
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("price model parameters must be finite")
         if self.innovation_std < 0:
             raise ValueError("innovation_std must be >= 0")
         if self.spread < 0:
@@ -168,7 +176,8 @@ def read_price_csv(path: str) -> tuple[np.ndarray, int]:
     deviations: list[float] = []
     dropped = 0
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None or not {"timestamp", "day_ahead", "id1"} <= set(
                 reader.fieldnames

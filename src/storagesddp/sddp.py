@@ -43,7 +43,7 @@ from numpy.random import default_rng
 from .discretization import MarkovChain
 from .errors import CheckpointError, ConditionViolatedError, NotTrainedError
 from .price_model import PriceModel
-from .stage_solver import CutSet, Envelope, NodeSubproblem, envelope_from_lines, solve_stage
+from .stage_solver import CutSet, Envelope, NodeSubproblem, solve_stage
 from .storage import (
     BatterySpec,
     UtilitySpec,
@@ -118,14 +118,14 @@ class CutPool:
     ) -> "CutPool":
         """Parse `to_json` output for ``chain`` and the expected ``fingerprint``.
 
-        Each node's lines and breaks become its envelope as they are
-        (`stage_solver.envelope_from_lines`).  Raises `CheckpointError`, in
-        this order, for text that is not JSON, a format version other than
-        `CHECKPOINT_VERSION`, missing keys, a stage count other than the
-        chain's horizon, a fingerprint other than the expected one, a stage
-        that is not a list of the chain's nodes, and a node whose cuts are
-        not rows of two finite numbers, that has no cuts, or whose lines and
-        breaks do not form an envelope on ``[0, capacity]`` (`_envelope`).
+        Each node's lines and breaks become its `Envelope` as they are.
+        Raises `CheckpointError`, in this order, for text that is not JSON, a
+        format version other than `CHECKPOINT_VERSION`, missing keys, a stage
+        count other than the chain's horizon, a fingerprint other than the
+        expected one, a stage that is not a list of the chain's nodes, and a
+        node whose cuts are not rows of two finite numbers, that has no cuts,
+        or whose lines and breaks do not form an envelope on ``[0,
+        capacity]`` (`_envelope`).
         """
         try:
             doc = json.loads(text)
@@ -171,7 +171,8 @@ def _envelope(rec, t: int, j: int, capacity: float) -> Envelope:
     least one.  The slopes and breaks must strictly increase, and the
     breaks, one more than the lines, must run from 0 to ``capacity``; that
     refuses non-finite breaks too.  Adjacent lines must meet at their shared
-    break, to `_BREAK_TOL` relative to the height there.
+    break, to `_BREAK_TOL` relative to the height there (the larger of the
+    two lines).
     """
     try:
         cuts, breaks = rec["cuts"], rec["breaks"]
@@ -203,16 +204,15 @@ def _envelope(rec, t: int, j: int, capacity: float) -> Envelope:
             f"checkpoint pool at stage {t}, node {j} is not an envelope: its slopes and "
             f"breaks must increase, with breaks from 0 to {capacity} and one more than cuts"
         )
-    envelope = envelope_from_lines(intercepts, slopes, x)
     for k in range(1, len(slopes)):
         left = intercepts[k - 1] + slopes[k - 1] * x[k]
         right = intercepts[k] + slopes[k] * x[k]
-        if abs(left - right) > _BREAK_TOL * max(1.0, abs(envelope.heights[k])):
+        if abs(left - right) > _BREAK_TOL * max(1.0, abs(max(left, right))):
             raise CheckpointError(
                 f"checkpoint pool at stage {t}, node {j} is not an envelope: lines "
                 f"{k - 1} and {k} differ by {abs(left - right):.3g} at their break {x[k]!r}"
             )
-    return envelope
+    return Envelope(slopes, intercepts, x)
 
 
 def _increasing(values: list) -> bool:

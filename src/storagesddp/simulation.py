@@ -48,13 +48,14 @@ _KDE_GRID_POINTS = 256
 class SimulationReport:
     """Scenario-evaluation summary.
 
-    ``mean_objective`` is the mean terminal wealth (EUR); ``mean_utility``
-    the mean utility (the optimization objective) with ``std_error`` the
-    standard error of that mean; ``in_sample_mean`` the utility mean over
-    scenarios drawn from the chain instead of the continuous process.
+    ``terminal_wealths`` and ``utilities`` hold one entry per scenario, so
+    their length is the scenario count.  ``mean_objective`` is the mean
+    terminal wealth (EUR); ``mean_utility`` the mean utility (the
+    optimization objective) with ``std_error`` the standard error of that
+    mean; ``in_sample_mean`` the utility mean over scenarios drawn from the
+    chain instead of the continuous process.
     """
 
-    n_scenarios: int
     mean_objective: float
     std_error: float
     terminal_wealths: np.ndarray
@@ -148,7 +149,6 @@ def evaluate_out_of_sample(
 
     se = float(np.std(utils, ddof=1) / np.sqrt(n_scenarios)) if n_scenarios > 1 else 0.0
     return SimulationReport(
-        n_scenarios=n_scenarios,
         mean_objective=float(wealths.mean()),
         std_error=se,
         terminal_wealths=wealths,

@@ -10,17 +10,19 @@ piecewise-linear function of the next energy
     H(e') = max_c (a_c + g_c * e')      over [0, capacity],
 
 stored as its upper envelope (`Envelope`: the cuts that are the maximum
-somewhere on [0, capacity], with the breakpoints between them).  A stage
+somewhere on [0, capacity], with the breakpoints between them; the height at
+a break is the larger of the two lines that meet there).  A stage
 subproblem minimizes ``-w' + H(e')`` over the relaxed controls after the
 stage's prices are observed.  The cheapest way to move the energy by ``d``
 costs ``G(d)``, convex piecewise linear with slopes ``s1 = min(ask/c+,
 bid/c-)`` and ``s2 = max(ask/c+, bid/c-)`` and its kink at 0 when the spread
-condition ``bid/c- <= ask/c+`` holds (otherwise at ``c+ B - c- S``, buying
-and selling at full speed).  With ``E = leak * e`` the stage value is
+condition ``bid/c- <= ask/c+`` holds (otherwise at ``c+ U - c- U``, buying
+and selling at the battery's one speed ``U``).  With ``E = leak * e`` the
+stage value is
 
     -w + min over e' in [lo, hi] of G(e' - E) + H(e')
 
-with ``lo = max(0, E - c- S)`` and ``hi = min(capacity, E + c+ B)``.  Its
+with ``lo = max(0, E - c- U)`` and ``hi = min(capacity, E + c+ U)``.  Its
 minimizer is ``clip(median(x2, E + kink, x1), lo, hi)``, where x1 and x2 are
 the envelope breakpoints at which H's slope crosses ``-s1`` and ``-s2``
 (found by bisection).  The energy subgradient is ``leak * lambda`` for any
@@ -74,20 +76,20 @@ class Envelope(NamedTuple):
     """Upper envelope of a node's cuts in energy over ``[0, capacity]``.
 
     Line i, ``intercepts[i] + slopes[i] * e``, is the maximum on
-    ``[breaks[i], breaks[i + 1]]``; slopes and breaks strictly increase,
-    ``breaks`` runs from 0 to the capacity, and ``heights[k]`` is the
-    envelope's value at ``breaks[k]``.  Python lists: the scalar solve reads
-    them element by element.  Without cuts there are no lines, and
-    ``breaks`` is ``[0, capacity]``.
+    ``[breaks[i], breaks[i + 1]]``; slopes and breaks strictly increase, and
+    ``breaks`` runs from 0 to the capacity.  The lines and breaks fix the
+    envelope: its height at a break is the larger of the two lines that
+    meet there (at either end, the one line's value).  Python lists: the
+    scalar solve reads them element by element.  Without cuts there are no
+    lines, and ``breaks`` is ``[0, capacity]``.
     """
 
     slopes: list
     intercepts: list
     breaks: list
-    heights: list
 
 
-# builds an Envelope from a 4-tuple without the field-by-field constructor
+# builds an Envelope from a 3-tuple without the field-by-field constructor
 _new_envelope = partial(tuple.__new__, Envelope)
 
 
@@ -95,25 +97,37 @@ def splice(env: Envelope, a_new: float, g_new: float) -> Envelope:
     """The envelope of ``env``'s lines plus the line ``a_new + g_new * e``.
 
     The new line minus the envelope is concave, so it is positive exactly on
-    one interval, found from its values at the breaks; a line positive at
-    no break is dominated and ``env`` itself is returned.  An envelope
-    without lines takes the new line as its only one.  Otherwise the new
-    line replaces the lines inside that interval and crosses the two lines
-    at its ends.  Training calls this once per cut, so it is written for
-    speed on short Python lists.
+    one interval, found from its values at the breaks: at each break the new
+    line is compared with the larger of the lines that meet there (at
+    either end, with the one line).  A line positive at no break is
+    dominated and ``env`` itself is returned.  An envelope without lines
+    takes the new line as its only one.  Otherwise the new line replaces the
+    lines inside that interval and crosses the two lines at its ends.
+    Training calls this once per cut, so it is written for speed on short
+    Python lists.
     """
-    g, a, x, y = env
+    g, a, x = env
     if not g:
-        return _new_envelope(([g_new], [a_new], x, [a_new, a_new + g_new * x[1]]))
+        return _new_envelope(([g_new], [a_new], x))
+    h = len(g)
     first = last = -1
-    k = 0
-    for xk, yk in zip(x, y):
-        if a_new + g_new * xk > yk:
+    # the new line at break k, and whether it tops the line that ends there
+    # (none ends at break 0)
+    yk = a_new + g_new * x[0]
+    above = True
+    for k in range(h):
+        xk = x[k]
+        if above and yk > a[k] + g[k] * xk:
             if first < 0:
                 first = k
             last = k
-        k += 1
-    h = len(g)
+        xk = x[k + 1]
+        yk = a_new + g_new * xk
+        above = yk > a[k] + g[k] * xk
+    if above:
+        if first < 0:
+            first = h
+        last = h
     # a line no steeper than the one before its first positive break (or
     # at least as steep as the one after its last) cannot exceed it there:
     # the residue is rounding and the line is dominated
@@ -139,38 +153,11 @@ def splice(env: Envelope, a_new: float, g_new: float) -> Envelope:
         xr = x[h]
     if xr <= xl:
         return env
-    yl = a_new + g_new * xl
-    if left:
-        other = a[left - 1] + g[left - 1] * xl
-        if other > yl:
-            yl = other
-    yr = a_new + g_new * xr
-    if right < h:
-        other = a[right] + g[right] * xr
-        if other > yr:
-            yr = other
-    slopes, intercepts, breaks, heights = g.copy(), a.copy(), x.copy(), y.copy()
+    slopes, intercepts, breaks = g.copy(), a.copy(), x.copy()
     slopes[left:right] = (g_new,)
     intercepts[left:right] = (a_new,)
     breaks[left : right + 1] = xl, xr
-    heights[left : right + 1] = yl, yr
-    return _new_envelope((slopes, intercepts, breaks, heights))
-
-
-def envelope_from_lines(intercepts: list, slopes: list, breaks: list) -> Envelope:
-    """The `Envelope` of these lines and breaks, its heights computed as `splice` does.
-
-    The height at a break is the larger value of the two lines meeting
-    there, and at either end the value of the one line; so an envelope
-    rebuilt from its lines and breaks equals the spliced one.  The caller
-    checks that the lines and breaks form an envelope.
-    """
-    heights = [intercepts[0] + slopes[0] * breaks[0]]
-    for k in range(1, len(slopes)):
-        x = breaks[k]
-        heights.append(max(intercepts[k - 1] + slopes[k - 1] * x, intercepts[k] + slopes[k] * x))
-    heights.append(intercepts[-1] + slopes[-1] * breaks[-1])
-    return Envelope(slopes, intercepts, breaks, heights)
+    return _new_envelope((slopes, intercepts, breaks))
 
 
 _NO_CUTS = "the cut set is empty: a node has no value before its first cut"
@@ -189,7 +176,7 @@ class CutSet:
     __slots__ = ("envelope",)
 
     def __init__(self, capacity: float) -> None:
-        self.envelope = Envelope([], [], [0.0, float(capacity)], [])
+        self.envelope = Envelope([], [], [0.0, float(capacity)])
 
     def append(self, intercept: float, grad_energy: float) -> None:
         """Splice the cut ``intercept - w + grad_energy * e`` into the envelope."""
@@ -276,12 +263,12 @@ class NodeSubproblem:
         self.data = data
         self.cutset = cutset
         d = data
-        cp_b = d.charge_eff * d.u_max_charge
-        cm_s = d.discharge_eff * d.u_max_discharge
+        cp_b = d.charge_eff * d.u_max
+        cm_s = d.discharge_eff * d.u_max
         s1, s2, kink, spread = _price_slopes(d, d.ask, d.bid, cp_b, cm_s)
         self._const = (
-            d.leak_factor, d.capacity, d.u_max_charge, d.u_max_discharge,
-            d.charge_eff, d.discharge_eff, cp_b, cm_s, -s1, -s2, kink, spread,
+            d.leak_factor, d.capacity, d.u_max, d.charge_eff, d.discharge_eff,
+            cp_b, cm_s, -s1, -s2, kink, spread,
         )  # fmt: skip
         if cutset.envelope.breaks[-1] != d.capacity:
             raise ValueError("the cut set was built for another capacity")
@@ -298,8 +285,8 @@ class NodeSubproblem:
         buy, sell = x
         buy = buy if buy >= 0.0 else 0.0
         sell = sell if sell >= 0.0 else 0.0
-        buy = buy if buy <= d.u_max_charge else d.u_max_charge
-        sell = sell if sell <= d.u_max_discharge else d.u_max_discharge
+        buy = buy if buy <= d.u_max else d.u_max
+        sell = sell if sell <= d.u_max else d.u_max
         nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
         if nxt < 0.0:
             sell = max(sell + nxt / d.discharge_eff, 0.0)
@@ -314,10 +301,10 @@ class NodeSubproblem:
         subgradient work.
         """
         xm, xe = state
-        leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
+        leak, cap, u_max, cp, cm, cp_b, cm_s, ns1, ns2, kink, spread = self._const
         if not (-_STATE_TOL <= xe <= cap + _STATE_TOL):
             raise InfeasibleError(f"energy state {xe:.6g} outside [0, {cap:.6g}]")
-        g, a, x, _ = self.cutset.envelope
+        g, a, x = self.cutset.envelope
         if not g:
             raise NotTrainedError(_NO_CUTS)
         d = self.data
@@ -341,15 +328,15 @@ class NodeSubproblem:
         # the cheapest controls that move the energy from leak*xe to e
         if spread:
             if e >= big:
-                buy, sell = (u_buy if e == high else (e - big) / cp), 0.0
+                buy, sell = (u_max if e == high else (e - big) / cp), 0.0
             else:
-                buy, sell = 0.0, (u_sell if e == low else (big - e) / cm)
+                buy, sell = 0.0, (u_max if e == low else (big - e) / cm)
         elif e < kink:
-            buy, sell = (e - low) / cp, u_sell
+            buy, sell = (e - low) / cp, u_max
         elif e > kink:
-            buy, sell = u_buy, (high - e) / cm
+            buy, sell = u_max, (high - e) / cm
         else:
-            buy, sell = u_buy, u_sell
+            buy, sell = u_max, u_max
         controls = self._clamp((buy, sell), xe)
         buy, sell = controls
         w_next = xm - d.ask * buy + d.bid * sell
@@ -408,10 +395,10 @@ class StageLanes:
     """
 
     def __init__(self, subproblems: list[NodeSubproblem]) -> None:
-        if len({sub._const[:8] for sub in subproblems}) != 1:
+        if len({sub._const[:7] for sub in subproblems}) != 1:
             raise ValueError("the subproblems of one stage must share the battery")
         self.data = subproblems[0].data
-        self._const = subproblems[0]._const[:8]
+        self._const = subproblems[0]._const[:7]
         envs = [sub.cutset.envelope for sub in subproblems]
         lines = [len(env.slopes) for env in envs]
         h, cap = max(lines), self._const[1]
@@ -434,7 +421,7 @@ class StageLanes:
         xe = np.asarray(energy, dtype=float)
         ask = np.asarray(ask, dtype=float)
         bid = np.asarray(bid, dtype=float)
-        leak, cap, u_buy, u_sell, cp, cm, cp_b, cm_s = self._const
+        leak, cap, u_max, cp, cm, cp_b, cm_s = self._const
         s1, s2, kink, spread = _price_slopes(self.data, ask, bid, cp_b, cm_s)
         if not ((-_STATE_TOL <= xe) & (xe <= cap + _STATE_TOL)).all():
             raise InfeasibleError(f"energy state outside [0, {cap:.6g}]")
@@ -455,11 +442,11 @@ class StageLanes:
             raise InfeasibleError("stage subproblem infeasible")
         with np.errstate(divide="ignore", invalid="ignore"):
             up = e >= big
-            buy = np.where(up, np.where(e == high, u_buy, (e - big) / cp), 0.0)
-            sell = np.where(up, 0.0, np.where(e == low, u_sell, (big - e) / cm))
+            buy = np.where(up, np.where(e == high, u_max, (e - big) / cp), 0.0)
+            sell = np.where(up, 0.0, np.where(e == low, u_max, (big - e) / cm))
             if not np.all(spread):
-                buy_v = np.where(e < kink, (e - low) / cp, u_buy)
-                sell_v = np.where(e > kink, (high - e) / cm, u_sell)
+                buy_v = np.where(e < kink, (e - low) / cp, u_max)
+                sell_v = np.where(e > kink, (high - e) / cm, u_max)
                 buy = np.where(spread, buy, buy_v)
                 sell = np.where(spread, sell, sell_v)
         buy, sell = _clamp_lanes(self.data, np.array([buy, sell]), xe)
@@ -473,8 +460,7 @@ def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):
     exactly, signed zeros included.  Returns (buy, sell).
     """
     x = np.where(0.0 > x, 0.0, x)
-    box = np.array([[d.u_max_charge], [d.u_max_discharge]])
-    buy, sell = np.where(box < x, box, x)
+    buy, sell = np.where(d.u_max < x, d.u_max, x)
     nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
     low = nxt < 0.0
     high = ~low & (nxt > d.capacity)

@@ -66,13 +66,16 @@ class UtilitySpec:
     def __post_init__(self) -> None:
         if not self.risk_aversion > 0:
             raise ValueError("risk_aversion must be > 0")
+        if not (math.isfinite(self.risk_aversion) and math.isfinite(self.initial_wealth)):
+            raise ValueError("risk_aversion and initial_wealth must be finite")
 
 
 @dataclass(frozen=True)
 class StageData:
     """Everything one stage subproblem needs: prices, dynamics, boxes.
 
-    Only the controls and the energy are boxed; wealth is unbounded.
+    Only the controls and the energy are boxed; wealth is unbounded.  Buying
+    and selling share the battery's one speed limit ``u_max``.
 
     Wealth update:  x_m' = x_m - ask * u_buy + bid * u_sell
     Energy update:  x_e' = leak_factor * x_e + charge_eff * u_buy
@@ -85,14 +88,13 @@ class StageData:
     charge_eff: float
     discharge_eff: float
     capacity: float
-    u_max_charge: float
-    u_max_discharge: float
+    u_max: float
 
     def __post_init__(self) -> None:
-        if self.bid > self.ask:
+        if not self.bid <= self.ask:
             raise ValueError("bid must not exceed ask")
-        if self.u_max_charge < 0 or self.u_max_discharge < 0:
-            raise ValueError("speed bounds must be >= 0")
+        if not self.u_max >= 0:
+            raise ValueError("speed bound must be >= 0")
 
 
 def stage_data_for(
@@ -112,8 +114,7 @@ def stage_data_for(
         charge_eff=battery.charge_eff,
         discharge_eff=battery.discharge_eff,
         capacity=battery.capacity,
-        u_max_charge=battery.max_charge,
-        u_max_discharge=battery.max_discharge,
+        u_max=battery.max_charge,
     )
 
 

@@ -23,10 +23,14 @@ from .storage import UtilitySpec, terminal_cost
 
 @dataclass(frozen=True)
 class ValuationResult:
+    """`price_storage`'s indifference price (EUR) and the utilities with and without storage.
+
+    The training's iteration count is the config's ``sddp.iterations``.
+    """
+
     price: float
     phi_with: float
     phi_without: float
-    iterations: int
 
 
 def price_storage(config: RunConfig) -> ValuationResult:
@@ -47,7 +51,6 @@ def price_storage(config: RunConfig) -> ValuationResult:
         price=-policy.pools.get(0, 0).value(0.0),
         phi_with=log.final_bound(),
         phi_without=phi_without,
-        iterations=config.sddp.iterations,
     )
 
 
@@ -65,9 +68,9 @@ def price_sweep(
     ``base_config.sddp.seed + i``.  A capacity of exactly 0 is priced at 0
     without training, its bound the utility of the initial wealth alone.
     Everything is checked before the first training: an empty or not
-    strictly increasing grid, and a config that `validate_config` refuses
-    (the base config at each risk aversion, or a grid point's config), raise
-    `ConfigError`.
+    strictly increasing grid, empty or repeated risk aversions, and a config
+    that `validate_config` refuses (the base config at each risk aversion,
+    or a grid point's config), raise `ConfigError`.
     """
     if len(grid) == 0:
         raise ConfigError("grid must be nonempty")
@@ -75,6 +78,10 @@ def price_sweep(
         raise ConfigError("grid must be strictly increasing")
     if rhos is None:
         rhos = [base_config.utility.rho]
+    if len(rhos) == 0:
+        raise ConfigError("rhos must be nonempty")
+    if len(set(rhos)) != len(rhos):
+        raise ConfigError("rhos must not repeat a risk aversion")
     for rho in rhos:
         validate_config(replace(base_config, utility=replace(base_config.utility, rho=rho)))
     points = []

@@ -335,9 +335,9 @@ class LPSubproblem:
         d = self.data
         b = self._b
         b[_R_BUY_LO] = 0.0
-        b[_R_BUY_HI] = -d.u_max_charge
+        b[_R_BUY_HI] = -d.u_max
         b[_R_SELL_LO] = 0.0
-        b[_R_SELL_HI] = -d.u_max_discharge
+        b[_R_SELL_HI] = -d.u_max
         b[_R_FLOOR] = self.floor
         leak_xe = d.leak_factor * xe
         b[_R_CAP_LO] = -leak_xe
@@ -478,8 +478,8 @@ class LPSubproblem:
         keeps the dynamics identity exact and stops drift across stages.
         """
         d = self.data
-        buy = min(max(x[0], 0.0), d.u_max_charge)
-        sell = min(max(x[1], 0.0), d.u_max_discharge)
+        buy = min(max(x[0], 0.0), d.u_max)
+        sell = min(max(x[1], 0.0), d.u_max)
         nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
         if nxt < 0.0:
             sell = max(sell + nxt / d.discharge_eff, 0.0)
@@ -762,13 +762,13 @@ def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=N
         # per buy, the sells putting next energy exactly at 0 / capacity
         for target in (0.0, data.capacity):
             k_edge = (leak * xe0 + data.charge_eff * buys - target) / data.discharge_eff
-            k_edge = np.clip(k_edge, 0.0, data.u_max_discharge)
+            k_edge = np.clip(k_edge, 0.0, data.u_max)
             B = np.concatenate([B, buys[:, None]], axis=1)
             K = np.concatenate([K, k_edge[:, None]], axis=1)
         return B, K, buys[1] - buys[0], sells[1] - sells[0]
 
-    b_lo, b_hi = 0.0, data.u_max_charge
-    k_lo, k_hi = 0.0, data.u_max_discharge
+    b_lo, b_hi = 0.0, data.u_max
+    k_lo, k_hi = 0.0, data.u_max
     best, b_star, k_star = np.inf, 0.0, 0.0
     for _ in range(zoom):
         B, K, db, dk = candidates(b_lo, b_hi, k_lo, k_hi)
@@ -777,9 +777,9 @@ def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=N
         if vals[idx] < best:
             best, b_star, k_star = float(vals[idx]), float(B[idx]), float(K[idx])
         b_lo = max(0.0, b_star - 2 * db)
-        b_hi = min(data.u_max_charge, b_star + 2 * db)
+        b_hi = min(data.u_max, b_star + 2 * db)
         k_lo = max(0.0, k_star - 2 * dk)
-        k_hi = min(data.u_max_discharge, k_star + 2 * dk)
+        k_hi = min(data.u_max, k_star + 2 * dk)
     return best, (b_star, k_star)
 
 
@@ -953,8 +953,8 @@ def _simulate_one(
         sol = sub.solve(state)
         buy, sell = sol.controls
         if not (
-            -_FEAS_TOL <= buy <= data.u_max_charge + _FEAS_TOL
-            and -_FEAS_TOL <= sell <= data.u_max_discharge + _FEAS_TOL
+            -_FEAS_TOL <= buy <= data.u_max + _FEAS_TOL
+            and -_FEAS_TOL <= sell <= data.u_max + _FEAS_TOL
         ):
             raise AssertionError(f"control outside box at stage {t}")
         state = sol.next_state
@@ -1021,7 +1021,7 @@ def max_wealth_controls(data, state) -> tuple[float, float]:
     """
     xm, xe = state
     E = data.leak_factor * xe
-    B, K = data.u_max_charge, data.u_max_discharge
+    B, K = data.u_max, data.u_max
     cp, cm, C = data.charge_eff, data.discharge_eff, data.capacity
     cands = [(0.0, 0.0), (B, 0.0), (0.0, K), (B, K)]
     for b in (0.0, B):

@@ -250,6 +250,7 @@ class TestCommands:
         ["--grid", "0.5", "--rhos", "0"],
         ["--grid", "0", "--rhos", "nan"],
         ["--grid", "0.5", "--rhos", "0.03,y"],
+        ["--grid", "0.5", "--rhos", "0.03,0.03"],
     ],
     ids=[
         "decreasing grid",
@@ -261,6 +262,7 @@ class TestCommands:
         "zero rho",
         "nan rho at zero capacity",
         "unparsable rhos",
+        "repeated rho",
     ],
 )
 def test_sweep_refuses_bad_arguments(small_config, tmp_path, capsys, options):

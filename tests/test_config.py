@@ -128,6 +128,33 @@ class TestParsing:
         with pytest.raises(ValueError, match="must be > 0"):
             build()
 
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            (lambda nan: s.PriceModel((50.0,), 0.5, nan, 1.0), "must be finite"),
+            (lambda nan: s.PriceModel((50.0,), 0.5, 1.0, nan), "must be finite"),
+            (lambda nan: s.PriceModel((50.0, nan), 0.5, 1.0, 1.0), "must be finite"),
+            (lambda nan: s.PriceModel((50.0,), nan, 1.0, 1.0), "must be finite"),
+            (lambda nan: s.PriceModel((50.0,), 0.5, 1.0, 1.0, nan), "must be finite"),
+            (lambda nan: s.UtilitySpec(0.03, nan), "must be finite"),
+            (lambda nan: s.StageData(nan, 51.0, 1.0, 0.95, 1.05, 1.0, 0.4), "bid must not"),
+            (lambda nan: s.StageData(49.0, 51.0, 1.0, 0.95, 1.05, 1.0, nan), "speed bound"),
+        ],
+        ids=[
+            "innovation std",
+            "spread",
+            "day-ahead price",
+            "ar coefficient",
+            "initial deviation",
+            "initial wealth",
+            "bid",
+            "speed",
+        ],
+    )
+    def test_specs_refuse_nan_in_every_field(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(float("nan"))
+
 
 class TestAssembly:
     def test_build_problem(self):

@@ -211,6 +211,18 @@ class TestCsvIngestion:
         fit = s.fit_ar(deviations)
         assert all(np.isfinite([fit.slope, fit.intercept, fit.r_squared, fit.residual_std]))
 
+    def test_reads_a_byte_order_mark(self, tmp_path):
+        # spreadsheet exports often start with one; the header must still match
+        p = tmp_path / "prices.csv"
+        p.write_text(
+            "timestamp,day_ahead,id1\n2024-01-01T00:00,48.0,50.0\n2024-01-01T01:00,63.0,60.0\n",
+            encoding="utf-8-sig",
+        )
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        deviations, dropped = s.read_price_csv(str(p))
+        assert dropped == 0
+        assert deviations.tolist() == [2.0, -3.0]
+
     def test_missing_header(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b\n1,2\n", encoding="utf-8")

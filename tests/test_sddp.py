@@ -268,8 +268,7 @@ class TestCheckpoints:
 
     def test_roundtrip_keeps_the_trained_lines(self, trained_n8, tmp_path):
         # the checkpoint holds each node's envelope lines and breaks; reloading
-        # them gives the trained envelope bit for bit, heights included, and
-        # the same root bound
+        # them gives the trained envelope bit for bit and the same root bound
         policy, _ = trained_n8
         path = tmp_path / "ckpt.json"
         s.sddp.save_checkpoint(policy, str(path))
@@ -301,6 +300,15 @@ class TestCheckpoints:
             for j, rec in enumerate(level):
                 assert sorted(rec) == ["breaks", "cuts"]
                 assert rec["breaks"] == policy.pools.get(t, j).envelope.breaks
+
+    def test_loaded_envelope_is_its_record(self, toy_problem, toy_chain, saved):
+        # a reloaded node's envelope is its record's lines and breaks, and
+        # holds nothing else
+        pools = s.sddp.load_checkpoint(str(saved), toy_problem, toy_chain)
+        for t, level in enumerate(json.loads(saved.read_text())["pools"]):
+            for j, rec in enumerate(level):
+                intercepts, slopes = (list(v) for v in zip(*rec["cuts"]))
+                assert pools.get(t, j).envelope == (slopes, intercepts, rec["breaks"])
 
     def test_horizon_mismatch_rejected(self, toy_problem, saved):
         other = s.build_chain(s.PriceModel((50.0,) * 5, 0.4, 1.0, 1.0), 2)

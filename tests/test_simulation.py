@@ -48,7 +48,7 @@ class TestEvaluateOutOfSample:
     def test_report_fields(self, toy_trained):
         policy, _ = toy_trained
         rep = s.evaluate_out_of_sample(policy, 64, rng_seed=1)
-        assert rep.n_scenarios == 64
+        assert len(rep.terminal_wealths) == 64
         assert rep.terminal_wealths.shape == (64,)
         assert rep.utilities.shape == (64,)
         assert rep.std_error >= 0.0

@@ -35,8 +35,7 @@ def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
         charge_eff=c_plus,
         discharge_eff=c_minus,
         capacity=cap,
-        u_max_charge=u,
-        u_max_discharge=u,
+        u_max=u,
     )
 
 
@@ -60,9 +59,9 @@ def lp_reference(data, cuts, state, problem=None):
     leak = data.leak_factor
     rows = [
         ([1.0, 0.0, 0.0], 0.0),
-        ([-1.0, 0.0, 0.0], -data.u_max_charge),
+        ([-1.0, 0.0, 0.0], -data.u_max),
         ([0.0, 1.0, 0.0], 0.0),
-        ([0.0, -1.0, 0.0], -data.u_max_discharge),
+        ([0.0, -1.0, 0.0], -data.u_max),
         ([0.0, 0.0, 1.0], floor),
         ([data.charge_eff, -data.discharge_eff, 0.0], -leak * xe),
         ([-data.charge_eff, data.discharge_eff, 0.0], leak * xe - data.capacity),
@@ -96,9 +95,9 @@ class TestAgainstScipy:
                 mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0),
                 leak=(0.0, 0.05)[trial % 2],
             )
-            # unequal charge and discharge speeds
-            speed = data.u_max_discharge * (1.0, 0.5, 1.5)[trial % 3]
-            data = dataclasses.replace(data, u_max_discharge=speed)
+            # the one speed, scaled by 1, 0.5 or 1.5
+            speed = data.u_max * (1.0, 0.5, 1.5)[trial % 3]
+            data = dataclasses.replace(data, u_max=speed)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
             sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
@@ -176,7 +175,7 @@ class TestSolveStage:
         last = policy.subproblems(T)
         cap = policy.problem.battery.capacity
         assert all(sub.cutset is last[0].cutset for sub in last)
-        assert last[0].cutset.envelope == ([0.0], [0.0], [0.0, cap], [0.0, 0.0])
+        assert last[0].cutset.envelope == ([0.0], [0.0], [0.0, cap])
         for j, sub in enumerate(policy.subproblems(2)):
             assert sub.cutset is policy.pools.get(2, j)
         for t in (T, 2):
@@ -202,8 +201,8 @@ class TestSolveStage:
         state = (3.0, 0.5)
         sol = sub.solve(state)
         for _ in range(100):
-            b = rng.uniform(0, data.u_max_charge)
-            k = rng.uniform(0, data.u_max_discharge)
+            b = rng.uniform(0, data.u_max)
+            k = rng.uniform(0, data.u_max)
             xe = data.leak_factor * state[1] + 0.95 * b - 1.05 * k
             if not 0 <= xe <= data.capacity:
                 continue
@@ -288,7 +287,7 @@ def max_wealth_lp(data, state):
         c=[data.ask, -data.bid],
         A_ub=[[-cp, cm], [cp, -cm]],
         b_ub=[E, data.capacity - E],
-        bounds=[(0.0, data.u_max_charge), (0.0, data.u_max_discharge)],
+        bounds=[(0.0, data.u_max), (0.0, data.u_max)],
         method="highs",
     )
     assert res.status == 0, res.message
@@ -552,7 +551,7 @@ class TestLaneKernel:
         subs = [
             s.NodeSubproblem(data, zero_cut_set(data.capacity)),
             s.NodeSubproblem(
-                dataclasses.replace(data, u_max_charge=0.3), zero_cut_set(data.capacity)
+                dataclasses.replace(data, u_max=0.3), zero_cut_set(data.capacity)
             ),
         ]
         with pytest.raises(ValueError):
@@ -655,9 +654,16 @@ def envelope_at(env, grid):
     return np.array(env.intercepts)[piece] + np.array(env.slopes)[piece] * grid
 
 
+def break_heights(env):
+    """The envelope's height at each break: the larger of the lines that meet there."""
+    a, g, x = env.intercepts, env.slopes, env.breaks
+    inner = [max(a[k - 1] + g[k - 1] * x[k], a[k] + g[k] * x[k]) for k in range(1, len(g))]
+    return [a[0] + g[0] * x[0], *inner, a[-1] + g[-1] * x[-1]]
+
+
 def assert_exact_envelope(env, a, g, capacity):
     assert env.breaks[0] == 0.0 and env.breaks[-1] == capacity
-    assert len(env.breaks) == len(env.slopes) + 1 == len(env.heights)
+    assert len(env.breaks) == len(env.slopes) + 1 == len(break_heights(env))
     assert np.all(np.diff(env.slopes) > 0.0), env.slopes
     assert np.all(np.diff(env.breaks) > 0.0), env.breaks
     grid = np.linspace(0.0, capacity, 2001)
@@ -665,7 +671,9 @@ def assert_exact_envelope(env, a, g, capacity):
     got = envelope_at(env, grid)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
     heights = brute_force(a, g, np.array(env.breaks))
-    np.testing.assert_allclose(env.heights, heights, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(
+        break_heights(env), heights, rtol=1e-12, atol=1e-12 * np.abs(want).max()
+    )
 
 
 def spliced(a, g, capacity):
@@ -691,7 +699,7 @@ def awkward_lines(rng, capacity):
     env = spliced(a, g, capacity)
     if len(env.slopes) > 1:
         k = int(rng.integers(1, len(env.slopes)))
-        b, y = env.breaks[k], env.heights[k]
+        b, y = env.breaks[k], break_heights(env)[k]
         lo, hi = env.slopes[k - 1], env.slopes[k]
         # through a break: tangent with a slope in between, and slightly
         # steeper than the right-hand piece, which leaves a residue that is

@@ -22,8 +22,7 @@ def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
         charge_eff=c_plus,
         discharge_eff=c_minus,
         capacity=cap,
-        u_max_charge=u,
-        u_max_discharge=u,
+        u_max=u,
     )
 
 

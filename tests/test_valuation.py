@@ -180,6 +180,10 @@ class TestPriceSweep:
             s.price_sweep("capacity", [1.0, 0.5], cfg)
         with pytest.raises(ValueError):
             s.price_sweep("capacity", [], cfg)
+        with pytest.raises(ValueError):
+            s.price_sweep("capacity", [0.5], cfg, rhos=[0.03, 0.03])
+        with pytest.raises(ValueError):
+            s.price_sweep("capacity", [0.5], cfg, rhos=[])
 
     def test_unknown_axis(self, toy_config):
         from storagesddp.errors import ConfigError
