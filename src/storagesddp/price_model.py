@@ -99,11 +99,14 @@ def fit_ar(deviations: np.ndarray) -> RegressionFit:
     Raises
     ------
     DegenerateInputError
-        If fewer than 3 observations or the regressor has zero variance.
+        If fewer than 3 observations, an observation is not finite, or the
+        regressor has zero variance.
     """
     xi = np.asarray(deviations, dtype=float)
     if xi.size < 3:
         raise DegenerateInputError("need at least 3 deviation observations")
+    if not np.isfinite(xi).all():
+        raise DegenerateInputError("deviation observations must be finite")
     x, y = xi[:-1], xi[1:]
     n = x.size
     x_var = np.var(x)

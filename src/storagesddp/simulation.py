@@ -11,8 +11,9 @@ lanes trade at their nodes' prices.
 Evaluation runs stage-major over blocks of scenarios, one lane per
 scenario.  At each stage every lane is mapped to its nearest node, and all
 lanes go through one `StageLanes.next_states` call on the stage's padded
-envelope tables, each at its own node and bid/ask; the terminal stage's
-tables hold its zero line.  Wealth is the running sum of
+envelope tables, built from the policy's battery and the stage's cut sets,
+each lane at its own node and bid/ask; the terminal stage's tables hold its
+zero line.  Wealth is the running sum of
 the lanes' trades, kept here.  The tables are built once per evaluation
 and not kept: evaluation writes nothing to the policy's subproblems or
 envelopes.  The block size follows an element budget, so
@@ -127,13 +128,16 @@ def evaluate_out_of_sample(
     """
     if n_scenarios < 1:
         raise ValueError("n_scenarios must be >= 1")
-    model = policy.problem.price_model
+    model, battery = policy.problem.price_model, policy.problem.battery
     chain = policy.chain
     T = policy.horizon
     wealths = np.empty(n_scenarios)
     utils = np.empty(n_scenarios)
     in_sample = np.empty(n_scenarios)
-    stages = [StageLanes(policy.subproblems(t)) for t in range(1, T + 1)]
+    stages = [
+        StageLanes(battery, [sub.cutset for sub in policy.subproblems(t)])
+        for t in range(1, T + 1)
+    ]
     block = _lane_block(policy)
     for lo in range(0, n_scenarios, block):
         ks = range(lo, min(lo + block, n_scenarios))

@@ -37,11 +37,12 @@ wealth.  A node without cuts has no value, and its solves raise
 
 The terminal stage is the case ``H = 0``, a cut set that holds the zero
 line: its cost is minus the terminal wealth.  `NodeSubproblem` solves one
-state per call on Python floats.
-`StageLanes` gives the controls and next energies of K lanes of one stage
-in one call on numpy arrays, each lane at its own node and bid/ask, with
-every floating-point operation in the scalar order, so each lane equals the
-scalar solve bit for bit; it takes no wealth and computes no value.  `solve_stage` is
+state per call on Python floats.  `StageLanes`, built from the policy's one
+`BatterySpec` and a stage's cut sets, gives the controls and next energies
+of K lanes of one stage in one call on numpy arrays, each lane at its own
+node and bid/ask, with every floating-point operation in the scalar order,
+so each lane equals the scalar solve bit for bit; it takes no wealth and
+computes no value.  `solve_stage` is
 the Bellman stage that training's backward pass calls: the entropic risk
 ``(1/rho) log sum_j p_j exp(rho J_j)`` of a node's successor solves (nested
 entropic risk, as ``SDDP.Entropic`` in SDDP.jl).
@@ -66,7 +67,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleError, NotTrainedError
-from .storage import StageData
+from .storage import BatterySpec, StageData
 
 _STATE_TOL = 1e-9
 _INF = math.inf
@@ -228,13 +229,26 @@ class TerminalSolution(NodeSolution):
     gaps: tuple[float, ...] = (0.0,)
 
 
-def _price_slopes(data: StageData, ask, bid, cp_b: float, cm_s: float):
+def _battery_constants(battery: BatterySpec, *cutsets: CutSet) -> tuple:
+    """``(leak, capacity, U, c+, c-, c+ U, c- U)`` of ``battery``, ``U`` its one speed.
+
+    Refuses, with `ValueError`, a cut set built for another capacity.
+    """
+    capacity = battery.capacity
+    for cutset in cutsets:
+        if cutset.envelope.breaks[-1] != capacity:
+            raise ValueError("the cut set was built for another capacity")
+    u_max, cp, cm = battery.max_charge, battery.charge_eff, battery.discharge_eff
+    return 1.0 - battery.leakage, capacity, u_max, cp, cm, cp * u_max, cm * u_max
+
+
+def _price_slopes(ask, bid, cp: float, cm: float, cp_b: float, cm_s: float):
     """(s1, s2, kink, spread condition holds) of the trading cost G at ``ask``/``bid``.
 
     ``ask`` and ``bid`` are the node's scalars or per-lane arrays.
     """
-    ask_c = ask / data.charge_eff
-    bid_c = bid / data.discharge_eff
+    ask_c = ask / cp
+    bid_c = bid / cm
     if np.ndim(ask_c) == 0:
         if bid_c <= ask_c:
             return bid_c, ask_c, 0.0, True
@@ -248,51 +262,45 @@ def _price_slopes(data: StageData, ask, bid, cp_b: float, cm_s: float):
     )
 
 
-class NodeSubproblem:
-    """One (stage, node) subproblem: the node's prices, boxes and cut set.
+def _clamp(buy, sell, xe, leak, cap, u_max, cp, cm) -> tuple[float, float]:
+    """Snap the controls into their boxes and the energy band; returns ``(buy, sell)``.
 
-    The incoming state enters only the closed form, so a subproblem is built
-    once per node and solved for many states; every solve reads the cut
-    set's current envelope.  A subproblem holds nothing that a solve
-    writes.  The terminal stage is no special case: its subproblems hold a
-    cut set whose one line is zero.  A cut set built for another capacity is
-    refused with `ValueError`.
+    Rounding can put a recovered control an ulp outside its box or the next
+    energy an ulp outside [0, capacity]; repairing the controls here (rather
+    than clipping the state) keeps the dynamics identity exact and stops
+    drift across stages.  The battery enters as the constants of
+    `_battery_constants`, which the solve has already unpacked.
+    """
+    buy = buy if buy >= 0.0 else 0.0
+    sell = sell if sell >= 0.0 else 0.0
+    buy = buy if buy <= u_max else u_max
+    sell = sell if sell <= u_max else u_max
+    nxt = leak * xe + cp * buy - cm * sell
+    if nxt < 0.0:
+        sell = max(sell + nxt / cm, 0.0)
+    elif nxt > cap:
+        buy = max(buy - (nxt - cap) / cp, 0.0)
+    return buy, sell
+
+
+class NodeSubproblem:
+    """One (stage, node) subproblem: the node's prices and battery, and its cut set.
+
+    ``data.battery`` is the policy's one battery.  The incoming state
+    enters only the closed form, so a subproblem is built once per node and
+    solved for many states; every solve reads the cut set's current
+    envelope.  A subproblem holds nothing that a solve writes.  The terminal
+    stage is no special case: its subproblems hold a cut set whose one line
+    is zero.  A cut set built for another capacity is refused with
+    `ValueError`.
     """
 
     def __init__(self, data: StageData, cutset: CutSet) -> None:
         self.data = data
         self.cutset = cutset
-        d = data
-        cp_b = d.charge_eff * d.u_max
-        cm_s = d.discharge_eff * d.u_max
-        s1, s2, kink, spread = _price_slopes(d, d.ask, d.bid, cp_b, cm_s)
-        self._const = (
-            d.leak_factor, d.capacity, d.u_max, d.charge_eff, d.discharge_eff,
-            cp_b, cm_s, -s1, -s2, kink, spread,
-        )  # fmt: skip
-        if cutset.envelope.breaks[-1] != d.capacity:
-            raise ValueError("the cut set was built for another capacity")
-
-    def _clamp(self, x, xe: float) -> tuple[float, float]:
-        """Snap controls into their boxes and the energy band.
-
-        Rounding can put a recovered control an ulp outside its box or the
-        next energy an ulp outside [0, capacity]; repairing the controls
-        here (rather than clipping the state) keeps the dynamics identity
-        exact and stops drift across stages.
-        """
-        d = self.data
-        buy, sell = x
-        buy = buy if buy >= 0.0 else 0.0
-        sell = sell if sell >= 0.0 else 0.0
-        buy = buy if buy <= d.u_max else d.u_max
-        sell = sell if sell <= d.u_max else d.u_max
-        nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
-        if nxt < 0.0:
-            sell = max(sell + nxt / d.discharge_eff, 0.0)
-        elif nxt > d.capacity:
-            buy = max(buy - (nxt - d.capacity) / d.charge_eff, 0.0)
-        return buy, sell
+        const = _battery_constants(data.battery, cutset)
+        s1, s2, kink, spread = _price_slopes(data.ask, data.bid, *const[3:])
+        self._const = (*const, -s1, -s2, kink, spread)
 
     def _optimum(self, state: tuple[float, float], full: bool = True):
         """``(controls, value, energy subgradient, next_state)`` at ``state``, as plain tuples.
@@ -337,7 +345,7 @@ class NodeSubproblem:
             buy, sell = u_max, (high - e) / cm
         else:
             buy, sell = u_max, u_max
-        controls = self._clamp((buy, sell), xe)
+        controls = _clamp(buy, sell, xe, leak, cap, u_max, cp, cm)
         buy, sell = controls
         w_next = xm - d.ask * buy + d.bid * sell
         e_next = leak * xe + cp * buy - cm * sell
@@ -387,19 +395,18 @@ class NodeSubproblem:
 class StageLanes:
     """The controls and next energies of many lanes of one stage, each at its own node and prices.
 
-    Built from the stage's node subproblems, which must share the battery.
-    Row i of two padded tables holds node i's envelope: its slopes padded
-    with ``+inf`` and its breaks padded with the capacity, so counting a
-    row's slopes below a threshold is the scalar solve's ``bisect_left``.
-    The tables are a copy: a later envelope update does not reach them.
+    Built from the policy's battery and the stage's cut sets, node i's at
+    position i; a cut set built for another capacity is refused with
+    `ValueError`.  Row i of two padded tables holds node i's envelope: its
+    slopes padded with ``+inf`` and its breaks padded with the capacity, so
+    counting a row's slopes below a threshold is the scalar solve's
+    ``bisect_left``.  The tables are a copy: a later envelope update does
+    not reach them.
     """
 
-    def __init__(self, subproblems: list[NodeSubproblem]) -> None:
-        if len({sub._const[:7] for sub in subproblems}) != 1:
-            raise ValueError("the subproblems of one stage must share the battery")
-        self.data = subproblems[0].data
-        self._const = subproblems[0]._const[:7]
-        envs = [sub.cutset.envelope for sub in subproblems]
+    def __init__(self, battery: BatterySpec, cutsets: list[CutSet]) -> None:
+        self._const = _battery_constants(battery, *cutsets)
+        envs = [c.envelope for c in cutsets]
         lines = [len(env.slopes) for env in envs]
         h, cap = max(lines), self._const[1]
         self._slopes = np.array([env.slopes + [_INF] * (h - n) for env, n in zip(envs, lines)])
@@ -422,7 +429,7 @@ class StageLanes:
         ask = np.asarray(ask, dtype=float)
         bid = np.asarray(bid, dtype=float)
         leak, cap, u_max, cp, cm, cp_b, cm_s = self._const
-        s1, s2, kink, spread = _price_slopes(self.data, ask, bid, cp_b, cm_s)
+        s1, s2, kink, spread = _price_slopes(ask, bid, cp, cm, cp_b, cm_s)
         if not ((-_STATE_TOL <= xe) & (xe <= cap + _STATE_TOL)).all():
             raise InfeasibleError(f"energy state outside [0, {cap:.6g}]")
         if not self._trained[nodes].all():
@@ -449,26 +456,26 @@ class StageLanes:
                 sell_v = np.where(e > kink, (high - e) / cm, u_max)
                 buy = np.where(spread, buy, buy_v)
                 sell = np.where(spread, sell, sell_v)
-        buy, sell = _clamp_lanes(self.data, np.array([buy, sell]), xe)
+        buy, sell = _clamp_lanes(np.array([buy, sell]), xe, leak, cap, u_max, cp, cm)
         return buy, sell, leak * xe + cp * buy - cm * sell
 
 
-def _clamp_lanes(d: StageData, x: np.ndarray, xe: np.ndarray):
+def _clamp_lanes(x: np.ndarray, xe: np.ndarray, leak, cap, u_max, cp, cm):
     """Snap per-lane controls ``x = (buys, sells)`` into their boxes and the energy band.
 
-    As `NodeSubproblem._clamp`, lane by lane; where() reproduces min/max
-    exactly, signed zeros included.  Returns (buy, sell).
+    As `_clamp`, lane by lane; where() reproduces min/max exactly, signed
+    zeros included.  Returns (buy, sell).
     """
     x = np.where(0.0 > x, 0.0, x)
-    buy, sell = np.where(d.u_max < x, d.u_max, x)
-    nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
+    buy, sell = np.where(u_max < x, u_max, x)
+    nxt = leak * xe + cp * buy - cm * sell
     low = nxt < 0.0
-    high = ~low & (nxt > d.capacity)
+    high = ~low & (nxt > cap)
     if low.any():
-        s_fix = sell + nxt / d.discharge_eff
+        s_fix = sell + nxt / cm
         sell = np.where(low, np.where(0.0 > s_fix, 0.0, s_fix), sell)
     if high.any():
-        b_fix = buy - (nxt - d.capacity) / d.charge_eff
+        b_fix = buy - (nxt - cap) / cp
         buy = np.where(high, np.where(0.0 > b_fix, 0.0, b_fix), buy)
     return buy, sell
 

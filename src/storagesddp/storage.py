@@ -28,7 +28,8 @@ class BatterySpec:
     """Physical storage parameters.
 
     Charging and discharging share one speed limit, ``speed_fraction *
-    capacity`` per period.
+    capacity`` per period.  Every value must be finite; a non-finite one
+    raises `ValueError`.
     """
 
     capacity: float
@@ -46,6 +47,11 @@ class BatterySpec:
             raise ValueError("need 0 < charge_eff <= discharge_eff")
         if not 0 <= self.leakage <= 1:
             raise ValueError("leakage must be in [0, 1]")
+        numbers = (
+            self.capacity, self.speed_fraction, self.charge_eff, self.discharge_eff, self.leakage,
+        )  # fmt: skip
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("battery parameters must be finite")
 
     @property
     def max_charge(self) -> float:
@@ -72,29 +78,25 @@ class UtilitySpec:
 
 @dataclass(frozen=True)
 class StageData:
-    """Everything one stage subproblem needs: prices, dynamics, boxes.
+    """Everything one stage subproblem needs: its node's prices and the battery.
 
-    Only the controls and the energy are boxed; wealth is unbounded.  Buying
-    and selling share the battery's one speed limit ``u_max``.
+    ``battery`` is the policy's one `BatterySpec`; only ``bid`` and ``ask``
+    differ by node.  Only the controls and the energy are boxed; wealth is
+    unbounded.  With ``U = battery.max_charge``, buying and selling each lie
+    in ``[0, U]``, and
 
     Wealth update:  x_m' = x_m - ask * u_buy + bid * u_sell
-    Energy update:  x_e' = leak_factor * x_e + charge_eff * u_buy
+    Energy update:  x_e' = (1 - leakage) * x_e + charge_eff * u_buy
                             - discharge_eff * u_sell
     """
 
     bid: float
     ask: float
-    leak_factor: float
-    charge_eff: float
-    discharge_eff: float
-    capacity: float
-    u_max: float
+    battery: BatterySpec
 
     def __post_init__(self) -> None:
         if not self.bid <= self.ask:
             raise ValueError("bid must not exceed ask")
-        if not self.u_max >= 0:
-            raise ValueError("speed bound must be >= 0")
 
 
 def stage_data_for(
@@ -103,19 +105,11 @@ def stage_data_for(
     stage: int,
     deviation: float,
 ) -> StageData:
-    """Assemble one stage's data from realized (or node) deviation."""
+    """The node's bid and ask at ``deviation``, with ``battery`` itself (not a copy)."""
     from .price_model import bid_ask  # local import avoids cycle at module load
 
     bid, ask = bid_ask(model, stage, deviation)
-    return StageData(
-        bid=bid,
-        ask=ask,
-        leak_factor=1.0 - battery.leakage,
-        charge_eff=battery.charge_eff,
-        discharge_eff=battery.discharge_eff,
-        capacity=battery.capacity,
-        u_max=battery.max_charge,
-    )
+    return StageData(bid=bid, ask=ask, battery=battery)
 
 
 def check_spread_condition(stage_data: StageData) -> bool:
@@ -124,9 +118,10 @@ def check_spread_condition(stage_data: StageData) -> bool:
     Under this condition simultaneous buying and selling is never strictly
     profitable, so the two-control relaxation is tight.
     """
+    battery = stage_data.battery
     return (
-        stage_data.bid / stage_data.discharge_eff
-        <= stage_data.ask / stage_data.charge_eff + _SPREAD_TOL
+        stage_data.bid / battery.discharge_eff
+        <= stage_data.ask / battery.charge_eff + _SPREAD_TOL
     )
 
 

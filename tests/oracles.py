@@ -13,9 +13,10 @@ closed form.  `train_recording` trains while recording every cut, since a
 `CutSet` keeps only its envelope.  `Cut` is a cut with its wealth slope,
 which the package does not store (it is -1 on the package's cost-to-go);
 `cut_set` builds a package `CutSet` from such cuts, and `zero_cut_set` the
-terminal stage's one of the zero line.  `next_state` is the
-stage dynamics on `StageData`, which the package applies inside its solves
-only.
+terminal stage's one of the zero line.  `stage` builds a `StageData` by
+hand, on its own `BatterySpec`.  `next_state` is the stage dynamics on
+`StageData`, computed from the battery's fields (``1 - leakage``,
+``max_charge``), which the package applies inside its solves only.
 
 `recover_complementary` folds a trajectory of the two-control relaxation
 (`RelaxedTrajectory`) into one signed control per period
@@ -93,6 +94,18 @@ def cut_set(capacity: float, cuts: list[Cut]) -> CutSet:
         assert c.grad_wealth == -1.0, c
         cutset.append(c.intercept, c.grad_energy)
     return cutset
+
+
+def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, speed=0.4, leak=0.0) -> StageData:
+    """A hand-built `StageData` at ``bid``/``ask`` on its own `BatterySpec`.
+
+    ``speed`` is the battery's speed fraction: buying and selling are each
+    bounded by ``speed * cap``.
+    """
+    battery = BatterySpec(
+        capacity=cap, speed_fraction=speed, charge_eff=c_plus, discharge_eff=c_minus, leakage=leak
+    )
+    return StageData(bid=bid, ask=ask, battery=battery)
 
 
 def zero_cut_set(capacity: float) -> CutSet:
@@ -186,7 +199,7 @@ def _static_rows(data: StageData, ask, bid) -> list[tuple]:
 
     ``ask`` and ``bid`` enter the wealth-box rows only.
     """
-    cp, cm = data.charge_eff, data.discharge_eff
+    cp, cm = data.battery.charge_eff, data.battery.discharge_eff
     return [
         (1.0, 0.0, 0.0),
         (-1.0, 0.0, 0.0),
@@ -208,8 +221,8 @@ def _cut_rows(data: StageData, gw, ge, ask, bid):
     magnitude (at least one); the returned scale also multiplies the cut's
     right-hand-side pieces.
     """
-    c0 = gw * ask - ge * data.charge_eff
-    c1 = -gw * bid + ge * data.discharge_eff
+    c0 = gw * ask - ge * data.battery.charge_eff
+    c1 = -gw * bid + ge * data.battery.discharge_eff
     inv = 1.0 / np.maximum(1.0, np.maximum(np.abs(c0), np.abs(c1)))
     return c0 * inv, c1 * inv, inv
 
@@ -322,7 +335,7 @@ class LPSubproblem:
         self._c2[sl] = inv
         self._cut_a[sl] = a * inv
         self._cut_gw[sl] = gw * inv
-        self._cut_gel[sl] = ge * d.leak_factor * inv
+        self._cut_gel[sl] = ge * (1.0 - d.battery.leakage) * inv
         rows = self._rows
         for k in range(n_new):
             rows[start + k] = (c0[k], c1[k], inv[k])
@@ -335,13 +348,13 @@ class LPSubproblem:
         d = self.data
         b = self._b
         b[_R_BUY_LO] = 0.0
-        b[_R_BUY_HI] = -d.u_max
+        b[_R_BUY_HI] = -d.battery.max_charge
         b[_R_SELL_LO] = 0.0
-        b[_R_SELL_HI] = -d.u_max
+        b[_R_SELL_HI] = -d.battery.max_charge
         b[_R_FLOOR] = self.floor
-        leak_xe = d.leak_factor * xe
+        leak_xe = (1.0 - d.battery.leakage) * xe
         b[_R_CAP_LO] = -leak_xe
-        b[_R_CAP_HI] = leak_xe - d.capacity
+        b[_R_CAP_HI] = leak_xe - d.battery.capacity
         b[_R_W_LO] = -self.wealth_cap - xm
         b[_R_W_HI] = xm - self.wealth_cap
         b[:_N_STATIC] *= self._static_inv
@@ -438,8 +451,8 @@ class LPSubproblem:
     def _check_state(self, state: tuple[float, float]) -> None:
         xm, xe = state
         d = self.data
-        if not (-_STATE_TOL <= xe <= d.capacity + _STATE_TOL):
-            raise InfeasibleError(f"energy state {xe:.6g} outside [0, {d.capacity:.6g}]")
+        if not (-_STATE_TOL <= xe <= d.battery.capacity + _STATE_TOL):
+            raise InfeasibleError(f"energy state {xe:.6g} outside [0, {d.battery.capacity:.6g}]")
         if abs(xm) > self.wealth_cap + _STATE_TOL:
             raise InfeasibleError(f"wealth state {xm:.6g} outside +-{self.wealth_cap:.6g}")
 
@@ -458,9 +471,9 @@ class LPSubproblem:
                 vm += y * self._cut_gw[idx]
                 ve += y * self._cut_gel[idx]
             elif idx == _R_CAP_LO:
-                ve -= y * d.leak_factor * self._static_inv[idx]
+                ve -= y * (1.0 - d.battery.leakage) * self._static_inv[idx]
             elif idx == _R_CAP_HI:
-                ve += y * d.leak_factor * self._static_inv[idx]
+                ve += y * (1.0 - d.battery.leakage) * self._static_inv[idx]
             elif idx in (_R_W_LO, _R_W_HI):
                 raise StorageError(
                     "wealth box is binding; raise wealth_cap (state far outside "
@@ -477,14 +490,14 @@ class LPSubproblem:
         1e-9; repairing the controls here (rather than clipping the state)
         keeps the dynamics identity exact and stops drift across stages.
         """
-        d = self.data
-        buy = min(max(x[0], 0.0), d.u_max)
-        sell = min(max(x[1], 0.0), d.u_max)
-        nxt = d.leak_factor * xe + d.charge_eff * buy - d.discharge_eff * sell
+        b = self.data.battery
+        buy = min(max(x[0], 0.0), b.max_charge)
+        sell = min(max(x[1], 0.0), b.max_charge)
+        nxt = (1.0 - b.leakage) * xe + b.charge_eff * buy - b.discharge_eff * sell
         if nxt < 0.0:
-            sell = max(sell + nxt / d.discharge_eff, 0.0)
-        elif nxt > d.capacity:
-            buy = max(buy - (nxt - d.capacity) / d.charge_eff, 0.0)
+            sell = max(sell + nxt / b.discharge_eff, 0.0)
+        elif nxt > b.capacity:
+            buy = max(buy - (nxt - b.capacity) / b.charge_eff, 0.0)
         return buy, sell
 
     def solve(self, state: tuple[float, float]) -> LPSolution:
@@ -711,9 +724,10 @@ def next_state(
     """The stage dynamics: ``(wealth, energy)`` after ``controls = (buy, sell)`` from ``state``."""
     xm, xe = state
     buy, sell = controls
+    b = data.battery
     return (
         xm - data.ask * buy + data.bid * sell,
-        data.leak_factor * xe + data.charge_eff * buy - data.discharge_eff * sell,
+        (1.0 - b.leakage) * xe + b.charge_eff * buy - b.discharge_eff * sell,
     )
 
 
@@ -740,15 +754,19 @@ def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=N
     """
     floor = lp_wealth_bounds(problem)[1]
     xm0, xe0 = state
-    leak = data.leak_factor
+    battery = data.battery
+    leak = 1.0 - battery.leakage
+    cp, cm, cap, u_max = (
+        battery.charge_eff, battery.discharge_eff, battery.capacity, battery.max_charge
+    )
     a = np.array([c.intercept for c in cuts])
     gw = np.array([c.grad_wealth for c in cuts])
     ge = np.array([c.grad_energy for c in cuts])
 
     def value_at(B, K):
         xm = xm0 - data.ask * B + data.bid * K
-        xe = leak * xe0 + data.charge_eff * B - data.discharge_eff * K
-        ok = (xe >= -1e-9) & (xe <= data.capacity + 1e-9)
+        xe = leak * xe0 + cp * B - cm * K
+        ok = (xe >= -1e-9) & (xe <= cap + 1e-9)
         vals = np.full(B.shape, floor)
         if len(cuts):
             stacked = a[:, None] + gw[:, None] * xm.ravel() + ge[:, None] * xe.ravel()
@@ -760,15 +778,15 @@ def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=N
         sells = np.linspace(k_lo, k_hi, n)
         B, K = np.meshgrid(buys, sells, indexing="ij")
         # per buy, the sells putting next energy exactly at 0 / capacity
-        for target in (0.0, data.capacity):
-            k_edge = (leak * xe0 + data.charge_eff * buys - target) / data.discharge_eff
-            k_edge = np.clip(k_edge, 0.0, data.u_max)
+        for target in (0.0, cap):
+            k_edge = (leak * xe0 + cp * buys - target) / cm
+            k_edge = np.clip(k_edge, 0.0, u_max)
             B = np.concatenate([B, buys[:, None]], axis=1)
             K = np.concatenate([K, k_edge[:, None]], axis=1)
         return B, K, buys[1] - buys[0], sells[1] - sells[0]
 
-    b_lo, b_hi = 0.0, data.u_max
-    k_lo, k_hi = 0.0, data.u_max
+    b_lo, b_hi = 0.0, u_max
+    k_lo, k_hi = 0.0, u_max
     best, b_star, k_star = np.inf, 0.0, 0.0
     for _ in range(zoom):
         B, K, db, dk = candidates(b_lo, b_hi, k_lo, k_hi)
@@ -777,9 +795,9 @@ def grid_stage_minimum(data, cuts, state, n: int = 201, zoom: int = 3, problem=N
         if vals[idx] < best:
             best, b_star, k_star = float(vals[idx]), float(B[idx]), float(K[idx])
         b_lo = max(0.0, b_star - 2 * db)
-        b_hi = min(data.u_max, b_star + 2 * db)
+        b_hi = min(u_max, b_star + 2 * db)
         k_lo = max(0.0, k_star - 2 * dk)
-        k_hi = min(data.u_max, k_star + 2 * dk)
+        k_hi = min(u_max, k_star + 2 * dk)
     return best, (b_star, k_star)
 
 
@@ -945,7 +963,7 @@ def _simulate_one(
         node = nearest_node(policy.chain, t, xi)
         if realized_prices:
             data = stage_data_for(model, battery, t, xi)
-            cutset = zero_cut_set(data.capacity) if t == T else policy.pools.get(t, node)
+            cutset = zero_cut_set(battery.capacity) if t == T else policy.pools.get(t, node)
             sub = NodeSubproblem(data, cutset)
         else:
             sub = policy.subproblem(t, node)
@@ -953,8 +971,8 @@ def _simulate_one(
         sol = sub.solve(state)
         buy, sell = sol.controls
         if not (
-            -_FEAS_TOL <= buy <= data.u_max + _FEAS_TOL
-            and -_FEAS_TOL <= sell <= data.u_max + _FEAS_TOL
+            -_FEAS_TOL <= buy <= battery.max_charge + _FEAS_TOL
+            and -_FEAS_TOL <= sell <= battery.max_charge + _FEAS_TOL
         ):
             raise AssertionError(f"control outside box at stage {t}")
         state = sol.next_state
@@ -1020,9 +1038,10 @@ def max_wealth_controls(data, state) -> tuple[float, float]:
     band), so the optimum is found by enumerating the candidate vertices.
     """
     xm, xe = state
-    E = data.leak_factor * xe
-    B, K = data.u_max, data.u_max
-    cp, cm, C = data.charge_eff, data.discharge_eff, data.capacity
+    battery = data.battery
+    E = (1.0 - battery.leakage) * xe
+    B, K = battery.max_charge, battery.max_charge
+    cp, cm, C = battery.charge_eff, battery.discharge_eff, battery.capacity
     cands = [(0.0, 0.0), (B, 0.0), (0.0, K), (B, K)]
     for b in (0.0, B):
         for target in (0.0, C):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -129,16 +130,25 @@ class TestParsing:
             build()
 
     @pytest.mark.parametrize(
-        ("build", "message"),
+        ("build", "bad", "message"),
         [
-            (lambda nan: s.PriceModel((50.0,), 0.5, nan, 1.0), "must be finite"),
-            (lambda nan: s.PriceModel((50.0,), 0.5, 1.0, nan), "must be finite"),
-            (lambda nan: s.PriceModel((50.0, nan), 0.5, 1.0, 1.0), "must be finite"),
-            (lambda nan: s.PriceModel((50.0,), nan, 1.0, 1.0), "must be finite"),
-            (lambda nan: s.PriceModel((50.0,), 0.5, 1.0, 1.0, nan), "must be finite"),
-            (lambda nan: s.UtilitySpec(0.03, nan), "must be finite"),
-            (lambda nan: s.StageData(nan, 51.0, 1.0, 0.95, 1.05, 1.0, 0.4), "bid must not"),
-            (lambda nan: s.StageData(49.0, 51.0, 1.0, 0.95, 1.05, 1.0, nan), "speed bound"),
+            (lambda bad: s.PriceModel((50.0,), 0.5, bad, 1.0), math.nan, "must be finite"),
+            (lambda bad: s.PriceModel((50.0,), 0.5, 1.0, bad), math.nan, "must be finite"),
+            (lambda bad: s.PriceModel((50.0, bad), 0.5, 1.0, 1.0), math.nan, "must be finite"),
+            (lambda bad: s.PriceModel((50.0,), bad, 1.0, 1.0), math.nan, "must be finite"),
+            (lambda bad: s.PriceModel((50.0,), 0.5, 1.0, 1.0, bad), math.nan, "must be finite"),
+            (lambda bad: s.UtilitySpec(0.03, bad), math.nan, "must be finite"),
+            (lambda bad: s.StageData(bad, 51.0, s.BatterySpec(1.0)), math.nan, "bid must not"),
+            (lambda bad: s.BatterySpec(1.0, speed_fraction=bad), math.nan, "speed_fraction must"),
+            (lambda bad: s.BatterySpec(1.0, speed_fraction=bad), math.inf, "speed_fraction must"),
+            (lambda bad: s.BatterySpec(bad), math.nan, "capacity must be > 0"),
+            (lambda bad: s.BatterySpec(bad), math.inf, "must be finite"),
+            (lambda bad: s.BatterySpec(1.0, charge_eff=bad), math.nan, "need 0 < charge_eff"),
+            (lambda bad: s.BatterySpec(1.0, charge_eff=bad), math.inf, "need 0 < charge_eff"),
+            (lambda bad: s.BatterySpec(1.0, discharge_eff=bad), math.nan, "need 0 < charge_eff"),
+            (lambda bad: s.BatterySpec(1.0, discharge_eff=bad), math.inf, "must be finite"),
+            (lambda bad: s.BatterySpec(1.0, leakage=bad), math.nan, "leakage must be in"),
+            (lambda bad: s.BatterySpec(1.0, leakage=bad), math.inf, "leakage must be in"),
         ],
         ids=[
             "innovation std",
@@ -149,11 +159,21 @@ class TestParsing:
             "initial wealth",
             "bid",
             "speed",
+            "speed inf",
+            "capacity",
+            "capacity inf",
+            "charge efficiency",
+            "charge efficiency inf",
+            "discharge efficiency",
+            "discharge efficiency inf",
+            "leakage",
+            "leakage inf",
         ],
     )
-    def test_specs_refuse_nan_in_every_field(self, build, message):
+    def test_specs_refuse_nan_in_every_field(self, build, bad, message):
+        # the battery's fields refuse inf too; a NaN may fail a range check first
         with pytest.raises(ValueError, match=message):
-            build(float("nan"))
+            build(bad)
 
 
 class TestAssembly:

@@ -48,6 +48,9 @@ class TestFitAr:
             s.fit_ar(np.array([1.0, 2.0]))
         with pytest.raises(DegenerateInputError):
             s.fit_ar(np.array([3.0, 3.0, 3.0, 3.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DegenerateInputError, match="must be finite"):
+                s.fit_ar(np.array([1.0, bad, 2.0, 3.0, 0.5]))
 
 
 def write_prices(path, day_ahead, id1):

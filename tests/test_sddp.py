@@ -233,6 +233,19 @@ class TestPolicyOperations:
         with pytest.raises(NotTrainedError):
             s.TrainingLog().final_bound()
 
+    def test_every_subproblem_holds_the_problem_battery(self, trained_n8):
+        # one battery per policy: each node subproblem holds the problem's
+        # BatterySpec itself, not a copy, at every stage (T included)
+        policy, _ = trained_n8
+        battery = policy.problem.battery
+        subs = [
+            policy.subproblem(t, j)
+            for t in range(1, policy.horizon + 1)
+            for j in range(policy.chain.node_count(t))
+        ]
+        assert len(subs) == policy.horizon * 8
+        assert all(sub.data.battery is battery for sub in subs)
+
     def test_refuses_when_spread_condition_fails(self):
         cfg = s.config_from_dict(
             {

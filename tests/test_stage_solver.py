@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import storagesddp as s
+from storagesddp import stage_solver
 from storagesddp.errors import InfeasibleError, NotTrainedError
 from oracles import (
     _OBJECTIVE,
@@ -20,23 +21,12 @@ from oracles import (
     lp_wealth_bounds,
     max_wealth_controls,
     next_state,
+    stage,
     stage_objective,
     terminal_cost_derivative,
     train_recording,
     zero_cut_set,
 )
-
-
-def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
-    return s.StageData(
-        bid=bid,
-        ask=ask,
-        leak_factor=1.0 - leak,
-        charge_eff=c_plus,
-        discharge_eff=c_minus,
-        capacity=cap,
-        u_max=u,
-    )
 
 
 def random_cuts(rng, n):
@@ -56,15 +46,17 @@ def lp_reference(data, cuts, state, problem=None):
     """
     xm, xe = state
     wealth_cap, floor = lp_wealth_bounds(problem)
-    leak = data.leak_factor
+    battery = data.battery
+    leak = 1.0 - battery.leakage
+    cp, cm, u_max = battery.charge_eff, battery.discharge_eff, battery.max_charge
     rows = [
         ([1.0, 0.0, 0.0], 0.0),
-        ([-1.0, 0.0, 0.0], -data.u_max),
+        ([-1.0, 0.0, 0.0], -u_max),
         ([0.0, 1.0, 0.0], 0.0),
-        ([0.0, -1.0, 0.0], -data.u_max),
+        ([0.0, -1.0, 0.0], -u_max),
         ([0.0, 0.0, 1.0], floor),
-        ([data.charge_eff, -data.discharge_eff, 0.0], -leak * xe),
-        ([-data.charge_eff, data.discharge_eff, 0.0], leak * xe - data.capacity),
+        ([cp, -cm, 0.0], -leak * xe),
+        ([-cp, cm, 0.0], leak * xe - battery.capacity),
         ([-data.ask, data.bid, 0.0], -wealth_cap - xm),
         ([data.ask, -data.bid, 0.0], xm - wealth_cap),
     ]
@@ -72,8 +64,8 @@ def lp_reference(data, cuts, state, problem=None):
         rows.append(
             (
                 [
-                    c.grad_wealth * data.ask - c.grad_energy * data.charge_eff,
-                    -c.grad_wealth * data.bid + c.grad_energy * data.discharge_eff,
+                    c.grad_wealth * data.ask - c.grad_energy * cp,
+                    -c.grad_wealth * data.bid + c.grad_energy * cm,
                     1.0,
                 ],
                 c.intercept + c.grad_wealth * xm + c.grad_energy * leak * xe,
@@ -91,16 +83,13 @@ class TestAgainstScipy:
         rng = np.random.default_rng(7)
         for trial in range(120):
             mid = rng.uniform(-5, 90)
-            data = stage(
-                mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0),
-                leak=(0.0, 0.05)[trial % 2],
-            )
-            # the one speed, scaled by 1, 0.5 or 1.5
-            speed = data.u_max * (1.0, 0.5, 1.5)[trial % 3]
-            data = dataclasses.replace(data, u_max=speed)
+            cap, speed = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
+            # the one speed fraction, scaled by 1, 0.5 or 1.5 up to at most 1
+            speed = min(1.0, speed * (1.0, 0.5, 1.5)[trial % 3])
+            data = stage(mid - 1.0, mid + 1.0, cap=cap, speed=speed, leak=(0.0, 0.05)[trial % 2])
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
-            state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
+            state = (rng.uniform(-50, 50), rng.uniform(0, cap))
+            sub = s.NodeSubproblem(data, cutset=cut_set(cap, cuts))
             sol = sub.solve(state)
             ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
@@ -139,7 +128,7 @@ class TestSolveStage:
     def test_zero_value_to_go(self):
         # the cost-to-go -w' of the last stage: an empty battery holds
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(0.0, -1.0, 0.0)]))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, [Cut(0.0, -1.0, 0.0)]))
         value, _ = s.solve_stage((0.0, 0.0), [sub], [1.0], 0.03)
         assert value == pytest.approx(0.0, abs=1e-9)
         assert sub.solve((0.0, 0.0)).controls == (0.0, 0.0)
@@ -152,7 +141,8 @@ class TestSolveStage:
             datas = [stage(m - 1.0, m + 1.0) for m in mids]
             cuts = [random_cuts(rng, 4) for _ in range(2)]
             subs = [
-                s.NodeSubproblem(d, cutset=cut_set(d.capacity, c)) for d, c in zip(datas, cuts)
+                s.NodeSubproblem(d, cutset=cut_set(d.battery.capacity, c))
+                for d, c in zip(datas, cuts)
             ]
             row = rng.dirichlet([1.0, 1.0])
             state = (rng.uniform(-10, 10), rng.uniform(0, 1))
@@ -197,14 +187,14 @@ class TestSolveStage:
         rng = np.random.default_rng(33)
         data = stage(47.0, 49.0)
         cuts = random_cuts(rng, 12)
-        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, cuts))
         state = (3.0, 0.5)
         sol = sub.solve(state)
         for _ in range(100):
-            b = rng.uniform(0, data.u_max)
-            k = rng.uniform(0, data.u_max)
-            xe = data.leak_factor * state[1] + 0.95 * b - 1.05 * k
-            if not 0 <= xe <= data.capacity:
+            b = rng.uniform(0, data.battery.max_charge)
+            k = rng.uniform(0, data.battery.max_charge)
+            xe = (1.0 - data.battery.leakage) * state[1] + 0.95 * b - 1.05 * k
+            if not 0 <= xe <= data.battery.capacity:
                 continue
             assert stage_objective(data, cuts, state, b, k) >= sol.value - 1e-9
 
@@ -212,7 +202,7 @@ class TestSolveStage:
         rng = np.random.default_rng(44)
         data = stage(40.0, 42.0)
         cuts = random_cuts(rng, 10)
-        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, cuts))
         for _ in range(20):
             state = (rng.uniform(-20, 20), rng.uniform(0.1, 0.9))
             base = sub.solve(state)
@@ -228,8 +218,8 @@ class TestSolveStage:
         rng = np.random.default_rng(5)
         data = stage(49.0, 51.0)
         cuts = random_cuts(rng, 6)
-        a = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts)).solve((1.0, 0.4))
-        b = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts)).solve((1.0, 0.4))
+        a = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, cuts)).solve((1.0, 0.4))
+        b = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, cuts)).solve((1.0, 0.4))
         assert a == b
 
     def test_infeasible_state(self):
@@ -275,19 +265,19 @@ class TestTwoStageDeterministic:
 
 
 def terminal(state, data):
-    return s.NodeSubproblem(data, zero_cut_set(data.capacity)).solve_terminal(state)
+    return s.NodeSubproblem(data, zero_cut_set(data.battery.capacity)).solve_terminal(state)
 
 
 def max_wealth_lp(data, state):
     """Largest next wealth over the control polygon, by scipy (independent route)."""
     xm, xe = state
-    E = data.leak_factor * xe
-    cp, cm = data.charge_eff, data.discharge_eff
+    E = (1.0 - data.battery.leakage) * xe
+    cp, cm = data.battery.charge_eff, data.battery.discharge_eff
     res = linprog(
         c=[data.ask, -data.bid],
         A_ub=[[-cp, cm], [cp, -cm]],
-        b_ub=[E, data.capacity - E],
-        bounds=[(0.0, data.u_max), (0.0, data.u_max)],
+        b_ub=[E, data.battery.capacity - E],
+        bounds=[(0.0, data.battery.max_charge), (0.0, data.battery.max_charge)],
         method="highs",
     )
     assert res.status == 0, res.message
@@ -367,18 +357,19 @@ class TestTerminalKelley:
         for trial in range(240):
             mid = rng.uniform(-15.0, 90.0)
             data = stage(
-                mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0),
+                mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), speed=rng.uniform(0.1, 1.0),
                 leak=(0.0, 0.05)[trial % 2],
             )
-            xe = (0.0, data.capacity, rng.uniform(0.0, data.capacity))[trial % 3]
+            xe = (0.0, data.battery.capacity, rng.uniform(0.0, data.battery.capacity))[trial % 3]
             # every tenth state is rich enough that the oracle's tc' all but vanishes
             xm = 40.0 / rho if trial % 10 == 9 and rho > 0.01 else rng.uniform(-20.0, 20.0)
             state = (xm, xe)
             sol = terminal(state, data)
 
             # the vectorized enumeration picks the scalar enumeration's vertex
-            sub = s.NodeSubproblem(data, zero_cut_set(data.capacity))
-            controls = sub._clamp(max_wealth_controls(data, state), xe)
+            leak, cap, u_max, cp, cm, _, _ = stage_solver._battery_constants(data.battery)
+            buy, sell = max_wealth_controls(data, state)
+            controls = stage_solver._clamp(buy, sell, xe, leak, cap, u_max, cp, cm)
             assert sol.controls == controls
             assert sol.next_state == next_state(data, state, controls)
             assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-6)
@@ -401,16 +392,18 @@ class TestTerminalKelley:
             )
             assert slope == pytest.approx(ref.subgradient[0], rel=1e-12, abs=1e-12)
             # the LP duals carry its objective tie perturbation
-            tie = data.leak_factor * (_TIE_BUY / data.charge_eff + _TIE_SELL / data.discharge_eff)
+            tie = (1.0 - data.battery.leakage) * (
+                _TIE_BUY / data.battery.charge_eff + _TIE_SELL / data.battery.discharge_eff
+            )
             assert -slope * sol.subgradient == pytest.approx(
                 ref.subgradient[1], rel=1e-12, abs=tie
             )
             seen["oracle"] += 1
             seen["empty battery"] += xe == 0.0
-            seen["full battery"] += xe == data.capacity
+            seen["full battery"] += xe == data.battery.capacity
             seen["negative ask"] += data.ask < 0.0
             seen["emptied"] += sol.next_state[1] == 0.0 and sol.subgradient != 0.0
-            seen["filled"] += sol.next_state[1] == data.capacity and sol.subgradient != 0.0
+            seen["filled"] += sol.next_state[1] == data.battery.capacity and sol.subgradient != 0.0
         assert seen["oracle"] >= 180, seen
         assert min(seen.values()) > 0, seen
         assert (seen["tiny slope"] > 0) == (rho > 0.01), seen
@@ -418,17 +411,17 @@ class TestTerminalKelley:
     @pytest.mark.parametrize("own_prices", [True, False])
     def test_lanes_equal_single_calls(self, own_prices):
         rng = np.random.default_rng(3)
-        data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
+        data = stage(30.0, 32.0, cap=2.0, speed=0.35, leak=0.05)
         K = 60
         wealth = rng.uniform(-30.0, 30.0, K)
-        energy = rng.uniform(0.0, data.capacity, K)
-        energy[::4], energy[1::4] = 0.0, data.capacity
+        energy = rng.uniform(0.0, data.battery.capacity, K)
+        energy[::4], energy[1::4] = 0.0, data.battery.capacity
         if own_prices:
             mids = rng.uniform(-15.0, 90.0, K)
             bid, ask = mids - 1.0, mids + 1.0
         else:
             bid = ask = None
-        sub = s.NodeSubproblem(data, zero_cut_set(data.capacity))
+        sub = s.NodeSubproblem(data, zero_cut_set(data.battery.capacity))
         out = TestLaneKernel.one_node(sub, wealth, energy, ask=ask, bid=bid)
         for k in range(K):
             lane_data = data
@@ -482,7 +475,8 @@ class TestLaneKernel:
         K = len(energy)
         if ask is None:
             ask, bid = np.full(K, sub.data.ask), np.full(K, sub.data.bid)
-        out = s.StageLanes([sub]).next_states(np.zeros(K, dtype=int), energy, ask, bid)
+        lanes = s.StageLanes(sub.data.battery, [sub.cutset])
+        out = lanes.next_states(np.zeros(K, dtype=int), energy, ask, bid)
         return TestLaneKernel.with_wealth(out, wealth, ask, bid)
 
     @pytest.mark.parametrize("own_prices", [True, False])
@@ -490,17 +484,18 @@ class TestLaneKernel:
         rng = np.random.default_rng(7)
         for trial in range(120):
             mid = rng.uniform(-5, 90)
-            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
+            cap, speed = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
+            data = stage(mid - 1.0, mid + 1.0, cap=cap, speed=speed)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
             K = 1 + trial % 9
             wealth = rng.uniform(-50, 50, K)
-            energy = rng.uniform(0, data.capacity, K)
+            energy = rng.uniform(0, data.battery.capacity, K)
             if own_prices:
                 mids = rng.uniform(-5, 90, K)
                 bid, ask = mids - 1.0, mids + 1.0
             else:
                 bid = ask = None
-            sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts))
+            sub = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, cuts))
             out = self.one_node(sub, wealth, energy, ask=ask, bid=bid)
             for k in range(K):
                 lane_data = data
@@ -517,26 +512,26 @@ class TestLaneKernel:
         # slopes -ask/c+ and -bid/c- equal envelope slopes exactly, where
         # bisect_left's tie rule decides the break
         rng = np.random.default_rng(17)
-        data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
+        data = stage(30.0, 32.0, cap=2.0, speed=0.35, leak=0.05)
         tie_bid, tie_ask = 39.0, 41.0
         # tangents of the convex 30 (e - 1)^2 with slopes g: n envelope lines
         slopes = [rng.uniform(-60.0, 60.0, n).tolist() for n in (1, 2, 5, 11)]
-        slopes.append([-tie_ask / data.charge_eff, -tie_bid / data.discharge_eff, 0.0, 20.0])
+        battery = data.battery
+        slopes.append([-tie_ask / battery.charge_eff, -tie_bid / battery.discharge_eff, 0.0, 20.0])
         cutsets = [
-            cut_set(data.capacity, [Cut(30.0 - 30.0 * (1 + g / 60) ** 2, -1.0, g) for g in gs])
+            cut_set(battery.capacity, [Cut(30.0 - 30.0 * (1 + g / 60) ** 2, -1.0, g) for g in gs])
             for gs in slopes
         ]
         assert [len(c) for c in cutsets] == [1, 2, 5, 11, 4]
-        subs = [s.NodeSubproblem(data, cutset=c) for c in cutsets]
         K = 250
-        nodes = rng.integers(0, len(subs), K)
+        nodes = rng.integers(0, len(cutsets), K)
         wealth = rng.uniform(-50.0, 50.0, K)
-        energy = rng.uniform(0.0, data.capacity, K)
-        energy[::5], energy[1::5] = 0.0, data.capacity
+        energy = rng.uniform(0.0, battery.capacity, K)
+        energy[::5], energy[1::5] = 0.0, battery.capacity
         mids = rng.uniform(-60.0, 120.0, K)
         bid, ask = mids - 1.0, mids + 1.0
         bid[nodes == 4], ask[nodes == 4] = tie_bid, tie_ask
-        out = s.StageLanes(subs).next_states(nodes, energy, ask, bid)
+        out = s.StageLanes(battery, cutsets).next_states(nodes, energy, ask, bid)
         out = self.with_wealth(out, wealth, ask, bid)
         for k in range(K):
             lane_data = dataclasses.replace(data, bid=float(bid[k]), ask=float(ask[k]))
@@ -546,21 +541,16 @@ class TestLaneKernel:
         assert set(nodes.tolist()) == {0, 1, 2, 3, 4}
         assert (mids[nodes < 4] < -20.0).any()
 
-    def test_stage_must_share_the_battery(self):
-        data = stage(30.0, 32.0)
-        subs = [
-            s.NodeSubproblem(data, zero_cut_set(data.capacity)),
-            s.NodeSubproblem(
-                dataclasses.replace(data, u_max=0.3), zero_cut_set(data.capacity)
-            ),
-        ]
-        with pytest.raises(ValueError):
-            s.StageLanes(subs)
+    def test_lanes_refuse_another_capacity(self):
+        # one cut set of the stage built for another capacity
+        battery = s.BatterySpec(capacity=1.0)
+        with pytest.raises(ValueError, match="another capacity"):
+            s.StageLanes(battery, [zero_cut_set(1.0), zero_cut_set(2.0)])
 
     def test_energy_state_outside_box(self):
         data = stage(49.0, 51.0)
-        sub = s.NodeSubproblem(data, cutset=cut_set(data.capacity, [Cut(-5.0, -1.0, 1.0)]))
-        last = s.NodeSubproblem(data, zero_cut_set(data.capacity))
+        sub = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, [Cut(-5.0, -1.0, 1.0)]))
+        last = s.NodeSubproblem(data, zero_cut_set(data.battery.capacity))
         for bad in (2.0, -0.5):
             with pytest.raises(InfeasibleError):
                 sub.solve((0.0, bad))
@@ -578,12 +568,12 @@ class TestLaneKernel:
         # solve's bit for bit, scalar and in lanes, and the value and next
         # wealth are shifted by -w and w (up to the rounding at that magnitude)
         rng = np.random.default_rng(9)
-        data = stage(30.0, 32.0, cap=2.0, u=0.7, leak=0.05)
+        data = stage(30.0, 32.0, cap=2.0, speed=0.35, leak=0.05)
         tol = 4.0 * math.ulp(wealth)
         energy = np.array([0.0, 0.3, 1.1, 2.0])
         subs = [
-            s.NodeSubproblem(data, cutset=cut_set(data.capacity, random_cuts(rng, 8))),
-            s.NodeSubproblem(data, zero_cut_set(data.capacity)),
+            s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, random_cuts(rng, 8))),
+            s.NodeSubproblem(data, zero_cut_set(data.battery.capacity)),
         ]
         for sub in subs:
             buy0, sell0, wealth0, energy0 = self.one_node(sub, np.zeros(4), energy)
@@ -622,7 +612,7 @@ class TestLaneKernel:
             self.one_node(sub, np.zeros(2), np.array([0.0, 2.0]))
         # beside a trained node, only the lanes that visit the empty one fail
         trained = s.NodeSubproblem(data, cutset=cut_set(1.0, [Cut(-5.0, -1.0, 1.0)]))
-        lanes = s.StageLanes([trained, sub])
+        lanes = s.StageLanes(data.battery, [trained.cutset, cuts])
         args = np.array([0.0, 0.5]), np.full(2, data.ask), np.full(2, data.bid)
         lanes.next_states(np.array([0, 0]), *args)
         with pytest.raises(NotTrainedError):
@@ -756,11 +746,12 @@ class TestSpreadConditionViolated:
         rng = np.random.default_rng(17)
         for _ in range(120):
             mid = rng.uniform(-90.0, -21.0)
-            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
+            cap, speed = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
+            data = stage(mid - 1.0, mid + 1.0, cap=cap, speed=speed)
             assert not s.check_spread_condition(data)
             cuts = random_cuts(rng, int(rng.integers(1, 25)))
-            state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
-            sol = s.NodeSubproblem(data, cutset=cut_set(data.capacity, cuts)).solve(state)
+            state = (rng.uniform(-50, 50), rng.uniform(0, data.battery.capacity))
+            sol = s.NodeSubproblem(data, cutset=cut_set(data.battery.capacity, cuts)).solve(state)
             ref = lp_reference(data, cuts, state)
             assert sol.value == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
             at_controls = stage_objective(data, cuts, state, *sol.controls)
@@ -770,8 +761,9 @@ class TestSpreadConditionViolated:
         rng = np.random.default_rng(18)
         for _ in range(200):
             mid = rng.uniform(-90.0, -21.0)
-            data = stage(mid - 1.0, mid + 1.0, cap=rng.uniform(0.5, 3.0), u=rng.uniform(0.1, 1.0))
-            state = (rng.uniform(-50, 50), rng.uniform(0, data.capacity))
+            cap, speed = rng.uniform(0.5, 3.0), rng.uniform(0.1, 1.0)
+            data = stage(mid - 1.0, mid + 1.0, cap=cap, speed=speed)
+            state = (rng.uniform(-50, 50), rng.uniform(0, data.battery.capacity))
             sol = terminal(state, data)
             assert sol.next_state[0] == pytest.approx(max_wealth_lp(data, state), abs=1e-9)
 
@@ -847,7 +839,8 @@ class TestClosedFormOnTrainedPool:
             else:
                 bid = np.array([subs[j].data.bid for j in nodes])
                 ask = np.array([subs[j].data.ask for j in nodes])
-            out = s.StageLanes(subs).next_states(np.array(nodes), energy, ask, bid)
+            lanes = s.StageLanes(policy.problem.battery, [sub.cutset for sub in subs])
+            out = lanes.next_states(np.array(nodes), energy, ask, bid)
             out = TestLaneKernel.with_wealth(out, wealth, ask, bid)
             for k, (state, j) in enumerate(zip(states, nodes)):
                 lane = subs[j]
@@ -895,7 +888,8 @@ class TestComplementarity:
             energy = rng.uniform(0.0, battery.capacity, nodes.size)
             energy[::10] = 0.0
             bid, ask = s.bid_ask(model, t, rng.normal(0.0, 25.0, nodes.size))
-            buy, sell, _ = s.StageLanes(subs).next_states(nodes, energy, ask, bid)
+            lanes = s.StageLanes(battery, [sub.cutset for sub in subs])
+            buy, sell, _ = lanes.next_states(nodes, energy, ask, bid)
             spread = bid / battery.discharge_eff <= ask / battery.charge_eff
             assert np.all(buy[spread] * sell[spread] == 0.0), t
             holds += int(spread.sum())

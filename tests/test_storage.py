@@ -10,20 +10,9 @@ from oracles import (
     RelaxedTrajectory,
     random_relaxed_trajectory,
     recover_complementary,
+    stage,
     terminal_cost_derivative,
 )
-
-
-def stage(bid, ask, c_plus=0.95, c_minus=1.05, cap=1.0, u=0.4, leak=0.0):
-    return s.StageData(
-        bid=bid,
-        ask=ask,
-        leak_factor=1.0 - leak,
-        charge_eff=c_plus,
-        discharge_eff=c_minus,
-        capacity=cap,
-        u_max=u,
-    )
 
 
 class TestSpreadCondition:
