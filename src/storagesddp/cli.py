@@ -2,10 +2,13 @@
 
 Commands: fit, discretize, train, simulate, price, sweep.  All outputs are
 plot-ready CSV/JSON flat files.  Exit codes: 0 ok, 2 configuration error,
-3 data error, 4 numerical failure.
+3 data error, 4 numerical failure.  A config that cannot be read (missing,
+a directory, not UTF-8) is a configuration error; a price CSV or checkpoint
+that cannot be read is a data error.
 
-Environment override (only this one): STORAGESDDP_OUT for the output
-directory.
+The output directory is ``--out``, else the environment override (only
+this one) STORAGESDDP_OUT, else ``.``.  It is created, or refused as a
+configuration error, before a command reads its inputs or trains.
 """
 
 from __future__ import annotations
@@ -36,12 +39,18 @@ EXIT_NUMERICAL = 4
 
 
 def _out_dir(args) -> str:
+    """The output directory, created if missing; `ConfigError` if it is unusable."""
     out = args.out or os.environ.get("STORAGESDDP_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
+    if not os.access(out, os.W_OK):
+        raise ConfigError(f"cannot use output directory {out}: not writable")
     return out
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, out: str) -> int:
     deviations, dropped = read_price_csv(args.csv)
     fit = fit_ar(deviations)
     doc = {
@@ -59,17 +68,17 @@ def cmd_fit(args) -> int:
     print(f"n_obs        {fit.n_obs}")
     if dropped:
         print(f"dropped_rows {dropped}")
-    path = os.path.join(_out_dir(args), "fit.json")
+    path = os.path.join(out, "fit.json")
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
     print(f"wrote {path}")
     return EXIT_OK
 
 
-def cmd_discretize(args) -> int:
+def cmd_discretize(args, out: str) -> int:
     cfg = load_config(args.config)
     chain = build_chain_for(cfg)
-    path = os.path.join(_out_dir(args), "chain.json")
+    path = os.path.join(out, "chain.json")
     with open(path, "w", encoding="utf-8") as f:
         f.write(chain.to_json())
     print(
@@ -78,10 +87,9 @@ def cmd_discretize(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, out: str) -> int:
     cfg = load_config(args.config)
     policy, log = train_from_config(cfg)
-    out = _out_dir(args)
     log_path = os.path.join(out, "training_log.csv")
     log.write_csv(log_path)
     ckpt_path = os.path.join(out, "checkpoint.json")
@@ -96,7 +104,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out: str) -> int:
     cfg = load_config(args.config)
     if args.checkpoint:
         problem = build_problem(cfg)
@@ -107,7 +115,6 @@ def cmd_simulate(args) -> int:
         policy, _ = train_from_config(cfg)
     trained_bound = policy.root_bound()
     report = evaluate_out_of_sample(policy, cfg.simulate.scenarios, cfg.simulate.seed)
-    out = _out_dir(args)
     rep_path = os.path.join(out, "simulation.csv")
     with open(rep_path, "w", encoding="utf-8") as f:
         f.write("scenario,terminal_wealth,utility\n")
@@ -134,10 +141,9 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_price(args) -> int:
+def cmd_price(args, out: str) -> int:
     cfg = load_config(args.config)
     result = price_storage(cfg)
-    out = _out_dir(args)
     path = os.path.join(out, "price.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("rho,price_eur,phi_with,phi_without,iterations\n")
@@ -159,13 +165,12 @@ def _numbers(text: str, option: str) -> list[float]:
         raise ConfigError(f"{option} must be comma-separated numbers, not {text!r}") from None
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out: str) -> int:
     cfg = load_config(args.config)
     grid = _numbers(args.grid, "--grid")
     rhos = _numbers(args.rhos, "--rhos") if args.rhos is not None else None
     rows = price_sweep(args.axis, grid, cfg, rhos=rhos)
 
-    out = _out_dir(args)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("axis_value,rho,price_eur,bound,train_seconds\n")
@@ -230,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _out_dir(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -69,7 +69,6 @@ class PriceConfig:
     a: float = 0.48
     sigma_eps: float = 3.0
     xi0: float = 0.0
-    sampling_std: float | None = None
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ _SECTIONS = {
 }
 
 
-# integer fields; every other field but the day-ahead curve and an absent
-# sampling std is a real number
+# integer fields; every other field but the day-ahead curve is a real number
 _COUNTS = (
     "horizon",
     "sddp.quadrature_points",
@@ -176,10 +174,12 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """Read a JSON run config; `ConfigError` if it cannot be read (missing, a
+    directory, not UTF-8), is not JSON, or fails `validate_config`."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
@@ -207,7 +207,7 @@ def validate_config(cfg: RunConfig) -> None:
         if name in _COUNTS:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
-        elif not (value is None and name == "price.sampling_std") and not _is_real(value):
+        elif not _is_real(value):
             raise ConfigError(f"{name} must be a finite number, not {value!r}")
     if cfg.market.day_ahead is not None and not all(map(_is_real, cfg.market.day_ahead)):
         raise ConfigError("market.day_ahead must be a list of finite numbers")
@@ -230,8 +230,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("market.spread_eur must be >= 0")
     if cfg.price.sigma_eps < 0:
         raise ConfigError("price.sigma_eps must be >= 0")
-    if cfg.price.sampling_std is not None and cfg.price.sampling_std <= 0:
-        raise ConfigError("price.sampling_std must be > 0 when given")
     if cfg.utility.rho <= 0:
         raise ConfigError("utility.rho must be > 0")
     if cfg.sddp.quadrature_points < 1:
@@ -279,11 +277,7 @@ def build_problem(cfg: RunConfig) -> StorageProblem:
 
 
 def build_chain_for(cfg: RunConfig) -> MarkovChain:
-    return build_chain(
-        build_price_model(cfg),
-        n=cfg.sddp.quadrature_points,
-        sampling_std=cfg.price.sampling_std,
-    )
+    return build_chain(build_price_model(cfg), cfg.sddp.quadrature_points)
 
 
 def train_from_config(cfg: RunConfig) -> tuple[Policy, TrainingLog]:
@@ -296,15 +290,14 @@ def train_from_config(cfg: RunConfig) -> tuple[Policy, TrainingLog]:
 def with_axis_value(cfg: RunConfig, axis: str, value: float) -> RunConfig:
     """Return a config with one sweep axis replaced.
 
-    ``sigma`` sets the innovation std directly and clears any explicit
-    sampling_std so the sampling density follows the new stationary std.
+    ``capacity`` sets ``battery.capacity_mwh``, ``speed_fraction`` sets
+    ``battery.alpha`` and ``sigma`` sets ``price.sigma_eps``; nothing else
+    changes (the chain follows the new innovation std by itself).
     """
     if axis == "capacity":
         return replace(cfg, battery=replace(cfg.battery, capacity_mwh=float(value)))
     if axis == "speed_fraction":
         return replace(cfg, battery=replace(cfg.battery, alpha=float(value)))
     if axis == "sigma":
-        return replace(
-            cfg, price=replace(cfg.price, sigma_eps=float(value), sampling_std=None)
-        )
+        return replace(cfg, price=replace(cfg.price, sigma_eps=float(value)))
     raise ConfigError(f"unknown sweep axis '{axis}'; expected one of {SWEEP_AXES}")

@@ -1,7 +1,9 @@
 """Finite-state Markov chain approximation of the AR(1) deviation process.
 
-Stage t >= 1 shares one set of Gauss-Hermite quadrature nodes drawn for a
-zero-mean Gaussian sampling density.  Transition weights from node ``xi_j`` at
+Stage t >= 1 shares one set of Gauss-Hermite quadrature nodes drawn for
+the sampling density, the price model's stationary law N(0, sigma_eps^2 /
+(1 - a^2)) (N(0, sigma_eps^2) when |a| >= 1, N(0, 1) when sigma_eps is 0):
+the model alone fixes the chain.  Transition weights from node ``xi_j`` at
 stage t to node ``xi_i`` at stage t+1 are importance-reweighted quadrature
 weights
 
@@ -139,40 +141,34 @@ def _normal_pdf(x: np.ndarray, mean: float | np.ndarray, std: float) -> np.ndarr
     return np.exp(-0.5 * z * z) / (std * np.sqrt(2.0 * np.pi))
 
 
-def build_chain(
-    model: PriceModel,
-    n: int,
-    sampling_std: float | None = None,
-) -> MarkovChain:
+def build_chain(model: PriceModel, n: int) -> MarkovChain:
     """Discretize the deviation process on ``n`` quadrature nodes per stage.
 
     The chain has the model's horizon.  Stages 1..T hold one read-only node
-    array, and stages 1..T-1 one transition matrix.
+    array, the Gauss-Hermite nodes of N(0, ``model.stationary_std()``^2)
+    (of N(0, 1) when that std is 0), and stages 1..T-1 one transition matrix.
 
     Parameters
     ----------
     model:
-        Price model supplying ``a``, ``sigma_eps`` and ``xi_0``.
+        Price model supplying ``a``, ``sigma_eps``, ``xi_0`` and the horizon.
     n:
         Quadrature points per stage (same at every stage).
-    sampling_std:
-        Std of the zero-mean Gaussian sampling density.  Defaults to the
-        stationary std of the deviation process.
 
     Raises
     ------
-    InvalidOrderError, ValueError
-        From `gauss_hermite`, for ``n < 1``, an ``n`` whose weights
-        underflow, or ``sampling_std <= 0``.
+    InvalidOrderError
+        From `gauss_hermite`, for ``n < 1`` or an ``n`` whose weights
+        underflow.
     NumericalUnderflowError
-        If a raw transition row sums to less than 1e-12 (sampling density
-        badly mismatched with the conditional density).
+        If a raw transition row sums to less than 1e-12: the conditional
+        density puts next to no mass near the nodes, as when ``xi_0`` lies
+        far outside them or ``|a|`` is far above 1.
     """
     T = model.horizon
-    if sampling_std is None:
-        sampling_std = model.stationary_std()
-        if sampling_std <= 0:
-            sampling_std = 1.0  # degenerate model; node placement is irrelevant
+    sampling_std = model.stationary_std()
+    if sampling_std <= 0:
+        sampling_std = 1.0  # degenerate model; node placement is irrelevant
 
     rule = gauss_hermite(n, sampling_std)
     stage_nodes = rule.nodes
@@ -199,8 +195,7 @@ def build_chain(
                 mass = row.sum()
                 if not mass >= _ROW_SUM_FLOOR:
                     raise NumericalUnderflowError(
-                        f"stage {t}, node {j}: raw transition mass {mass:.3e} "
-                        "below 1e-12; adjust sampling_std"
+                        f"stage {t}, node {j}: raw transition mass {mass:.3e} below 1e-12"
                     )
                 row = row / mass
             mat[j] = row

@@ -40,7 +40,7 @@ class InvalidOrderError(StorageError):
 
 
 class NumericalUnderflowError(StorageError):
-    """A transition row lost essentially all mass; sampling density mismatched."""
+    """A transition row lost essentially all mass: the conditional law misses the nodes."""
 
 
 class ConditionViolatedError(StorageError):

@@ -130,23 +130,23 @@ def fit_ar(deviations: np.ndarray) -> RegressionFit:
     )
 
 
-def simulate_deviation_path(model: PriceModel, horizon: int, rng_seed: int) -> np.ndarray:
-    """Simulate ``xi_1 .. xi_horizon`` from a seeded generator.
+def simulate_deviation_path(model: PriceModel, rng_seed: int) -> np.ndarray:
+    """Simulate ``xi_1 .. xi_T`` over the model's horizon from a seeded generator.
 
-    Pure function of ``(model, horizon, rng_seed)``: the same seed always
-    yields the same path.  The one row of `simulate_deviation_paths`.
+    Pure function of ``(model, rng_seed)``: the same seed always yields the
+    same path.  The one row of `simulate_deviation_paths`.
     """
-    return simulate_deviation_paths(model, horizon, [rng_seed])[0]
+    return simulate_deviation_paths(model, [rng_seed])[0]
 
 
-def simulate_deviation_paths(model: PriceModel, horizon: int, seeds) -> np.ndarray:
-    """One path per seed as a ``(len(seeds), horizon)`` array.
+def simulate_deviation_paths(model: PriceModel, seeds) -> np.ndarray:
+    """One path over the model's horizon per seed, as a ``(len(seeds), T)`` array.
 
-    Row k draws its innovations from ``default_rng(seeds[k])``; the AR
-    recursion then runs once per stage across all rows.
+    Row k draws its T innovations from ``default_rng(seeds[k])``; the AR
+    recursion then runs once per stage across all rows.  A longer path (as
+    for fitting) comes from a model whose day-ahead curve has that length.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = model.horizon
     paths = np.empty((len(seeds), horizon))
     for k, seed in enumerate(seeds):
         paths[k] = np.random.default_rng(seed).normal(0.0, model.innovation_std, size=horizon)
@@ -173,8 +173,8 @@ def read_price_csv(path: str) -> tuple[np.ndarray, int]:
     (``nan`` and ``inf`` parse as floats) is incomplete and dropped.
     Returns the deviations of the kept rows, in file order, and the number
     of dropped rows (also logged).  Raises `DataError` for a file that
-    cannot be read, a header without the three columns, and a file without
-    a usable row.
+    cannot be read (missing, a directory, not UTF-8), a header without the
+    three columns, and a file without a usable row.
     """
     deviations: list[float] = []
     dropped = 0
@@ -201,7 +201,7 @@ def read_price_csv(path: str) -> tuple[np.ndarray, int]:
                     dropped += 1
                     continue
                 deviations.append(v - d)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if dropped:
         logger.warning("dropped %d incomplete rows from %s", dropped, path)

@@ -142,7 +142,7 @@ def evaluate_out_of_sample(
     for lo in range(0, n_scenarios, block):
         ks = range(lo, min(lo + block, n_scenarios))
         sl = slice(lo, lo + len(ks))
-        xi = simulate_deviation_paths(model, T, [rng_seed ^ k for k in ks])
+        xi = simulate_deviation_paths(model, [rng_seed ^ k for k in ks])
         wealths[sl], utils[sl] = _simulate_lanes(policy, stages, xi)
         draws = np.array(
             [np.random.default_rng((rng_seed + 1_000_003) ^ k).random(T) for k in ks]

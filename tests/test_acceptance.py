@@ -230,8 +230,8 @@ def test_criterion_8_risk_aversion_thins_left_tail():
 
 def test_criterion_9_regression_recovery():
     t0 = time.perf_counter()
-    model = s.PriceModel((50.0,) * 24, 0.48, 10.0, 1.0)
-    path = s.simulate_deviation_path(model, 8760, rng_seed=2024)
+    model = s.PriceModel((50.0,) * 8760, 0.48, 10.0, 1.0)
+    path = s.simulate_deviation_path(model, rng_seed=2024)
     fit = s.fit_ar(path)
     assert abs(fit.slope - 0.48) <= 0.03
     assert abs(fit.residual_std - 10.0) / 10.0 <= 0.03

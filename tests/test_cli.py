@@ -286,6 +286,91 @@ def test_out_dir_env_override(small_config, tmp_path, monkeypatch):
     assert (target / "chain.json").exists()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the command trained or evaluated before refusing its input")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make every training or evaluation the CLI starts fail the test."""
+    for name in ("train_from_config", "evaluate_out_of_sample", "price_storage", "price_sweep"):
+        monkeypatch.setattr(f"storagesddp.cli.{name}", _must_not_run)
+
+
+# (command, exit code): which input each reads from the file under test
+READERS = [
+    ("discretize", 2),
+    ("train", 2),
+    ("simulate", 2),
+    ("price", 2),
+    ("sweep", 2),
+    ("simulate --checkpoint", 3),
+    ("fit", 3),
+]
+
+
+def _argv(command, path, small_config):
+    if command == "fit":
+        return ["fit", path]
+    if command == "simulate --checkpoint":
+        return ["simulate", "--config", small_config, "--checkpoint", path]
+    grid = ["--axis", "capacity", "--grid", "1.0"] if command == "sweep" else []
+    return [command, "--config", path] + grid
+
+
+@pytest.mark.parametrize("bad", ["not utf-8", "directory", "missing"])
+@pytest.mark.parametrize("command, code", READERS, ids=[c for c, _ in READERS])
+def test_unreadable_inputs_are_typed(small_config, tmp_path, capsys, no_work, command, code, bad):
+    # a UTF-16 spreadsheet export starts with the bytes ff fe; read as UTF-8
+    # it raised UnicodeDecodeError out of main with a traceback
+    path = tmp_path / "input"
+    if bad == "not utf-8":
+        text = "timestamp,day_ahead,id1\nt0,50,52\n" if command == "fit" else "{}"
+        path.write_bytes(text.encode("utf-16"))
+        assert path.read_bytes()[:2] == b"\xff\xfe"
+    elif bad == "directory":
+        path.mkdir()
+    argv = _argv(command, str(path), small_config) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "data error:")
+    assert "cannot read" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("via", ["--out", "STORAGESDDP_OUT"])
+@pytest.mark.parametrize("command", [c for c, _ in READERS])
+def test_out_that_is_a_file_is_refused_first(
+    small_config, tmp_path, capsys, monkeypatch, no_work, command, via
+):
+    # os.makedirs raised FileExistsError out of main, and only after training
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text("{}", encoding="utf-8")
+    csv = write_csv(tmp_path, ["t0,50,52", "t1,50,51", "t2,50,53"])
+    path = {"fit": csv, "simulate --checkpoint": str(ckpt)}.get(command, small_config)
+    out = tmp_path / "taken"
+    out.write_text("not a directory", encoding="utf-8")
+    argv = _argv(command, path, small_config)
+    if via == "--out":
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv("STORAGESDDP_OUT", str(out))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot use output directory") and str(out) in err
+    assert out.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_out_that_is_not_writable_is_refused_first(small_config, tmp_path, monkeypatch, no_work):
+    # os.access stands in for a directory without write permission, which
+    # a privileged user does not meet
+    out = tmp_path / "locked"
+    out.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode: p != str(out) and access(p, mode))
+    assert main(["train", "--config", small_config, "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
 THREE_STAGE = {
     "horizon": 3,
     "market": {"day_ahead": [45.0, 60.0, 35.0]},

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,9 @@ class TestParsing:
             s.config_from_dict({"horizont": 24})
         with pytest.raises(ConfigError):
             s.config_from_dict({"battery": {"capacity": 2.0}})
+        # the price model fixes the chain's sampling law; no key sets it
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['sampling_std'\] in 'price'"):
+            s.config_from_dict({"price": {"sampling_std": 1.0}})
 
     @pytest.mark.parametrize(
         "doc",
@@ -86,7 +92,6 @@ class TestParsing:
             ('{"battery": {"alpha": NaN}}', "battery.alpha must be a finite"),
             ('{"market": {"spread_eur": Infinity}}', "market.spread_eur must be a finite"),
             ('{"price": {"xi0": -Infinity}}', "price.xi0 must be a finite"),
-            ('{"price": {"sampling_std": NaN}}', "price.sampling_std must be a finite"),
             ('{"utility": {"rho": NaN}}', "utility.rho must be a finite"),
             ('{"utility": {"initial_wealth": Infinity}}', "utility.initial_wealth must be"),
             ('{"battery": {"capacity_mwh": "1"}}', "battery.capacity_mwh must be a finite"),
@@ -196,6 +201,13 @@ class TestAssembly:
         model = s.build_problem(cfg).price_model
         rule = s.gauss_hermite(8, model.stationary_std())
         assert np.allclose(chain.nodes[1], rule.nodes)
+        # the chain always samples from the model's stationary law, and from
+        # N(0, 1) when the innovation std is 0
+        for n in (1, 3, 8):
+            nodes = s.build_chain(model, n).nodes[1]
+            assert nodes.tolist() == s.gauss_hermite(n, model.stationary_std()).nodes.tolist()
+        flat = s.PriceModel(model.day_ahead, 0.48, 0.0, 1.0)
+        assert s.build_chain(flat, 4).nodes[1].tolist() == s.gauss_hermite(4, 1.0).nodes.tolist()
 
 
 class TestAxisreplacement:
@@ -207,12 +219,29 @@ class TestAxisreplacement:
         cfg = with_axis_value(s.RunConfig(), "speed_fraction", 0.7)
         assert cfg.battery.alpha == 0.7
 
-    def test_sigma_clears_sampling_std(self):
-        base = s.config_from_dict({"price": {"sampling_std": 5.0}})
-        cfg = with_axis_value(base, "sigma", 6.0)
-        assert cfg.price.sigma_eps == 6.0
-        assert cfg.price.sampling_std is None
+    def test_sigma(self):
+        cfg = with_axis_value(s.RunConfig(), "sigma", 6.0)
+        assert cfg.price == s.config.PriceConfig(sigma_eps=6.0)
 
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             with_axis_value(s.RunConfig(), "leakage", 0.1)
+
+
+def dotted_fields(cls, prefix=""):
+    """Dotted names of a config dataclass's leaf fields, sections expanded."""
+    for f in dataclasses.fields(cls):
+        if isinstance(f.default_factory, type) and dataclasses.is_dataclass(f.default_factory):
+            yield from dotted_fields(f.default_factory, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_readme_config_table_matches_run_config():
+    # a key added to or removed from RunConfig without its README row fails
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration keys", 1)[1].split("\n\n| key |", 1)[1]
+    table = section.split("\n\n", 1)[0]
+    keys = re.findall(r"^\| `([\w.]+)` \|", table, flags=re.MULTILINE)
+    assert len(keys) == len(set(keys))
+    assert sorted(keys) == sorted(dotted_fields(s.RunConfig))

@@ -62,8 +62,6 @@ class TestGaussHermite:
             s.gauss_hermite(2, 0.0)
         with pytest.raises(InvalidOrderError):
             s.build_chain(model(), 0)
-        with pytest.raises(ValueError):
-            s.build_chain(model(), 2, sampling_std=0.0)
 
     def test_order_whose_weights_underflow(self):
         # numpy's weights underflow to 0 or NaN from about 371 points; NaN
@@ -82,9 +80,10 @@ class TestGaussHermite:
 
 class TestBuildChain:
     def test_identity_importance_ratio(self):
-        # a = 0 and sampling = innovation std: raw weights are the quadrature weights
+        # a = 0: the stationary std is the innovation std, so raw weights
+        # are the quadrature weights
         m = model(a=0.0, sigma=2.0)
-        chain = s.build_chain(m, 4, sampling_std=2.0)
+        chain = s.build_chain(m, 4)
         rule = s.gauss_hermite(4, 2.0)
         for mat in chain.transitions:
             assert np.allclose(mat, rule.weights[None, :], atol=1e-12)
@@ -145,20 +144,23 @@ class TestBuildChain:
     def test_stages_after_the_root_share_one_matrix(self, sigma):
         # stages 1..T share one node set, so every transition after the
         # root's is stage 1's
-        chain = s.build_chain(model(sigma=sigma), 8, sampling_std=10.0)
+        chain = s.build_chain(model(sigma=sigma), 8)
         assert chain.transitions[0].shape == (1, 8)
         for t in range(1, chain.horizon):
             assert np.array_equal(chain.transitions[t], chain.transitions[1])
 
     def test_underflow_detection(self):
-        # conditional density centered far outside the sampling support
+        # |a| >= 1: the conditional density is centered far outside the nodes
         m = model(a=100.0, sigma=0.001, xi0=1.0)
         with pytest.raises(NumericalUnderflowError):
-            s.build_chain(m, 4, sampling_std=0.001)
+            s.build_chain(m, 4)
+        # a root far outside the stationary nodes
+        with pytest.raises(NumericalUnderflowError, match="stage 0"):
+            s.build_chain(model(xi0=1e4), 8)
 
     def test_zero_innovation_dirac(self):
         m = model(a=0.5, sigma=0.0, xi0=1.0)
-        chain = s.build_chain(m, 3, sampling_std=1.0)
+        chain = s.build_chain(m, 3)
         for mat in chain.transitions:
             assert np.all((mat == 0.0) | (mat == 1.0))
             assert np.all(mat.sum(axis=1) == 1.0)
@@ -197,19 +199,19 @@ class TestMarkovChain:
 
 class TestNearestNode:
     def test_basic(self):
-        chain = s.build_chain(model(a=0.0, sigma=1.0), 3, sampling_std=1.0)
+        chain = s.build_chain(model(a=0.0, sigma=1.0), 3)
         # nodes approx [-1.73, 0, 1.73]
         assert s.nearest_node(chain, 1, 0.4) == 1
 
     def test_tie_breaks_to_smaller_index(self):
-        chain = s.build_chain(model(a=0.0, sigma=1.0), 2, sampling_std=1.0)
+        chain = s.build_chain(model(a=0.0, sigma=1.0), 2)
         # nodes are symmetric +-sigma; 0 is equidistant
         assert s.nearest_node(chain, 1, 0.0) == 0
         got = s.nearest_node(chain, 1, np.array([0.0, 0.3, -0.3, 0.0]))
         assert got.tolist() == [0, 1, 0, 0]
 
     def test_array_tie_between_inner_nodes(self):
-        chain = s.build_chain(model(a=0.0, sigma=1.0), 3, sampling_std=1.0)
+        chain = s.build_chain(model(a=0.0, sigma=1.0), 3)
         lo, mid, hi = chain.nodes[1]
         ties = np.array([(lo + mid) / 2, (mid + hi) / 2])
         scalar = [s.nearest_node(chain, 1, float(x)) for x in ties]

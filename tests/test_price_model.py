@@ -26,18 +26,18 @@ class TestFitAr:
         assert fit.n_obs == 3
 
     def test_monte_carlo_recovery(self):
-        model = make_model(ar_coefficient=0.48, innovation_std=10.0)
-        path = s.simulate_deviation_path(model, 100_000, rng_seed=5)
+        model = make_model(day_ahead=(50.0,) * 100_000, ar_coefficient=0.48, innovation_std=10.0)
+        path = s.simulate_deviation_path(model, rng_seed=5)
         fit = s.fit_ar(path)
         assert abs(fit.slope - 0.48) < 0.02
         assert abs(fit.residual_std - 10.0) < 0.2
 
     def test_recovery_tightens_with_sample_size(self):
-        model = make_model(ar_coefficient=0.48, innovation_std=10.0)
         errs = []
         for n in (2_000, 200_000):
+            model = make_model(day_ahead=(50.0,) * n, ar_coefficient=0.48, innovation_std=10.0)
             err = [
-                abs(s.fit_ar(s.simulate_deviation_path(model, n, rng_seed=seed)).slope - 0.48)
+                abs(s.fit_ar(s.simulate_deviation_path(model, rng_seed=seed)).slope - 0.48)
                 for seed in range(5)
             ]
             errs.append(np.mean(err))
@@ -100,43 +100,39 @@ class TestDeviations:
 
 class TestSimulatePath:
     def test_deterministic_recursion(self):
-        model = make_model(ar_coefficient=0.5, innovation_std=0.0, initial_deviation=4.0)
-        path = s.simulate_deviation_path(model, 3, rng_seed=0)
+        model = make_model(
+            day_ahead=(50.0,) * 3, ar_coefficient=0.5, innovation_std=0.0, initial_deviation=4.0
+        )
+        path = s.simulate_deviation_path(model, rng_seed=0)
         assert path.tolist() == pytest.approx([2.0, 1.0, 0.5])
 
     def test_white_noise_autocorrelation(self):
-        model = make_model(ar_coefficient=0.0, innovation_std=1.0)
-        x = s.simulate_deviation_path(model, 100_000, rng_seed=3)
+        model = make_model(day_ahead=(50.0,) * 100_000, ar_coefficient=0.0, innovation_std=1.0)
+        x = s.simulate_deviation_path(model, rng_seed=3)
         r1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert abs(r1) < 0.01
 
     def test_stationary_variance(self):
         sigma = 2.5
-        model = make_model(ar_coefficient=0.48, innovation_std=sigma)
-        x = s.simulate_deviation_path(model, 1_000_000, rng_seed=9)
+        model = make_model(day_ahead=(50.0,) * 1_000_000, ar_coefficient=0.48, innovation_std=sigma)
+        x = s.simulate_deviation_path(model, rng_seed=9)
         target = sigma**2 / (1 - 0.48**2)
         assert abs(np.var(x) - target) / target < 0.02
 
     def test_pure_function_of_seed(self):
-        model = make_model()
-        a = s.simulate_deviation_path(model, 50, rng_seed=42)
-        b = s.simulate_deviation_path(model, 50, rng_seed=42)
+        model = make_model(day_ahead=(50.0,) * 50)
+        a = s.simulate_deviation_path(model, rng_seed=42)
+        b = s.simulate_deviation_path(model, rng_seed=42)
         assert np.array_equal(a, b)
-        c = s.simulate_deviation_path(model, 50, rng_seed=43)
+        c = s.simulate_deviation_path(model, rng_seed=43)
         assert not np.array_equal(a, c)
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            s.simulate_deviation_path(make_model(), 0, rng_seed=0)
-        with pytest.raises(ValueError):
-            s.simulate_deviation_paths(make_model(), 0, [0, 1])
 
     def test_batch_rows_are_scalar_recursions(self):
         # row k: seed k's innovations through the AR recursion one stage at
         # a time, as a scalar loop computes it
         model = make_model(ar_coefficient=0.48, innovation_std=3.2, initial_deviation=1.5)
         seeds = [7, 0, 7 ^ 5, 123456789]
-        paths = s.simulate_deviation_paths(model, 24, seeds)
+        paths = s.simulate_deviation_paths(model, seeds)
         assert paths.shape == (4, 24)
         for row, seed in zip(paths, seeds):
             eps = np.random.default_rng(seed).normal(0.0, 3.2, size=24)
@@ -145,8 +141,11 @@ class TestSimulatePath:
                 xi = 0.48 * xi + e
                 want.append(xi)
             assert row.tolist() == want
-            assert np.array_equal(s.simulate_deviation_path(model, 24, seed), row)
-        assert s.simulate_deviation_paths(model, 24, []).shape == (0, 24)
+            assert np.array_equal(s.simulate_deviation_path(model, seed), row)
+        assert s.simulate_deviation_paths(model, []).shape == (0, 24)
+        # the paths' length is the model's horizon
+        short = make_model(day_ahead=(50.0,) * 6)
+        assert s.simulate_deviation_paths(short, seeds).shape == (len(seeds), short.horizon)
 
 
 class TestBidAsk:
